@@ -1,39 +1,24 @@
 """chronoscope: yearly hyperlink graphs from timestamped link logs.
 
 The pipeline: raw ``time<TAB>source_url<TAB>target_url`` records are
-aggregated to third-level domains, sessionized, and condensed into one
-weighted digraph per year.  On top of the snapshots sit second-level-domain
-statistics, a ten-measure centrality suite with league-rank correlation,
-partition modularity, and a gravity-law fit of link strength against
-geographic distance.  Synthetic generators with planted structure stand in
+aggregated to third-level domains, grouped into crawl sessions, and
+condensed into one weighted digraph per year.  On top of the snapshots sit
+second-level-domain statistics, a ten-measure centrality suite with
+league-rank correlation, partition modularity, and a gravity-law fit of link
+strength against geographic distance.  Synthetic generators with planted structure stand in
 for real crawl data.
 """
 
 from .domains import (
     DomainKey,
     SuffixPolicy,
-    classify_sld,
     default_policy,
     load_policy,
     parse_domain_key,
     sld_label,
 )
-from .snapshot import (
-    YearSnapshot,
-    merge_snapshots,
-    read_snapshot,
-    snapshot_roundtrip,
-    write_snapshot,
-)
-from .ingest import (
-    LinkRecord,
-    Session,
-    ingest_links,
-    parse_link_line,
-    read_node_pages,
-    select_year_snapshot,
-    sessionize,
-)
+from .snapshot import YearSnapshot, read_snapshot, write_snapshot
+from .ingest import ingest_links, read_node_pages
 from .sldstats import (
     SldFlowMatrix,
     SldYearStats,
@@ -85,11 +70,9 @@ __all__ = [
     "GeoPoint",
     "GravityFit",
     "LeagueCorrelation",
-    "LinkRecord",
     "MEASURES",
     "ModularityResult",
     "RankingTable",
-    "Session",
     "SldFlowMatrix",
     "SldYearStats",
     "StrengthPair",
@@ -97,7 +80,6 @@ __all__ = [
     "SynthSpec",
     "YearSnapshot",
     "centrality_suite",
-    "classify_sld",
     "default_policy",
     "distance_strength_series",
     "equal_groups",
@@ -110,13 +92,11 @@ __all__ = [
     "ingest_links",
     "inter_sld_flows",
     "load_policy",
-    "merge_snapshots",
     "modularity",
     "node_counts_by_sld",
     "node_names",
     "normalized_strengths",
     "parse_domain_key",
-    "parse_link_line",
     "rank_centrality_vs_league",
     "read_geo_points",
     "read_node_list",
@@ -124,10 +104,7 @@ __all__ = [
     "read_partition",
     "read_ranking",
     "read_snapshot",
-    "select_year_snapshot",
-    "sessionize",
     "sld_label",
-    "snapshot_roundtrip",
     "spearman_rank_correlation",
     "symmetrize_pairs",
     "synthetic_geo",

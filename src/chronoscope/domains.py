@@ -10,17 +10,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from urllib.parse import urlsplit
 
 from .errors import MalformedUrl, OutOfScopeTld, PolicyFileError, UnknownSld
 
 # Unknown-SLD handling modes.
 REJECT = "reject"
 TREAT_AS_2LEVEL = "treat-as-2-level"
-
-# Returned by classify_sld() for hosts registered directly under the ccTLD
-# (only reachable under TREAT_AS_2LEVEL policies).
-TWO_LEVEL_MARKER = "<2ld>"
 
 # Synthetic bucket used by the statistics paths for nodes whose suffix is not
 # in the registered set.
@@ -130,36 +125,46 @@ def parse_host_key(host: str, policy: SuffixPolicy) -> DomainKey:
     raise UnknownSld(f"{sld!r} is not a registered SLD")
 
 
+def url_authority(url: str) -> str:
+    """Authority part of a URL: the text after ``://`` (or a leading ``//``)
+    up to the first ``/``; empty when the URL has neither marker.
+
+    The scheme is not checked, so ``ht tp://``, ``://`` and ``1http://`` all
+    introduce an authority.
+    """
+    _, sep, rest = url.partition("://")
+    if not sep:
+        if not url.startswith("//"):
+            return ""
+        rest = url[2:]
+    return rest.partition("/")[0]
+
+
+def authority_host(authority: str) -> str:
+    """Hostname of an authority: drops a ``?``/``#`` tail, user info and
+    port.  Brackets are kept, so an IPv6 literal never matches a ccTLD."""
+    host = authority.partition("?")[0].partition("#")[0]
+    return host.rpartition("@")[2].partition(":")[0]
+
+
 def parse_domain_key(url: str, policy: SuffixPolicy) -> DomainKey:
     """Parse an absolute URL down to its third-level domain.
 
     >>> parse_domain_key("http://www.ox.ac.uk/about", default_policy())
     DomainKey(tld='uk', sld='ac.uk', third_level='ox.ac.uk')
 
-    Paths, queries, fragments and ports are ignored; only the hostname
-    matters.
+    Paths, queries, fragments, user info and ports are ignored; only the
+    hostname matters.  A URL without an authority raises MalformedUrl.
     """
-    try:
-        host = urlsplit(url).hostname
-    except ValueError as exc:
-        raise MalformedUrl(f"unparseable URL {url!r}: {exc}") from None
-    if not host:
-        raise MalformedUrl(f"no hostname in {url!r}")
-    return parse_host_key(host, policy)
-
-
-def classify_sld(key: DomainKey, policy: SuffixPolicy) -> str:
-    """Registered SLD of a parsed key, or the two-level marker."""
-    if key.sld in policy.registered_slds:
-        return key.sld
-    return TWO_LEVEL_MARKER
+    return parse_host_key(authority_host(url_authority(url)), policy)
 
 
 def sld_label(third_level: str, policy: SuffixPolicy) -> str:
     """SLD bucket for a third-level domain string in statistics paths.
 
-    Unlike :func:`classify_sld` this never fails: anything whose two-label
-    tail is not a registered SLD lands in the synthetic ``other`` bucket.
+    This never fails: anything whose two-label tail is not a registered SLD,
+    including a two-label registration kept under ``TREAT_AS_2LEVEL``, lands
+    in the synthetic ``other`` bucket.
     """
     parts = third_level.rsplit(".", 2)
     if len(parts) >= 2:

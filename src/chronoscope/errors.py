@@ -35,14 +35,6 @@ class MalformedLine(ChronoscopeError):
     """Link-log line has the wrong field count or a non-integer timestamp."""
 
 
-class SelfLoop(ChronoscopeError):
-    """Source and target resolve to the same third-level domain."""
-
-
-class UnsortedInput(ChronoscopeError):
-    """Records handed to the sessionizer are not sorted by time."""
-
-
 class SnapshotFormatError(ChronoscopeError):
     """Snapshot file has a missing/unsupported header or a bad record."""
 

@@ -21,16 +21,8 @@ from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .domains import DomainKey, SuffixPolicy, parse_domain_key, parse_host_key
-from .errors import (
-    ChronoscopeError,
-    MalformedLine,
-    MalformedUrl,
-    OutOfScopeTld,
-    SelfLoop,
-    UnknownSld,
-    UnsortedInput,
-)
+from .domains import SuffixPolicy, authority_host, parse_host_key, url_authority
+from .errors import MalformedLine, MalformedUrl, OutOfScopeTld, UnknownSld
 from .snapshot import YearSnapshot
 
 PER_PAIR_MAX = "per-pair-max"
@@ -38,7 +30,7 @@ BEST_SESSION = "best-session"
 
 DEFAULT_GAP_SECONDS = 1000
 
-# UTC year-start epochs, so the bulk path can map timestamps to years with a
+# UTC year-start epochs, so ingest can map timestamps to years with a
 # bisect instead of a datetime construction per session
 _YEAR_BOUNDS = [
     int(datetime(y, 1, 1, tzinfo=timezone.utc).timestamp()) for y in range(1970, 2301)
@@ -48,32 +40,6 @@ _YEAR_BOUNDS = [
 def year_of_timestamp(ts: int) -> int:
     """UTC calendar year of a non-negative unix timestamp."""
     return 1970 + bisect_right(_YEAR_BOUNDS, ts) - 1
-
-
-@dataclass(frozen=True)
-class LinkRecord:
-    """One cross-domain hyperlink observation."""
-
-    crawl_time: int
-    source: DomainKey
-    target: DomainKey
-
-
-@dataclass(frozen=True)
-class Session:
-    """Links captured from one source domain in one crawl visit."""
-
-    source_domain: str
-    start_time: int
-    end_time: int
-    edge_weights: Mapping[str, int]
-
-    def total_weight(self) -> int:
-        return sum(self.edge_weights.values())
-
-    def year(self) -> int:
-        """UTC calendar year of the session start."""
-        return year_of_timestamp(self.start_time)
 
 
 @dataclass
@@ -116,34 +82,11 @@ class IngestResult:
     summary: IngestSummary = field(default_factory=IngestSummary)
 
 
-def parse_link_line(line: str, policy: SuffixPolicy) -> LinkRecord:
-    """Parse one tab-separated link-log line.
-
-    Raises MalformedLine on field-count or timestamp problems, propagates
-    URL parse errors, and raises SelfLoop when both URLs resolve to the same
-    third-level domain (callers count those and move on).
-    """
-    parts = line.rstrip("\n").split("\t")
-    if len(parts) != 3:
-        raise MalformedLine(f"expected 3 tab-separated fields, got {len(parts)}")
-    time_text, source_url, target_url = parts
-    try:
-        crawl_time = int(time_text)
-    except ValueError:
-        raise MalformedLine(f"non-integer crawl time {time_text!r}") from None
-    if crawl_time < 0:
-        raise MalformedLine(f"negative crawl time {crawl_time}")
-    source = parse_domain_key(source_url, policy)
-    target = parse_domain_key(target_url, policy)
-    if source.third_level == target.third_level:
-        raise SelfLoop(f"link stays inside {source.third_level!r}")
-    return LinkRecord(crawl_time, source, target)
-
-
 def _iter_sessions(
     events: Sequence[tuple[int, str]], gap_seconds: int
-) -> Iterator[tuple[int, int, dict[str, int]]]:
-    """Split time-sorted ``(time, target)`` events into session tuples.
+) -> Iterator[tuple[int, dict[str, int]]]:
+    """Split one source's time-sorted ``(time, target)`` events into
+    sessions, yielding each session's start time and per-target counts.
 
     A gap strictly greater than ``gap_seconds`` starts a new session; a gap
     of exactly ``gap_seconds`` stays in-session.
@@ -152,85 +95,12 @@ def _iter_sessions(
     weights: dict[str, int] = {}
     for time, target in events:
         if time - prev > gap_seconds:
-            yield start, prev, weights
+            yield start, weights
             start = time
             weights = {}
         weights[target] = weights.get(target, 0) + 1
         prev = time
-    yield start, prev, weights
-
-
-def sessionize(
-    records: Sequence[LinkRecord], gap_seconds: int = DEFAULT_GAP_SECONDS
-) -> list[Session]:
-    """Group one source domain's time-sorted records into sessions.
-
-    Every record lands in exactly one session, and session edge weights sum
-    to the input record count.
-    """
-    if gap_seconds <= 0:
-        raise ValueError("gap_seconds must be positive")
-    if not records:
-        return []
-    source = records[0].source.third_level
-    events = []
-    prev = records[0].crawl_time
-    for record in records:
-        if record.crawl_time < prev:
-            raise UnsortedInput(
-                f"records not sorted by time ({record.crawl_time} after {prev})"
-            )
-        if record.source.third_level != source:
-            raise ValueError(
-                f"mixed source domains: {record.source.third_level!r} vs {source!r}"
-            )
-        prev = record.crawl_time
-        events.append((record.crawl_time, record.target.third_level))
-    return [
-        Session(source, start, end, weights)
-        for start, end, weights in _iter_sessions(events, gap_seconds)
-    ]
-
-
-def select_year_snapshot(
-    sessions: Iterable[Session], year: int, mode: str = PER_PAIR_MAX
-) -> YearSnapshot:
-    """Build the yearly snapshot from that year's sessions.
-
-    ``per-pair-max`` keeps, for each ordered (source, target) pair, the
-    largest weight any session produced.  ``best-session`` instead picks, per
-    source domain, the single session with the greatest total weight and
-    keeps its pairs (ties go to the earliest session).
-    """
-    if mode not in (PER_PAIR_MAX, BEST_SESSION):
-        raise ValueError(f"unknown selection mode {mode!r}")
-    edges: dict[tuple[str, str], int] = {}
-    if mode == PER_PAIR_MAX:
-        for session in sessions:
-            if session.year() != year:
-                raise ValueError(f"session from {session.year()} in year {year}")
-            src = session.source_domain
-            for tgt, weight in session.edge_weights.items():
-                if weight > edges.get((src, tgt), 0):
-                    edges[(src, tgt)] = weight
-    else:
-        best: dict[str, Session] = {}
-        for session in sessions:
-            if session.year() != year:
-                raise ValueError(f"session from {session.year()} in year {year}")
-            src = session.source_domain
-            cur = best.get(src)
-            if cur is None or _session_rank(session) > _session_rank(cur):
-                best[src] = session
-        for src, session in best.items():
-            for tgt, weight in session.edge_weights.items():
-                edges[(src, tgt)] = weight
-    return YearSnapshot(year, edges)
-
-
-def _session_rank(session: Session) -> tuple[int, int, int]:
-    # higher is better; earlier sessions win ties
-    return (session.total_weight(), -session.start_time, -session.end_time)
+    yield start, weights
 
 
 def read_node_pages(path) -> dict[int, dict[str, int]]:
@@ -266,12 +136,21 @@ def ingest_links(
     """Ingest link-log files into per-year snapshots.
 
     Files are treated as shards of one logical stream: records are pooled,
-    sorted by time per source domain, sessionized, and each session is
-    assigned to the UTC calendar year of its start.  Skipped lines are
-    counted in the summary; with ``strict``, structural problems (bad field
-    count, bad timestamp, unusable hostname) raise instead.  Scoping filters
-    stay counted skips either way: self-links, out-of-scope TLDs and
-    unregistered SLDs are dropped by design, not data corruption.
+    sorted by time per source domain, split into sessions, and each session is
+    assigned to the UTC calendar year of its start.
+
+    ``year_select`` says how a year's sessions become its snapshot.
+    ``per-pair-max`` keeps, for each (source, target) pair, the largest count
+    any session produced.  ``best-session`` keeps, per source domain, the
+    pairs of its one session with the largest total count, as a block; a tie
+    goes to the session that started first (sessions of one source never
+    overlap, so no two share a start).
+
+    Skipped lines are counted in the summary; with ``strict``, structural
+    problems (bad field count, bad timestamp, unusable hostname) raise
+    instead, with the ``path:line`` of the line within its own file.
+    Scoping filters stay counted skips either way: self-links, out-of-scope
+    TLDs and unregistered SLDs are dropped by design, not data corruption.
 
     ``years`` restricts the output to the given years; ``node_pages`` (as
     returned by :func:`read_node_pages`) attaches page counts per year.
@@ -287,20 +166,8 @@ def ingest_links(
     MALFORMED_URL, OUT_OF_SCOPE, UNKNOWN_SLD = 0, 1, 2
     host_cache: dict[str, object] = {}
 
-    def resolve_token(token: str) -> object:
-        # token is the raw chunk between "://" and the first "/"; strip the
-        # pieces the fast path did not look for
-        host = token
-        for sep in ("?", "#"):
-            i = host.find(sep)
-            if i >= 0:
-                host = host[:i]
-        at = host.rfind("@")
-        if at >= 0:
-            host = host[at + 1 :]
-        colon = host.find(":")
-        if colon >= 0:
-            host = host[:colon]
+    def resolve(authority: str) -> object:
+        host = authority_host(authority)
         try:
             if not host:
                 raise MalformedUrl("empty hostname")
@@ -321,72 +188,57 @@ def ingest_links(
 
     for path in paths:
         with open(path, encoding="utf-8") as fh:
-            for line in fh:
-                n_lines += 1
-                parts = line.split("\t")
-                if len(parts) != 3:
-                    if strict:
-                        raise MalformedLine(f"{path}:{n_lines}: expected 3 fields")
-                    n_malformed += 1
-                    continue
-                time_text, source_url, target_url = parts
-                if target_url and target_url[-1] == "\n":
-                    target_url = target_url[:-1]
-                try:
-                    crawl_time = int(time_text)
-                except ValueError:
-                    if strict:
-                        raise MalformedLine(
-                            f"{path}:{n_lines}: bad time {time_text!r}"
-                        ) from None
-                    n_malformed += 1
-                    continue
-                if crawl_time < 0:
-                    if strict:
-                        raise MalformedLine(f"{path}:{n_lines}: negative time")
-                    n_malformed += 1
-                    continue
+            lineno = 0
+            try:
+                for lineno, line in enumerate(fh, start=1):
+                    parts = line.split("\t")
+                    if len(parts) != 3:
+                        if strict:
+                            raise MalformedLine("expected 3 fields")
+                        n_malformed += 1
+                        continue
+                    time_text, source_url, target_url = parts
+                    if target_url and target_url[-1] == "\n":
+                        target_url = target_url[:-1]
+                    try:
+                        crawl_time = int(time_text)
+                    except ValueError:
+                        if strict:
+                            raise MalformedLine(f"bad time {time_text!r}") from None
+                        n_malformed += 1
+                        continue
+                    if crawl_time < 0:
+                        if strict:
+                            raise MalformedLine("negative time")
+                        n_malformed += 1
+                        continue
 
-                i = source_url.find("://")
-                if i >= 0:
-                    j = source_url.find("/", i + 3)
-                    token = source_url[i + 3 : j] if j >= 0 else source_url[i + 3 :]
-                elif source_url.startswith("//"):
-                    j = source_url.find("/", 2)
-                    token = source_url[2:j] if j >= 0 else source_url[2:]
-                else:
-                    token = ""
-                source = cache_get(token)
-                if source is None:
-                    source = host_cache[token] = resolve_token(token)
-                if type(source) is not str:
-                    url_skips[source] += 1
-                    continue
+                    authority = url_authority(source_url)
+                    source = cache_get(authority)
+                    if source is None:
+                        source = host_cache[authority] = resolve(authority)
+                    if type(source) is not str:
+                        url_skips[source] += 1
+                        continue
+                    authority = url_authority(target_url)
+                    target = cache_get(authority)
+                    if target is None:
+                        target = host_cache[authority] = resolve(authority)
+                    if type(target) is not str:
+                        url_skips[target] += 1
+                        continue
 
-                i = target_url.find("://")
-                if i >= 0:
-                    j = target_url.find("/", i + 3)
-                    token = target_url[i + 3 : j] if j >= 0 else target_url[i + 3 :]
-                elif target_url.startswith("//"):
-                    j = target_url.find("/", 2)
-                    token = target_url[2:j] if j >= 0 else target_url[2:]
-                else:
-                    token = ""
-                target = cache_get(token)
-                if target is None:
-                    target = host_cache[token] = resolve_token(token)
-                if type(target) is not str:
-                    url_skips[target] += 1
-                    continue
-
-                if source is target:
-                    n_self += 1
-                    continue
-                n_records += 1
-                bucket = events_by_source.get(source)
-                if bucket is None:
-                    bucket = events_by_source[source] = []
-                bucket.append((crawl_time, target))
+                    if source is target:
+                        n_self += 1
+                        continue
+                    n_records += 1
+                    bucket = events_by_source.get(source)
+                    if bucket is None:
+                        bucket = events_by_source[source] = []
+                    bucket.append((crawl_time, target))
+            except (MalformedLine, MalformedUrl) as exc:
+                raise type(exc)(f"{path}:{lineno}: {exc}") from None
+        n_lines += lineno
 
     summary.lines = n_lines
     summary.records = n_records
@@ -399,12 +251,12 @@ def ingest_links(
     wanted = set(years) if years is not None else None
     per_year_edges: dict[int, dict[tuple[str, str], int]] = {}
     # best-session bookkeeping: (year, source) -> (rank, weights)
-    best: dict[tuple[int, str], tuple[tuple[int, int, int], dict[str, int]]] = {}
+    best: dict[tuple[int, str], tuple[tuple[int, int], dict[str, int]]] = {}
 
     for source in sorted(events_by_source):
         events = events_by_source[source]
         events.sort()
-        for start, end, weights in _iter_sessions(events, gap_seconds):
+        for start, weights in _iter_sessions(events, gap_seconds):
             summary.sessions += 1
             year = year_of_timestamp(start)
             if wanted is not None and year not in wanted:
@@ -415,7 +267,7 @@ def ingest_links(
                     if weight > edges.get((source, tgt), 0):
                         edges[(source, tgt)] = weight
             else:
-                rank = (sum(weights.values()), -start, -end)
+                rank = (sum(weights.values()), -start)
                 key = (year, source)
                 cur = best.get(key)
                 if cur is None or rank > cur[0]:

@@ -13,7 +13,6 @@ twice produces byte-identical files.
 
 from __future__ import annotations
 
-import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 from types import MappingProxyType
@@ -128,43 +127,3 @@ def read_snapshot(path, node_pages: Mapping[str, int] | None = None) -> YearSnap
                 raise SnapshotFormatError(f"{path}:{lineno}: invalid edge record")
             edges[(src, tgt)] = weight
     return YearSnapshot(year, edges, node_pages or {})
-
-
-def snapshot_roundtrip(snapshot: YearSnapshot, path=None) -> YearSnapshot:
-    """Write a snapshot and read it straight back.
-
-    Uses a temporary file when no path is given.  The result compares equal
-    to the input (equality covers year and edges; page counts travel in the
-    separate node-pages file).
-    """
-    if path is None:
-        with tempfile.TemporaryDirectory() as tmp:
-            target = Path(tmp) / "snapshot.tsv"
-            write_snapshot(snapshot, target)
-            return read_snapshot(target)
-    write_snapshot(snapshot, path)
-    return read_snapshot(path)
-
-
-def merge_snapshots(snapshots: Iterable[YearSnapshot]) -> YearSnapshot:
-    """Combine same-year snapshots by per-pair maximum weight.
-
-    The combine is associative, commutative and idempotent, so partial
-    results may be merged in any grouping or order.
-    """
-    snapshots = list(snapshots)
-    if not snapshots:
-        raise ValueError("nothing to merge")
-    year = snapshots[0].year
-    edges: dict[tuple[str, str], int] = {}
-    pages: dict[str, int] = {}
-    for snap in snapshots:
-        if snap.year != year:
-            raise ValueError(f"cannot merge year {snap.year} into {year}")
-        for pair, weight in snap.edges.items():
-            if weight > edges.get(pair, 0):
-                edges[pair] = weight
-        for node, count in snap.node_pages.items():
-            if count > pages.get(node, 0):
-                pages[node] = count
-    return YearSnapshot(year, edges, pages)

@@ -8,6 +8,7 @@ the package under test.
 import math
 from collections import defaultdict
 from fractions import Fraction
+from urllib.parse import urlsplit
 
 import numpy as np
 
@@ -109,3 +110,8 @@ def sphere_distance_km(lat1, lon1, lat2, lon2, radius=6371.0088):
         phi2
     ) * math.cos(dlam)
     return radius * math.atan2(num, den)
+
+
+def urlsplit_hostname(url):
+    """Hostname of an absolute URL as the standard library parses it, or ""."""
+    return urlsplit(url).hostname or ""

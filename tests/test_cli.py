@@ -48,6 +48,25 @@ def test_ingest_rerun_is_byte_identical(tmp_path, linkfile):
     ).read_bytes()
 
 
+def test_ingest_best_session(tmp_path):
+    base = utc(2004, 3)
+    rows = [f"{base + t}\thttp://ox.ac.uk/\thttp://cam.ac.uk/" for t in range(3)]
+    rows += [f"{base + 3}\thttp://ox.ac.uk/\thttp://ic.ac.uk/"]
+    rows += [f"{base + 9000 + t}\thttp://ox.ac.uk/\thttp://ic.ac.uk/" for t in range(3)]
+    path = tmp_path / "links.tsv"
+    path.write_text("".join(r + "\n" for r in rows), encoding="utf-8")
+    best, most = tmp_path / "best", tmp_path / "most"
+    assert run("ingest", path, "--year-select", "best-session", "--out-dir", best) == 0
+    assert run("ingest", path, "--out-dir", most) == 0
+    # the first session (total 4) wins as a block over the second (total 3)
+    assert (best / "snapshot_2004.tsv").read_text() == (
+        "#snapshot v1 year=2004\nox.ac.uk\tcam.ac.uk\t3\nox.ac.uk\tic.ac.uk\t1\n"
+    )
+    assert (most / "snapshot_2004.tsv").read_text() == (
+        "#snapshot v1 year=2004\nox.ac.uk\tcam.ac.uk\t3\nox.ac.uk\tic.ac.uk\t3\n"
+    )
+
+
 def test_stats_on_empty_snapshot(tmp_path):
     snap = tmp_path / "snapshot_2001.tsv"
     snap.write_text("#snapshot v1 year=2001\n", encoding="utf-8")

@@ -5,9 +5,7 @@ from chronoscope.domains import (
     OTHER_SLD,
     REJECT,
     TREAT_AS_2LEVEL,
-    TWO_LEVEL_MARKER,
     DomainKey,
-    classify_sld,
     default_policy,
     load_policy,
     parse_domain_key,
@@ -16,11 +14,13 @@ from chronoscope.domains import (
     SuffixPolicy,
 )
 from chronoscope.errors import (
+    ChronoscopeError,
     MalformedUrl,
     OutOfScopeTld,
     PolicyFileError,
     UnknownSld,
 )
+from oracles import urlsplit_hostname
 
 POLICY = default_policy()
 
@@ -36,17 +36,19 @@ def test_parse_government_url_ignores_query():
 
 
 def test_non_uk_host_rejected():
-    with pytest.raises(OutOfScopeTld):
-        parse_domain_key("http://example.com/", POLICY)
+    # brackets stay part of the host, so "uk]" is not the ccTLD
+    for url in ("http://example.com/", "http://[ox.ac.uk]/"):
+        with pytest.raises(OutOfScopeTld):
+            parse_domain_key(url, POLICY)
 
 
 def test_classify_sld():
-    assert classify_sld(parse_domain_key("http://ox.ac.uk/", POLICY), POLICY) == "ac.uk"
-    assert (
-        classify_sld(parse_domain_key("http://nominet.org.uk/", POLICY), POLICY)
-        == "org.uk"
-    )
-    assert classify_sld(parse_domain_key("http://a.co.uk/", POLICY), POLICY) == "co.uk"
+    for url, sld in [
+        ("http://ox.ac.uk/", "ac.uk"),
+        ("http://nominet.org.uk/", "org.uk"),
+        ("http://a.co.uk/", "co.uk"),
+    ]:
+        assert sld_label(parse_domain_key(url, POLICY).third_level, POLICY) == sld
 
 
 def test_deep_hosts_aggregate_to_third_level():
@@ -72,6 +74,12 @@ def test_missing_hostname():
             parse_domain_key(url, POLICY)
 
 
+def test_scheme_is_not_checked():
+    # the authority is whatever follows "://", whatever precedes it
+    for url in ("ht tp://ox.ac.uk/", "://ox.ac.uk/", "1http://ox.ac.uk/"):
+        assert parse_domain_key(url, POLICY).third_level == "ox.ac.uk"
+
+
 def test_no_third_level_label():
     with pytest.raises(MalformedUrl):
         parse_domain_key("http://ac.uk/", POLICY)
@@ -91,7 +99,7 @@ def test_unknown_sld_as_two_level_registration():
     policy = default_policy(unknown_sld=TREAT_AS_2LEVEL)
     key = parse_domain_key("http://parliament.uk/", policy)
     assert key == DomainKey(tld="uk", sld="uk", third_level="parliament.uk")
-    assert classify_sld(key, policy) == TWO_LEVEL_MARKER
+    assert sld_label(key.third_level, policy) == OTHER_SLD
     # registered SLDs still take precedence
     assert parse_domain_key("http://ox.ac.uk/", policy).sld == "ac.uk"
 
@@ -133,6 +141,47 @@ def test_case_invariance(host):
 def test_url_and_host_parsers_agree(third, sld):
     host = f"{third}.{sld}"
     assert parse_host_key(host, POLICY) == parse_domain_key(f"http://{host}/x", POLICY)
+
+
+def outcome(parse):
+    try:
+        return parse()
+    except ChronoscopeError as exc:
+        return type(exc)
+
+
+noise = st.from_regex(r"[a-z0-9=&/@:?#.]{0,8}", fullmatch=True)
+
+
+def optional(prefix):
+    return st.one_of(st.just(""), noise.map(lambda text: prefix + text))
+
+
+# well-formed scheme; user info, www, host, port, path, query and fragment
+urls = st.builds(
+    "{}://{}{}{}{}{}{}{}".format,
+    st.from_regex(r"[a-zA-Z][a-zA-Z0-9+.-]{0,5}", fullmatch=True),
+    st.one_of(st.just(""), st.from_regex(r"[a-z0-9]{1,4}(:[a-z0-9]{0,4})?@", fullmatch=True)),
+    st.sampled_from(["", "www.", "WWW."]),
+    st.one_of(
+        st.builds(
+            lambda labels, tail: ".".join(labels + [tail]),
+            st.lists(label, max_size=3),
+            st.sampled_from([*sorted(POLICY.registered_slds), "uk", "parliament.uk", "com"]),
+        ),
+        st.from_regex(r"[a-zA-Z0-9.-]{0,12}", fullmatch=True),
+    ),
+    st.one_of(st.just(""), st.from_regex(r":[0-9]{0,5}", fullmatch=True)),
+    optional("/"),
+    optional("?"),
+    optional("#"),
+)
+
+
+@given(url=urls)
+def test_matches_urlsplit_reference(url):
+    expected = outcome(lambda: parse_host_key(urlsplit_hostname(url), POLICY))
+    assert outcome(lambda: parse_domain_key(url, POLICY)) == expected
 
 
 def test_policy_invariants():

@@ -1,32 +1,27 @@
+import collections
 import datetime
+import random
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chronoscope.domains import default_policy
+from chronoscope.domains import default_policy, parse_domain_key
 from chronoscope.errors import (
+    ChronoscopeError,
     MalformedLine,
-    SelfLoop,
+    MalformedUrl,
     SnapshotFormatError,
-    UnsortedInput,
 )
 from chronoscope.ingest import (
     BEST_SESSION,
     IngestSummary,
-    LinkRecord,
     ingest_links,
-    parse_link_line,
     read_node_pages,
-    select_year_snapshot,
-    sessionize,
+    year_of_timestamp,
 )
-from chronoscope.snapshot import (
-    YearSnapshot,
-    merge_snapshots,
-    read_snapshot,
-    snapshot_roundtrip,
-    write_snapshot,
-)
+from chronoscope.snapshot import YearSnapshot, read_snapshot, write_snapshot
 
 POLICY = default_policy()
 
@@ -36,175 +31,237 @@ def utc(year, month=1, day=1, hour=0):
     return int(stamp.timestamp())
 
 
-def record(t, source="ox.ac.uk", target="cam.ac.uk"):
-    return parse_link_line(f"{t}\thttp://{source}/a\thttp://{target}/b", POLICY)
+def year_of(ts):
+    return datetime.datetime.fromtimestamp(ts, tz=datetime.timezone.utc).year
+
+
+def write_links(path, rows):
+    path.write_text("".join(f"{t}\t{s}\t{g}\n" for t, s, g in rows), encoding="utf-8")
+
+
+def link(t, source="ox.ac.uk", target="cam.ac.uk"):
+    return (t, f"http://{source}/a", f"http://{target}/b")
+
+
+def ingest_rows(tmp_path, rows, **kwargs):
+    path = tmp_path / "links.tsv"
+    write_links(path, rows)
+    return ingest_links([path], POLICY, **kwargs)
+
+
+def edges_by_year(result):
+    return {year: dict(snap.edges) for year, snap in result.snapshots.items()}
 
 
 # --- line parsing ---
 
-def test_parse_link_line():
-    rec = parse_link_line("850003200\thttp://ox.ac.uk/a\thttp://cam.ac.uk/b", POLICY)
-    assert rec.crawl_time == 850003200
-    assert rec.source.third_level == "ox.ac.uk"
-    assert rec.target.third_level == "cam.ac.uk"
+def test_parse_link_line(tmp_path):
+    result = ingest_rows(tmp_path, [link(850003200)])
+    assert edges_by_year(result) == {1996: {("ox.ac.uk", "cam.ac.uk"): 1}}
+    assert result.summary.lines == result.summary.records == 1
 
 
-def test_parse_link_line_self_loop():
-    with pytest.raises(SelfLoop):
-        parse_link_line("850003200\thttp://ox.ac.uk/a\thttp://ox.ac.uk/b", POLICY)
+def test_parse_link_line_self_loop(tmp_path):
+    result = ingest_rows(tmp_path, [link(850003200, target="www.ox.ac.uk")])
+    assert result.snapshots == {}
+    assert result.summary.self_loops == 1 and result.summary.records == 0
 
 
-def test_parse_link_line_malformed():
-    with pytest.raises(MalformedLine):
-        parse_link_line("oops", POLICY)
-    with pytest.raises(MalformedLine):
-        parse_link_line("soon\thttp://ox.ac.uk/\thttp://cam.ac.uk/", POLICY)
-    with pytest.raises(MalformedLine):
-        parse_link_line("-5\thttp://ox.ac.uk/\thttp://cam.ac.uk/", POLICY)
+def test_parse_link_line_malformed(tmp_path):
+    bad = [
+        "oops",
+        "soon\thttp://ox.ac.uk/\thttp://cam.ac.uk/",
+        "-5\thttp://ox.ac.uk/\thttp://cam.ac.uk/",
+        "1\thttp://ox.ac.uk/\thttp://cam.ac.uk/\textra",
+    ]
+    path = tmp_path / "links.tsv"
+    path.write_text("".join(line + "\n" for line in bad), encoding="utf-8")
+    summary = ingest_links([path], POLICY).summary
+    assert summary.malformed_lines == summary.lines == len(bad)
+    for line in bad:
+        path.write_text(line + "\n", encoding="utf-8")
+        with pytest.raises(MalformedLine):
+            ingest_links([path], POLICY, strict=True)
+
+
+def test_ingest_strict_error_locations(tmp_path):
+    # line numbers count within each shard, not across the pooled stream
+    base = utc(2002)
+    first, second = tmp_path / "a.tsv", tmp_path / "b.tsv"
+    write_links(first, [link(base + i) for i in range(3)])
+    second.write_text("junk\n", encoding="utf-8")
+    with pytest.raises(MalformedLine) as err:
+        ingest_links([first, second], POLICY, strict=True)
+    assert str(err.value) == f"{second}:1: expected 3 fields"
+
+    write_links(second, [link(base), link(base, target="bad..ac.uk")])
+    with pytest.raises(MalformedUrl) as err:
+        ingest_links([first, second], POLICY, strict=True)
+    assert str(err.value) == f"{second}:2: empty label in hostname 'bad..ac.uk'"
+    assert ingest_links([first, second], POLICY).summary.malformed_urls == 1
 
 
 # --- sessionization ---
 
-def test_sessionize_splits_on_gap():
+def test_sessionize_splits_on_gap(tmp_path):
     base = utc(1996)
-    records = [record(base + t) for t in (0, 500, 900, 2500)]
-    sessions = sessionize(records, gap_seconds=1000)
-    assert [(s.start_time - base, s.end_time - base) for s in sessions] == [
-        (0, 900),
-        (2500, 2500),
-    ]
-    assert sessions[0].edge_weights == {"cam.ac.uk": 3}
-    assert sessions[1].edge_weights == {"cam.ac.uk": 1}
+    result = ingest_rows(tmp_path, [link(base + t) for t in (0, 500, 900, 2500)], gap_seconds=1000)
+    # sessions of 3 and 1 links; one session would have kept 4
+    assert result.summary.sessions == 2
+    assert edges_by_year(result) == {1996: {("ox.ac.uk", "cam.ac.uk"): 3}}
 
 
-def test_sessionize_boundary_gap_stays_in_session():
+def test_sessionize_boundary_gap_stays_in_session(tmp_path):
     base = utc(1996)
-    sessions = sessionize([record(base), record(base + 1000)], gap_seconds=1000)
-    assert len(sessions) == 1
+    together = ingest_rows(tmp_path, [link(base), link(base + 1000)], gap_seconds=1000)
+    assert together.summary.sessions == 1
+    assert together.snapshots[1996].edges[("ox.ac.uk", "cam.ac.uk")] == 2
+    apart = ingest_rows(tmp_path, [link(base), link(base + 1001)], gap_seconds=1000)
+    assert apart.summary.sessions == 2
+    assert apart.snapshots[1996].edges[("ox.ac.uk", "cam.ac.uk")] == 1
 
 
-def test_sessionize_empty():
-    assert sessionize([], gap_seconds=1000) == []
+def test_sessionize_empty(tmp_path):
+    result = ingest_rows(tmp_path, [])
+    assert result.snapshots == {}
+    assert result.summary == IngestSummary()
 
 
-def test_sessionize_rejects_unsorted():
-    base = utc(1996)
-    with pytest.raises(UnsortedInput):
-        sessionize([record(base + 10), record(base)], gap_seconds=1000)
+SOURCES = ["a.ac.uk", "b.co.uk"]
+TARGETS = ["c.ac.uk", "d.org.uk", "e.gov.uk"]
 
 
-def test_sessionize_rejects_mixed_sources():
-    base = utc(1996)
-    with pytest.raises(ValueError):
-        sessionize(
-            [record(base), record(base + 1, source="cam.ac.uk", target="ox.ac.uk")],
-            1000,
-        )
-
-
-@settings(max_examples=200)
+@settings(max_examples=200, deadline=None)
 @given(
-    offsets=st.lists(st.integers(min_value=0, max_value=50_000), max_size=60),
+    rows=st.lists(
+        st.tuples(
+            st.sampled_from(SOURCES),
+            st.sampled_from(TARGETS),
+            st.integers(min_value=0, max_value=40_000),
+        ),
+        max_size=60,
+    ),
     gap=st.integers(min_value=1, max_value=5_000),
 )
-def test_sessionize_partitions_records(offsets, gap):
-    base = utc(2000)
-    times = sorted(base + off for off in offsets)
-    sessions = sessionize([record(t) for t in times], gap_seconds=gap)
-    total = sum(s.total_weight() for s in sessions)
-    assert total == len(times)
-    # sessions tile the record list: consecutive, non-overlapping, gap-split
-    spans = [(s.start_time, s.end_time) for s in sessions]
-    assert spans == sorted(spans)
-    for (_, prev_end), (start, _) in zip(spans, spans[1:]):
-        assert start - prev_end > gap
+def test_sessionize_partitions_records(rows, gap):
+    # rows straddle a new year and arrive unsorted; the expected snapshots
+    # come from sessionizing each source's sorted rows by hand
+    base = utc(2004) - 20_000
+    sessions = 0
+    expected = {}
+    for source in SOURCES:
+        events = sorted((base + off, tgt) for src, tgt, off in rows if src == source)
+        runs = []
+        for time, target in events:
+            if runs and time - runs[-1][-1][0] <= gap:
+                runs[-1].append((time, target))
+            else:
+                runs.append([(time, target)])
+        sessions += len(runs)
+        for run in runs:
+            edges = expected.setdefault(year_of(run[0][0]), {})
+            for target, count in collections.Counter(t for _, t in run).items():
+                edges[(source, target)] = max(edges.get((source, target), 0), count)
+
+    with tempfile.TemporaryDirectory() as tmp:
+        result = ingest_rows(
+            Path(tmp), [link(base + off, src, tgt) for src, tgt, off in rows], gap_seconds=gap
+        )
+    assert result.summary.sessions == sessions
+    assert result.summary.records == len(rows)
+    assert edges_by_year(result) == expected
 
 
 # --- yearly selection ---
 
-def _session(source, start, end, weights):
-    from chronoscope.ingest import Session
-
-    return Session(source, start, end, dict(weights))
-
-
-def test_select_takes_per_pair_maximum():
+def test_select_takes_per_pair_maximum(tmp_path):
     base = utc(2004)
-    sessions = [
-        _session("ox.ac.uk", base, base + 5, {"cam.ac.uk": 3}),
-        _session("ox.ac.uk", base + 9000, base + 9100, {"cam.ac.uk": 5}),
-    ]
-    snap = select_year_snapshot(sessions, 2004)
-    assert snap.edges == {("ox.ac.uk", "cam.ac.uk"): 5}
+    rows = [link(base + t) for t in (0, 1, 2)] + [link(base + 9000 + t) for t in range(5)]
+    result = ingest_rows(tmp_path, rows)
+    assert edges_by_year(result) == {2004: {("ox.ac.uk", "cam.ac.uk"): 5}}
 
 
-def test_select_empty():
-    snap = select_year_snapshot([], 1999)
-    assert snap.year == 1999 and not snap.edges
+def test_select_empty(tmp_path):
+    result = ingest_rows(tmp_path, [link(utc(2004))], years=[1999])
+    assert result.snapshots == {1999: YearSnapshot(1999, {})}
 
 
-def test_select_retains_all_pairs():
+def test_select_retains_all_pairs(tmp_path):
     base = utc(2004)
-    sessions = [
-        _session("a.ac.uk", base, base + 5, {"b.ac.uk": 2}),
-        _session("a.ac.uk", base + 9000, base + 9005, {"c.co.uk": 7}),
-    ]
-    snap = select_year_snapshot(sessions, 2004)
-    assert snap.edges == {("a.ac.uk", "b.ac.uk"): 2, ("a.ac.uk", "c.co.uk"): 7}
-
-
-def test_select_matches_bruteforce_max():
-    import random
-
-    rng = random.Random(7)
-    base = utc(2007)
-    sessions = []
-    for i in range(40):
-        src = f"s{rng.randrange(4)}.ac.uk"
-        weights = {
-            f"t{rng.randrange(5)}.co.uk": rng.randrange(1, 9)
-            for _ in range(rng.randrange(1, 4))
-        }
-        sessions.append(_session(src, base + i * 5000, base + i * 5000 + 10, weights))
-    snap = select_year_snapshot(sessions, 2007)
-    expected = {}
-    for s in sessions:
-        for tgt, w in s.edge_weights.items():
-            pair = (s.source_domain, tgt)
-            expected[pair] = max(expected.get(pair, 0), w)
-    assert dict(snap.edges) == expected
-
-
-def test_select_best_session_mode():
-    base = utc(2004)
-    sessions = [
-        _session("ox.ac.uk", base, base + 5, {"cam.ac.uk": 3, "ic.ac.uk": 3}),
-        _session("ox.ac.uk", base + 9000, base + 9100, {"cam.ac.uk": 5}),
-    ]
-    snap = select_year_snapshot(sessions, 2004, mode=BEST_SESSION)
-    # first session carries total 6 > 5, so its pairs win as a block
-    assert dict(snap.edges) == {
-        ("ox.ac.uk", "cam.ac.uk"): 3,
-        ("ox.ac.uk", "ic.ac.uk"): 3,
+    rows = [link(base + t, "a.ac.uk", "b.ac.uk") for t in range(2)]
+    rows += [link(base + 9000 + t, "a.ac.uk", "c.co.uk") for t in range(7)]
+    result = ingest_rows(tmp_path, rows)
+    assert edges_by_year(result) == {
+        2004: {("a.ac.uk", "b.ac.uk"): 2, ("a.ac.uk", "c.co.uk"): 7}
     }
 
 
-def test_select_rejects_wrong_year():
-    with pytest.raises(ValueError):
-        select_year_snapshot([_session("a.ac.uk", utc(2003), utc(2003), {"b.ac.uk": 1})], 2004)
+def test_select_matches_bruteforce_max(tmp_path):
+    # planted sessions 5000 s apart, so each one is exactly one session
+    rng = random.Random(7)
+    base = utc(2007)
+    rows, per_pair_max, best = [], {}, {}
+    for i in range(40):
+        src = f"s{rng.randrange(4)}.ac.uk"
+        start = base + i * 5000
+        weights = collections.Counter()
+        for k in range(rng.randrange(1, 12)):
+            tgt = f"t{rng.randrange(5)}.co.uk"
+            weights[tgt] += 1
+            rows.append(link(start + k, src, tgt))
+        for tgt, w in weights.items():
+            per_pair_max[(src, tgt)] = max(per_pair_max.get((src, tgt), 0), w)
+        # strictly greater, so the earlier session keeps a tie
+        if src not in best or sum(weights.values()) > sum(best[src].values()):
+            best[src] = weights
+    rng.shuffle(rows)
+    assert edges_by_year(ingest_rows(tmp_path, rows)) == {2007: per_pair_max}
+    best_edges = {(src, tgt): w for src, ws in best.items() for tgt, w in ws.items()}
+    result = ingest_rows(tmp_path, rows, year_select=BEST_SESSION)
+    assert edges_by_year(result) == {2007: best_edges}
+
+
+def test_select_best_session_mode(tmp_path):
+    base = utc(2004)
+    rows = [link(base + t) for t in range(3)]
+    rows += [link(base + 3 + t, target="ic.ac.uk") for t in range(3)]
+    rows += [link(base + 9000 + t) for t in range(5)]
+    # a.ac.uk has two sessions of total 2: the earlier start wins the tie
+    rows += [link(base + 100 + t, "a.ac.uk", "b.ac.uk") for t in range(2)]
+    rows += [link(base + 20_000 + t, "a.ac.uk", "c.ac.uk") for t in range(2)]
+    # selection is per year
+    rows += [link(utc(2005) + t) for t in range(4)]
+    result = ingest_rows(tmp_path, rows, year_select=BEST_SESSION)
+    # ox's first session carries total 6 > 5, so its pairs win as a block
+    assert edges_by_year(result) == {
+        2004: {
+            ("ox.ac.uk", "cam.ac.uk"): 3,
+            ("ox.ac.uk", "ic.ac.uk"): 3,
+            ("a.ac.uk", "b.ac.uk"): 2,
+        },
+        2005: {("ox.ac.uk", "cam.ac.uk"): 4},
+    }
+    assert result.summary.sessions == 5
+    assert edges_by_year(ingest_rows(tmp_path, rows))[2004] == {
+        ("ox.ac.uk", "cam.ac.uk"): 5,
+        ("ox.ac.uk", "ic.ac.uk"): 3,
+        ("a.ac.uk", "b.ac.uk"): 2,
+        ("a.ac.uk", "c.ac.uk"): 2,
+    }
 
 
 # --- snapshot persistence ---
 
 def test_snapshot_roundtrip_identity(tmp_path):
     snap = YearSnapshot(2010, {("ox.ac.uk", "cam.ac.uk"): 2, ("a.co.uk", "b.org.uk"): 9})
-    assert snapshot_roundtrip(snap, tmp_path / "s.tsv") == snap
+    write_snapshot(snap, tmp_path / "s.tsv")
+    assert read_snapshot(tmp_path / "s.tsv") == snap
 
 
 def test_snapshot_roundtrip_empty(tmp_path):
     path = tmp_path / "empty.tsv"
-    out = snapshot_roundtrip(YearSnapshot(1996, {}), path)
-    assert out == YearSnapshot(1996, {})
+    write_snapshot(YearSnapshot(1996, {}), path)
+    assert read_snapshot(path) == YearSnapshot(1996, {})
     assert path.read_text(encoding="utf-8") == "#snapshot v1 year=1996\n"
 
 
@@ -238,27 +295,7 @@ def test_snapshot_rejects_self_loops_and_bad_weights():
         YearSnapshot(2000, {("a.ac.uk", "b.ac.uk"): 0})
 
 
-pairs = st.tuples(
-    st.sampled_from(["a.ac.uk", "b.ac.uk", "c.co.uk"]),
-    st.sampled_from(["d.org.uk", "e.gov.uk", "f.co.uk"]),
-)
-edge_maps = st.dictionaries(pairs, st.integers(min_value=1, max_value=50), max_size=8)
-
-
-@given(a=edge_maps, b=edge_maps, c=edge_maps)
-def test_merge_is_order_independent(a, b, c):
-    snaps = [YearSnapshot(2005, e) for e in (a, b, c)]
-    merged = merge_snapshots(snaps)
-    assert merged == merge_snapshots(reversed(snaps))
-    assert merged == merge_snapshots([merge_snapshots(snaps[:2]), snaps[2]])
-    assert merge_snapshots([merged, merged]) == merged
-
-
 # --- end-to-end ingestion ---
-
-def write_links(path, rows):
-    path.write_text("".join(f"{t}\t{s}\t{g}\n" for t, s, g in rows), encoding="utf-8")
-
 
 def test_ingest_links_small_file(tmp_path):
     base = utc(1996, 6)
@@ -308,26 +345,41 @@ def test_ingest_strict_keeps_scope_filters(tmp_path):
 
 
 def test_ingest_matches_single_line_parser(tmp_path):
-    # the bulk fast path and parse_link_line agree on what a record is
-    base = utc(1999)
-    rows = [
-        (base + i, f"http://{'WWW.' if i % 2 else ''}u{i % 3}.ac.uk/p", "http://t.co.uk/")
-        for i in range(30)
+    # ingest and parse_domain_key share one URL tokenizer, so they agree on
+    # which URLs name a domain and on why the others are skipped
+    urls = [
+        "http://WWW.u0.ac.uk/p",
+        "https://user:pw@u1.ac.uk:8080/x?q#f",
+        "//u2.ac.uk",
+        "ht tp://u3.ac.uk/",
+        "://u4.co.uk/",
+        "1http://u5.org.uk/",
+        "http://u6.gov.uk?x=/y",
+        "http://[u7.ac.uk]/",
+        "http://example.com/",
+        "mailto:x@u8.ac.uk",
+        "http://bad..ac.uk/",
+        "http:///p",
+        "http://parliament.uk/",
     ]
-    path = tmp_path / "links.tsv"
-    write_links(path, rows)
-    result = ingest_links([path], POLICY)
-    records = []
-    for t, s, g in rows:
-        records.append(parse_link_line(f"{t}\t{s}\t{g}", POLICY))
-    assert result.summary.records == len(records)
-    bulk_nodes = result.snapshots[1999].nodes()
-    assert bulk_nodes == {r.source.third_level for r in records} | {"t.co.uk"}
+    base = utc(1999)
+    result = ingest_rows(tmp_path, [(base + i, url, "http://t.co.uk/") for i, url in enumerate(urls)])
+    nodes, skips = set(), collections.Counter()
+    for url in urls:
+        try:
+            nodes.add(parse_domain_key(url, POLICY).third_level)
+        except ChronoscopeError as exc:
+            skips[type(exc).__name__] += 1
+    assert skips == {"OutOfScopeTld": 2, "MalformedUrl": 3, "UnknownSld": 1}
+    summary = result.summary
+    assert summary.records == len(nodes) == 7
+    assert summary.out_of_scope == skips["OutOfScopeTld"]
+    assert summary.malformed_urls == skips["MalformedUrl"]
+    assert summary.unknown_sld == skips["UnknownSld"]
+    assert result.snapshots[1999].nodes() == nodes | {"t.co.uk"}
 
 
 def test_ingest_shard_invariance(tmp_path):
-    import random
-
     rng = random.Random(42)
     base = utc(2003)
     rows = []
@@ -399,15 +451,10 @@ def test_session_year_boundary(tmp_path):
 
 
 def test_year_of_timestamp_matches_datetime():
-    from chronoscope.ingest import year_of_timestamp
-
     for year in (1970, 1996, 2000, 2010, 2038):
         boundary = utc(year)
         for ts in (boundary - 1, boundary, boundary + 1, boundary + 86_400):
-            expected = datetime.datetime.fromtimestamp(
-                ts, tz=datetime.timezone.utc
-            ).year
-            assert year_of_timestamp(ts) == expected
+            assert year_of_timestamp(ts) == year_of(ts)
 
 
 def test_summary_report_format(capsys):

@@ -10,14 +10,17 @@ Distances for the path-based measures treat heavier edges as shorter:
 ``length = 1 / weight``.  Closeness and harmonic centrality use incoming
 distances, so they reward being easy to reach, in line with the in-strength
 and in-degree reading of prominence.
+
+The path measures run Dijkstra from a block of sources at once in numpy,
+then Brandes' accumulation over each source's tight edges, those with
+``d[src] + length == d[dst]``.  Ties are still decided by that float ``==``
+(a known defect, ROADMAP item 3): exactly tied sums can differ in the last bit.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from heapq import heappop, heappush
-from itertools import count
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -47,6 +50,8 @@ PAGERANK_TOL = 1e-12
 PAGERANK_MAX_ITER = 200
 HITS_TOL = 1e-12
 HITS_MAX_ITER = 1000
+# cells (sources x nodes, or sources x edges) per block array: 512 KB of floats
+_BLOCK_CELLS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -86,52 +91,26 @@ def centrality_suite(
     index = {node: i for i, node in enumerate(nodes)}
     n = len(nodes)
 
-    rows, cols, weights = [], [], []
-    for (src, tgt), weight in snapshot.edges.items():
-        si, ti = index.get(src), index.get(tgt)
-        if si is None or ti is None:
-            continue
-        rows.append(si)
-        cols.append(ti)
-        weights.append(weight)
-    adjacency = sparse.csr_array(
-        (np.asarray(weights, dtype=float), (rows, cols)), shape=(n, n)
-    )
-
+    m = len(snapshot.edges)  # with a count, fromiter allocates once instead of growing
+    rows = np.fromiter((index.get(src, -1) for src, _ in snapshot.edges), np.int64, m)
+    cols = np.fromiter((index.get(tgt, -1) for _, tgt in snapshot.edges), np.int64, m)
+    weights = np.fromiter(snapshot.edges.values(), float, m)
+    induced = (rows >= 0) & (cols >= 0)
+    rows, cols, weights = rows[induced], cols[induced], weights[induced]
+    adjacency = sparse.csr_array((weights, (rows, cols)), shape=(n, n))
     out_strength = adjacency.sum(axis=1)
-    in_strength = adjacency.sum(axis=0)
-    binary = adjacency.copy()
-    binary.data[:] = 1.0
-    out_degree = binary.sum(axis=1)
-    in_degree = binary.sum(axis=0)
-
     pagerank = _pagerank(adjacency, out_strength)
     hub, authority = _hits(adjacency)
 
-    length_adj: list[list[tuple[int, float]]] = [[] for _ in range(n)]
-    for si, ti, weight in zip(rows, cols, weights):
-        length = 1.0 / weight if edge_length == INVERSE_WEIGHT else 1.0
-        length_adj[si].append((ti, length))
-    for neighbours in length_adj:
-        neighbours.sort()
-    betweenness, closeness, harmonic = _path_measures(length_adj, n)
+    csr = np.lexsort((cols, rows))
+    length = 1.0 / weights if edge_length == INVERSE_WEIGHT else np.ones(len(weights))
+    betweenness, closeness, harmonic = _path_measures(rows[csr], cols[csr], length[csr], n)
 
-    columns = {
-        "in_degree": in_degree,
-        "out_degree": out_degree,
-        "in_strength": in_strength,
-        "out_strength": out_strength,
-        "pagerank": pagerank,
-        "betweenness": betweenness,
-        "closeness": closeness,
-        "harmonic": harmonic,
-        "hub": hub,
-        "authority": authority,
-    }
-    values = {
-        name: {node: float(col[i]) for i, node in enumerate(nodes)}
-        for name, col in columns.items()
-    }
+    columns = (
+        np.bincount(cols, minlength=n), np.bincount(rows, minlength=n), adjacency.sum(axis=0),
+        out_strength, pagerank, betweenness, closeness, harmonic, hub, authority,
+    )
+    values = {name: dict(zip(nodes, map(float, col))) for name, col in zip(MEASURES, columns)}
     return CentralityTable(snapshot.year, nodes, values)
 
 
@@ -177,70 +156,91 @@ def _hits(adjacency: sparse.csr_array) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _path_measures(
-    adj: list[list[tuple[int, float]]], n: int
+    src: np.ndarray, dst: np.ndarray, length: np.ndarray, n: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Betweenness (Brandes), plus incoming closeness and harmonic scores.
 
-    One Dijkstra pass per source provides the shortest-path DAG for the
-    betweenness accumulation and the distances d(source -> v) that feed the
-    incoming-distance measures of every target v.
+    Edges come in CSR order.  For a block of sources, ``_distances`` settles
+    every row's nearest unsettled nodes at each step; ``_dependencies`` then
+    counts paths forward and dependencies back over the tight edges, a
+    topological round at a time, each node adding its successors' shares
+    farthest first as a heap Dijkstra would; scores sum over sources in order.
     """
-    betweenness = np.zeros(n)
-    reach_in = np.zeros(n, dtype=int)
-    dist_in = np.zeros(n)
-    harmonic = np.zeros(n)
-    for source in range(n):
-        order, dist, sigma, preds = _shortest_path_dag(adj, source)
-        for v in order:
-            if v != source:
-                d = dist[v]
-                reach_in[v] += 1
-                dist_in[v] += d
-                harmonic[v] += 1.0 / d if d > 0 else 0.0
-        delta = dict.fromkeys(order, 0.0)
-        while order:
-            w = order.pop()
-            coeff = (1.0 + delta[w]) / sigma[w]
-            for v in preds[w]:
-                delta[v] += sigma[v] * coeff
-            if w != source:
-                betweenness[w] += delta[w]
+    betweenness, reach_in, dist_in, harmonic = np.zeros((4, n))
+    degree = np.bincount(src, minlength=n)
+    indptr = np.concatenate(([0], np.cumsum(degree)))
+    block = max(1, min(n, _BLOCK_CELLS // n))
+    part = max(1, _BLOCK_CELLS // max(n, len(src)))  # rows x edges per tight mask
+    for lo in range(0, n, block):
+        sources = np.arange(lo, min(n, lo + block))
+        dist = _distances(indptr, degree, dst, length, sources)
+        delta = np.concatenate([
+            _dependencies(dist[i : i + part], sources[i : i + part], src, dst, length, degree)
+            for i in range(0, len(sources), part)
+        ])
+        for source, d, dependency in zip(sources, dist, delta):
+            reached = np.isfinite(d)
+            reached[source] = False
+            reach_in += reached
+            dist_in += np.where(reached, d, 0.0)
+            harmonic += np.divide(1.0, d, out=np.zeros(n), where=reached & (d > 0))
+            betweenness += np.where(reached, dependency, 0.0)
     closeness = np.zeros(n)
-    if n > 1:
-        nonzero = dist_in > 0
-        closeness[nonzero] = (reach_in[nonzero] / (n - 1)) * (
-            reach_in[nonzero] / dist_in[nonzero]
-        )
+    ok = dist_in > 0  # never for n == 1
+    closeness[ok] = (reach_in[ok] / (n - 1)) * (reach_in[ok] / dist_in[ok])
     return betweenness, closeness, harmonic
 
 
-def _shortest_path_dag(adj, source):
-    # Dijkstra that also counts shortest paths and records predecessors
-    dist: dict[int, float] = {}
-    seen = {source: 0.0}
-    sigma = {source: 1.0}
-    preds: dict[int, list[int]] = {source: []}
-    order: list[int] = []
-    tie = count()
-    heap = [(0.0, next(tie), source, source)]
-    while heap:
-        d, _, pred, v = heappop(heap)
-        if v in dist:
-            continue
-        sigma[v] += sigma[pred] if v != source else 0.0
-        dist[v] = d
-        order.append(v)
-        for w, length in adj[v]:
-            vw = d + length
-            if w not in dist and (w not in seen or vw < seen[w]):
-                seen[w] = vw
-                sigma[w] = 0.0
-                preds[w] = [v]
-                heappush(heap, (vw, next(tie), v, w))
-            elif vw == seen.get(w):
-                sigma[w] += sigma[v]
-                preds[w].append(v)
-    return order, dist, sigma, preds
+def _distances(indptr, degree, dst, length, sources) -> np.ndarray:
+    """Row r: distances from ``sources[r]``, by Dijkstra on all rows at once."""
+    rows, n = len(sources), len(indptr) - 1
+    dist = np.full((rows, n), np.inf)
+    tentative = np.full((rows, n), np.inf)  # inf again once settled
+    tentative[np.arange(rows), sources] = 0.0
+    # relax in batches of ~8k edges: small temporaries keep the malloc heap compact
+    chunk = max(1, (_BLOCK_CELLS // 8) // max(1, int(degree.max(initial=0))))
+    while np.isfinite(low := tentative.min(axis=1)).any():
+        low[np.isinf(low)] = np.nan  # finished rows match nothing
+        r, u = np.divmod(np.flatnonzero(tentative == low[:, None]), n)
+        dist[r, u] = low[r]
+        tentative[r, u] = np.inf
+        for i in range(0, len(r), chunk):
+            ri, count = r[i : i + chunk], degree[u[i : i + chunk]]
+            first = indptr[u[i : i + chunk]] - np.cumsum(count) + count
+            edge = np.repeat(first, count) + np.arange(count.sum())
+            cell = np.repeat(ri * n, count) + dst[edge]
+            reach = np.repeat(low[ri], count) + length[edge]
+            settled = dist.ravel()[cell] < np.inf
+            np.minimum.at(tentative.ravel(), cell, np.where(settled, np.inf, reach))
+    return dist
+
+
+def _dependencies(dist, sources, src, dst, length, degree) -> np.ndarray:
+    """Row r: Brandes dependencies for ``sources[r]``; node v of row r is cell r * n + v."""
+    rows, n = dist.shape
+    from_dist = np.repeat(dist, degree, axis=1)
+    tight = np.isfinite(from_dist) & (from_dist + length == np.take(dist, dst, axis=1))
+    row, edge = np.divmod(np.flatnonzero(tight), len(dst))
+    tail, head = row * n + src[edge], row * n + dst[edge]
+    order = np.lexsort((-head, -dist.ravel()[head]))
+    tail, head = tail[order], head[order]
+    start = np.arange(rows) * n + sources
+    sigma = np.zeros(dist.size)
+    sigma[start] = 1.0
+    waiting = np.bincount(head, minlength=dist.size)
+    frontier = sigma > 0
+    rounds = []
+    while (out := frontier[tail]).any():
+        v, w = tail[out], head[out]
+        rounds.append((v, w))
+        sigma += np.bincount(w, sigma[v], minlength=dist.size)
+        waiting -= np.bincount(w, minlength=dist.size)
+        frontier = np.zeros(dist.size, dtype=bool)
+        frontier[w] = waiting[w] == 0
+    delta = np.zeros(dist.size)
+    for v, w in reversed(rounds):
+        delta += np.bincount(v, sigma[v] * ((1.0 + delta[w]) / sigma[w]), minlength=dist.size)
+    return delta.reshape(rows, n)
 
 
 def write_centrality(table: CentralityTable, path) -> None:

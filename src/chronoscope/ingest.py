@@ -33,12 +33,15 @@ DEFAULT_GAP_SECONDS = 1000
 # UTC year-start epochs, so ingest can map timestamps to years with a
 # bisect instead of a datetime construction per session
 _YEAR_BOUNDS = [
-    int(datetime(y, 1, 1, tzinfo=timezone.utc).timestamp()) for y in range(1970, 2301)
+    int(datetime(y, 1, 1, tzinfo=timezone.utc).timestamp()) for y in range(1970, 2302)
 ]
+# ingest rejects times from 2301-01-01 on as malformed: such values are
+# usually millisecond timestamps, not far-future years
+_TIME_LIMIT = _YEAR_BOUNDS[-1]
 
 
 def year_of_timestamp(ts: int) -> int:
-    """UTC calendar year of a non-negative unix timestamp."""
+    """UTC calendar year of a unix timestamp in ``[0, _TIME_LIMIT)``."""
     return 1970 + bisect_right(_YEAR_BOUNDS, ts) - 1
 
 
@@ -147,8 +150,9 @@ def ingest_links(
     overlap, so no two share a start).
 
     Skipped lines are counted in the summary; with ``strict``, structural
-    problems (bad field count, bad timestamp, unusable hostname) raise
-    instead, with the ``path:line`` of the line within its own file.
+    problems (bad field count, a time that is not a whole-second unix time
+    in the years 1970-2300, unusable hostname) raise instead, with the
+    ``path:line`` of the line within its own file.
     Scoping filters stay counted skips either way: self-links, out-of-scope
     TLDs and unregistered SLDs are dropped by design, not data corruption.
 
@@ -207,9 +211,9 @@ def ingest_links(
                             raise MalformedLine(f"bad time {time_text!r}") from None
                         n_malformed += 1
                         continue
-                    if crawl_time < 0:
+                    if not 0 <= crawl_time < _TIME_LIMIT:
                         if strict:
-                            raise MalformedLine("negative time")
+                            raise MalformedLine(f"time {crawl_time} out of range")
                         n_malformed += 1
                         continue
 

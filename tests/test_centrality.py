@@ -1,9 +1,11 @@
+import math
 import random
 from collections import defaultdict
 
 import pytest
 
 from chronoscope.centrality import (
+    INVERSE_WEIGHT,
     MEASURES,
     UNIT,
     CentralityTable,
@@ -206,3 +208,80 @@ def test_csv_output(tmp_path):
     assert lines[0] == "node," + ",".join(MEASURES)
     assert len(lines) == 3
     assert lines[1].split(",")[0] == "a.ac.uk"
+
+
+# --- networkx as a test-only oracle ---
+
+@pytest.mark.parametrize("mode", [INVERSE_WEIGHT, UNIT])
+@pytest.mark.parametrize("seed", range(6))
+def test_path_measures_match_networkx(seed, mode):
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(300 + seed)
+    n = rng.randint(4, 30)
+    nodes = [f"n{i:02d}.ac.uk" for i in range(n)]
+    pairs = [(u, v) for u in nodes for v in nodes if u != v and rng.random() < 0.15]
+    # distinct weights make exact path ties unlikely (both sides test ties by float ==)
+    edges = dict(zip(pairs, rng.sample(range(1, 10**6 + 1), len(pairs))))
+    table = centrality_suite(snap(edges), nodes, edge_length=mode)
+    graph = nx.DiGraph()
+    graph.add_nodes_from(nodes)
+    for (u, v), w in edges.items():
+        graph.add_edge(u, v, length=1.0 / w if mode == INVERSE_WEIGHT else 1.0)
+    expected = {
+        "betweenness": nx.betweenness_centrality(graph, weight="length", normalized=False),
+        # networkx uses incoming distances on digraphs for both, as the suite does
+        "closeness": nx.closeness_centrality(graph, distance="length"),
+        "harmonic": nx.harmonic_centrality(graph, distance="length"),
+    }
+    for name, want in expected.items():
+        for node in nodes:
+            assert table.values[name][node] == pytest.approx(
+                want[node], rel=1e-9, abs=1e-12
+            ), (name, node)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_betweenness_ties_across_hop_counts(seed):
+    # lengths 1, 1/2, 1/4 add up exactly, so paths with different numbers of
+    # hops tie (1/2 + 1/2 == 1): a node's path count must be complete before
+    # it passes the count on
+    rng = random.Random(400 + seed)
+    nodes = [f"n{i}.ac.uk" for i in range(rng.randint(6, 9))]
+    edges = {
+        (u, v): rng.choice((1, 2, 4))
+        for u in nodes
+        for v in nodes
+        if u != v and rng.random() < 0.4
+    }
+    table = centrality_suite(snap(edges), nodes)
+    expected = brute_betweenness(nodes, edges)
+    for node in nodes:
+        assert table.values["betweenness"][node] == pytest.approx(
+            expected[node], abs=1e-9
+        )
+
+
+def test_unreachable_component_is_not_on_any_path():
+    # x, y, z form a cycle that feeds a -> b -> c, but a, b and c never reach
+    # back: from them d(x) = d(y) = inf, and inf + length == inf must not make
+    # the x -> y edge a shortest-path edge (its sigma would be 0)
+    edges = {
+        ("x.ac.uk", "y.ac.uk"): 3,
+        ("y.ac.uk", "z.ac.uk"): 1,
+        ("z.ac.uk", "x.ac.uk"): 2,
+        ("y.ac.uk", "a.ac.uk"): 5,
+        ("a.ac.uk", "b.ac.uk"): 4,
+        ("b.ac.uk", "c.ac.uk"): 7,
+        ("x.ac.uk", "c.ac.uk"): 1,
+    }
+    nodes = sorted({v for pair in edges for v in pair})
+    table = centrality_suite(snap(edges), nodes, edge_length=UNIT)
+    expected = brute_betweenness(nodes, dict.fromkeys(edges, 1))
+    for node in nodes:
+        assert table.values["betweenness"][node] == pytest.approx(
+            expected[node], abs=1e-12
+        )
+        for name in MEASURES:
+            assert math.isfinite(table.values[name][node])
+    # a -> c, plus half of y -> c (y-a-b-c ties y-z-x-c at three hops)
+    assert table.values["betweenness"]["b.ac.uk"] == 1.5

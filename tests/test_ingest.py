@@ -327,6 +327,28 @@ def test_ingest_strict_raises_on_malformed(tmp_path):
         ingest_links([path], POLICY, strict=True)
 
 
+def test_ingest_rejects_times_from_2301_on(tmp_path):
+    # a millisecond timestamp (2005-01-01 in ms) is not a year-2300 record
+    millis = utc(2005) * 1000
+    last = utc(2301) - 1
+    path = tmp_path / "links.tsv"
+    write_links(
+        path,
+        [
+            (millis, "http://ox.ac.uk/", "http://cam.ac.uk/"),
+            (last, "http://ox.ac.uk/", "http://cam.ac.uk/"),
+            (utc(2301), "http://ox.ac.uk/", "http://cam.ac.uk/"),
+        ],
+    )
+    result = ingest_links([path], POLICY)
+    assert result.summary.malformed_lines == 2
+    assert result.summary.records == 1
+    assert set(result.snapshots) == {2300}
+    assert year_of_timestamp(last) == year_of(last) == 2300
+    with pytest.raises(MalformedLine, match=r"links\.tsv:1: "):
+        ingest_links([path], POLICY, strict=True)
+
+
 def test_ingest_strict_keeps_scope_filters(tmp_path):
     base = utc(2001)
     path = tmp_path / "links.tsv"

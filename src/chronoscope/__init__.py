@@ -17,13 +17,15 @@ from .domains import (
     parse_domain_key,
     sld_label,
 )
-from .snapshot import YearSnapshot, read_snapshot, write_snapshot
+from .snapshot import IndexedSnapshot, YearSnapshot, read_snapshot, write_snapshot
 from .ingest import ingest_links, read_node_pages
 from .sldstats import (
+    SldCells,
     SldFlowMatrix,
     SldYearStats,
     inter_sld_flows,
     node_counts_by_sld,
+    sld_cells,
     within_sld_links_per_node,
 )
 from .centrality import MEASURES, CentralityTable, centrality_suite
@@ -42,7 +44,7 @@ from .metrics import (
 from .gravity import (
     GeoPoint,
     GravityFit,
-    StrengthPair,
+    PairTable,
     distance_strength_series,
     export_geo_links,
     fit_gravity_exponent,
@@ -69,13 +71,15 @@ __all__ = [
     "DomainKey",
     "GeoPoint",
     "GravityFit",
+    "IndexedSnapshot",
     "LeagueCorrelation",
     "MEASURES",
     "ModularityResult",
+    "PairTable",
     "RankingTable",
+    "SldCells",
     "SldFlowMatrix",
     "SldYearStats",
-    "StrengthPair",
     "SuffixPolicy",
     "SynthSpec",
     "YearSnapshot",
@@ -104,6 +108,7 @@ __all__ = [
     "read_partition",
     "read_ranking",
     "read_snapshot",
+    "sld_cells",
     "sld_label",
     "spearman_rank_correlation",
     "symmetrize_pairs",

@@ -27,7 +27,7 @@ import numpy as np
 from scipy import sparse
 
 from .errors import ConvergenceFailure, EmptyFilter
-from .snapshot import YearSnapshot
+from .snapshot import IndexedSnapshot
 
 MEASURES = (
     "in_degree",
@@ -72,7 +72,7 @@ class CentralityTable:
 
 
 def centrality_suite(
-    snapshot: YearSnapshot,
+    snapshot: IndexedSnapshot,
     node_filter: Iterable[str],
     edge_length: str = INVERSE_WEIGHT,
 ) -> CentralityTable:
@@ -83,35 +83,28 @@ def centrality_suite(
     after 200 iterations).  ``edge_length`` switches the path-based
     measures between 1/weight and unit lengths.
     """
-    nodes = tuple(sorted(set(node_filter)))
-    if not nodes:
-        raise EmptyFilter("node filter is empty")
     if edge_length not in (INVERSE_WEIGHT, UNIT):
         raise ValueError(f"unknown edge length mode {edge_length!r}")
-    index = {node: i for i, node in enumerate(nodes)}
-    n = len(nodes)
-
-    m = len(snapshot.edges)  # with a count, fromiter allocates once instead of growing
-    rows = np.fromiter((index.get(src, -1) for src, _ in snapshot.edges), np.int64, m)
-    cols = np.fromiter((index.get(tgt, -1) for _, tgt in snapshot.edges), np.int64, m)
-    weights = np.fromiter(snapshot.edges.values(), float, m)
-    induced = (rows >= 0) & (cols >= 0)
-    rows, cols, weights = rows[induced], cols[induced], weights[induced]
+    graph = snapshot.induced(node_filter)
+    if not graph.nodes:
+        raise EmptyFilter("node filter is empty")
+    n = len(graph.nodes)
+    rows, cols = graph.src, graph.dst  # CSR order: grouped by source
+    weights = graph.weight.astype(float)
     adjacency = sparse.csr_array((weights, (rows, cols)), shape=(n, n))
-    out_strength = adjacency.sum(axis=1)
+    out_strength, in_strength = graph.strengths()
     pagerank = _pagerank(adjacency, out_strength)
     hub, authority = _hits(adjacency)
 
-    csr = np.lexsort((cols, rows))
     length = 1.0 / weights if edge_length == INVERSE_WEIGHT else np.ones(len(weights))
-    betweenness, closeness, harmonic = _path_measures(rows[csr], cols[csr], length[csr], n)
+    betweenness, closeness, harmonic = _path_measures(rows, cols, length, n)
 
     columns = (
-        np.bincount(cols, minlength=n), np.bincount(rows, minlength=n), adjacency.sum(axis=0),
+        np.bincount(cols, minlength=n), np.bincount(rows, minlength=n), in_strength,
         out_strength, pagerank, betweenness, closeness, harmonic, hub, authority,
     )
-    values = {name: dict(zip(nodes, map(float, col))) for name, col in zip(MEASURES, columns)}
-    return CentralityTable(snapshot.year, nodes, values)
+    values = {name: dict(zip(graph.nodes, map(float, col))) for name, col in zip(MEASURES, columns)}
+    return CentralityTable(graph.year, graph.nodes, values)
 
 
 def _pagerank(adjacency: sparse.csr_array, out_strength: np.ndarray) -> np.ndarray:

@@ -229,12 +229,9 @@ def _load_snapshots(args, node_pages=None) -> list[YearSnapshot]:
     return snapshots
 
 
-def _node_filter(args, snapshot, fallback=None):
-    if args.nodes:
-        return metrics_mod.read_node_list(args.nodes)
-    if fallback is not None:
-        return fallback
-    return sorted(snapshot.nodes())
+def _node_filter(args, fallback=None):
+    """The ``--nodes`` list, read once per command, else ``fallback``."""
+    return metrics_mod.read_node_list(args.nodes) if args.nodes else fallback
 
 
 def _cmd_ingest(args) -> None:
@@ -265,16 +262,13 @@ def _cmd_stats(args) -> None:
     series = []
     links_per_node: dict[int, dict[str, float]] = {}
     for snap in snapshots:
-        series.append(sldstats_mod.node_counts_by_sld(snap, policy))
+        cells = sldstats_mod.sld_cells(snap.indexed, policy)
+        series.append(sldstats_mod.node_counts_by_sld(cells))
         links_per_node[snap.year] = {
-            sld: sldstats_mod.within_sld_links_per_node(
-                snap, sld, policy, distinct=args.distinct
-            )
+            sld: sldstats_mod.within_sld_links_per_node(cells, sld, distinct=args.distinct)
             for sld in sorted(policy.registered_slds)
         }
-        flows = sldstats_mod.inter_sld_flows(
-            snap, policy, include_self=args.include_self
-        )
+        flows = sldstats_mod.inter_sld_flows(cells, include_self=args.include_self)
         path = out / f"flows_{snap.year}.csv"
         sldstats_mod.write_flows(flows, path)
         _note(path)
@@ -288,8 +282,10 @@ def _cmd_stats(args) -> None:
 
 def _cmd_centrality(args) -> None:
     out = _out_dir(args)
+    nodes = _node_filter(args)
     for snap in _load_snapshots(args):
-        table = centrality_mod.centrality_suite(snap, _node_filter(args, snap))
+        view = snap.indexed
+        table = centrality_mod.centrality_suite(view, view.nodes if nodes is None else nodes)
         path = out / f"centrality_{snap.year}.csv"
         centrality_mod.write_centrality(table, path)
         _note(path)
@@ -297,10 +293,10 @@ def _cmd_centrality(args) -> None:
 
 def _cmd_correlate(args) -> None:
     out = _out_dir(args)
+    ranking = metrics_mod.read_ranking(args.ranking)
+    nodes = _node_filter(args, fallback=sorted(ranking.ranks))
     for snap in _load_snapshots(args):
-        ranking = metrics_mod.read_ranking(args.ranking, year=snap.year)
-        nodes = _node_filter(args, snap, fallback=sorted(ranking.ranks))
-        table = centrality_mod.centrality_suite(snap, nodes)
+        table = centrality_mod.centrality_suite(snap.indexed, nodes)
         result = metrics_mod.rank_centrality_vs_league(table, ranking)
         path = out / f"correlations_{snap.year}.csv"
         metrics_mod.write_correlations(result, path)
@@ -310,11 +306,9 @@ def _cmd_correlate(args) -> None:
 def _cmd_modularity(args) -> None:
     out = _out_dir(args)
     partition = metrics_mod.read_partition(args.partition)
+    node_filter = _node_filter(args)
     for snap in _load_snapshots(args):
-        node_filter = (
-            metrics_mod.read_node_list(args.nodes) if args.nodes else None
-        )
-        result = metrics_mod.modularity(snap, partition, node_filter)
+        result = metrics_mod.modularity(snap.indexed, partition, node_filter)
         path = out / f"modularity_{snap.year}.csv"
         metrics_mod.write_modularity(result, path)
         _note(path)
@@ -323,16 +317,16 @@ def _cmd_modularity(args) -> None:
 def _cmd_density(args) -> None:
     members = metrics_mod.read_node_list(args.members)
     for snap in _load_snapshots(args):
-        value = metrics_mod.group_internal_density(snap, members)
+        value = metrics_mod.group_internal_density(snap.indexed, members)
         print(f"year={snap.year} density={value!r}")
 
 
 def _cmd_gravity(args) -> None:
     out = _out_dir(args)
     geo = gravity_mod.read_geo_points(args.geo)
+    nodes = _node_filter(args, fallback=sorted(geo))
     for snap in _load_snapshots(args):
-        nodes = _node_filter(args, snap, fallback=sorted(geo))
-        result = gravity_mod.normalized_strengths(snap, nodes, geo)
+        result = gravity_mod.normalized_strengths(snap.indexed, nodes, geo)
         pairs = result.pairs
         if args.symmetrize == gravity_mod.SYMMETRIZE_MEAN:
             pairs = gravity_mod.symmetrize_pairs(pairs)
@@ -392,12 +386,10 @@ def _cmd_synth(args) -> None:
 
 def _cmd_export(args) -> None:
     out = _out_dir(args)
+    node_filter = _node_filter(args)
     for snap in _load_snapshots(args):
-        node_filter = (
-            metrics_mod.read_node_list(args.nodes) if args.nodes else None
-        )
         path = out / f"graph_{snap.year}.graphml"
-        write_graphml(snap, path, node_filter)
+        write_graphml(snap.indexed, path, node_filter)
         _note(path)
 
 

@@ -6,6 +6,9 @@ normalized by sender out-strength and receiver in-strength,
 linking propensity.  The normalized strengths are smoothed with a moving
 average over distance and fitted with ordinary least squares in log-log
 space to estimate the decay exponent of ``sigma ~ d^-a``.
+
+Normalize, symmetrize and window all work on one :class:`PairTable`, the
+pairs as columns; the synthetic generator calibrates with these functions.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -24,7 +27,7 @@ from .errors import (
     MissingCoordinates,
     NonPositiveValue,
 )
-from .snapshot import YearSnapshot
+from .snapshot import IndexedSnapshot, group_sums
 
 EARTH_RADIUS_KM = 6371.0088
 
@@ -47,28 +50,46 @@ class GeoPoint:
             raise ValueError(f"longitude {self.longitude} out of range")
 
 
-def haversine_km(p: GeoPoint, q: GeoPoint) -> float:
-    """Great-circle distance in km on a sphere of radius 6371.0088 km."""
-    phi1 = math.radians(p.latitude)
-    phi2 = math.radians(q.latitude)
-    dphi = math.radians(q.latitude - p.latitude)
-    dlam = math.radians(q.longitude - p.longitude)
-    a = (
-        math.sin(dphi / 2.0) ** 2
-        + math.cos(phi1) * math.cos(phi2) * math.sin(dlam / 2.0) ** 2
-    )
-    return 2.0 * EARTH_RADIUS_KM * math.asin(min(1.0, math.sqrt(a)))
+def haversine_km(lat1, lon1, lat2, lon2) -> np.ndarray:
+    """Great-circle distances in km between points given in degrees.
+
+    Elementwise over broadcast arrays, on a sphere of radius 6371.0088 km.
+    """
+    phi1 = np.radians(lat1)
+    phi2 = np.radians(lat2)
+    dphi = np.radians(np.subtract(lat2, lat1))
+    dlam = np.radians(np.subtract(lon2, lon1))
+    h = np.sin(dphi / 2.0) ** 2 + np.cos(phi1) * np.cos(phi2) * np.sin(dlam / 2.0) ** 2
+    return 2.0 * EARTH_RADIUS_KM * np.arcsin(np.minimum(1.0, np.sqrt(h)))
 
 
-@dataclass(frozen=True)
-class StrengthPair:
-    """One directed linked pair with its normalized strength and distance."""
+@dataclass(frozen=True, eq=False)
+class PairTable:
+    """Linked ordered pairs as columns, one row per pair.
 
-    source: str
-    target: str
-    raw_strength: int
-    normalized_strength: float
-    distance_km: float
+    ``source`` and ``target`` index into the sorted ``nodes``, and rows are
+    in (source, target) order.  ``weight`` is the raw strength, ``sigma``
+    the normalized strength and ``distance_km`` the great-circle distance.
+    """
+
+    nodes: tuple[str, ...]
+    source: np.ndarray
+    target: np.ndarray
+    weight: np.ndarray
+    sigma: np.ndarray
+    distance_km: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.source)
+
+
+def pair_table(nodes, source, target, weight, s_out, s_in, distance_km) -> PairTable:
+    """Pairs with ``sigma = weight / (s_out[source] * s_in[target])``.
+
+    Each sigma is correctly rounded while the strength product is below 2^53.
+    """
+    sigma = weight / np.multiply(s_out[source], s_in[target], dtype=float)
+    return PairTable(tuple(nodes), source, target, weight, sigma, distance_km)
 
 
 @dataclass(frozen=True)
@@ -80,12 +101,12 @@ class StrengthPairSet:
     sender out-strength and receiver in-strength).
     """
 
-    pairs: tuple[StrengthPair, ...]
+    pairs: PairTable
     excluded_pairs: int
 
 
 def normalized_strengths(
-    snapshot: YearSnapshot,
+    snapshot: IndexedSnapshot,
     nodes: Iterable[str],
     geo: Mapping[str, GeoPoint],
 ) -> StrengthPairSet:
@@ -95,76 +116,58 @@ def normalized_strengths(
     population is self-contained.  Every node of the filter needs an entry
     in ``geo``.
     """
-    node_list = sorted(set(nodes))
-    missing = [n for n in node_list if n not in geo]
+    graph = snapshot.induced(nodes)
+    missing = [n for n in graph.nodes if n not in geo]
     if missing:
         raise MissingCoordinates(f"no coordinates for {missing[:5]}")
-    keep = set(node_list)
-    s_out: dict[str, int] = {}
-    s_in: dict[str, int] = {}
-    induced: dict[tuple[str, str], int] = {}
-    for (src, tgt), weight in snapshot.edges.items():
-        if src in keep and tgt in keep:
-            induced[(src, tgt)] = weight
-            s_out[src] = s_out.get(src, 0) + weight
-            s_in[tgt] = s_in.get(tgt, 0) + weight
-    pairs = []
-    for (src, tgt) in sorted(induced):
-        weight = induced[(src, tgt)]
-        sigma = weight / (s_out[src] * s_in[tgt])
-        pairs.append(
-            StrengthPair(
-                src, tgt, weight, sigma, haversine_km(geo[src], geo[tgt])
-            )
-        )
-    n = len(node_list)
-    return StrengthPairSet(tuple(pairs), n * (n - 1) - len(pairs))
+    lat = np.array([geo[n].latitude for n in graph.nodes])
+    lon = np.array([geo[n].longitude for n in graph.nodes])
+    src, dst = graph.src, graph.dst
+    distance_km = haversine_km(lat[src], lon[src], lat[dst], lon[dst])
+    pairs = pair_table(graph.nodes, src, dst, graph.weight, *graph.strengths(), distance_km)
+    n = len(graph.nodes)
+    return StrengthPairSet(pairs, n * (n - 1) - len(pairs))
 
 
-def symmetrize_pairs(pairs: Sequence[StrengthPair]) -> tuple[StrengthPair, ...]:
+def symmetrize_pairs(pairs: PairTable) -> PairTable:
     """Average the two directions of each linked pair into one entry.
 
     The entry is keyed with endpoints in lexicographic order; raw strengths
-    add, normalized strengths average over the directions present.
+    add, normalized strengths average over the directions present, and the
+    distance is the first direction's.
     """
-    grouped: dict[tuple[str, str], list[StrengthPair]] = {}
-    for pair in pairs:
-        key = (min(pair.source, pair.target), max(pair.source, pair.target))
-        grouped.setdefault(key, []).append(pair)
-    out = []
-    for (a, b) in sorted(grouped):
-        members = grouped[(a, b)]
-        out.append(
-            StrengthPair(
-                a,
-                b,
-                sum(p.raw_strength for p in members),
-                sum(p.normalized_strength for p in members) / len(members),
-                members[0].distance_km,
-            )
-        )
-    return tuple(out)
+    low = np.minimum(pairs.source, pairs.target)
+    high = np.maximum(pairs.source, pairs.target)
+    keys, first, key_of_row, directions = np.unique(
+        low * len(pairs.nodes) + high,
+        return_index=True,
+        return_inverse=True,
+        return_counts=True,
+    )
+    return PairTable(
+        pairs.nodes,
+        low[first],
+        high[first],
+        group_sums(key_of_row, pairs.weight, len(keys)),
+        group_sums(key_of_row, pairs.sigma, len(keys)) / directions,
+        pairs.distance_km[first],
+    )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DistanceSeries:
-    """Moving-average of (distance, sigma) points, sorted by distance."""
+    """Moving averages of distance and sigma, in distance order."""
 
-    points: tuple[tuple[float, float], ...]
+    distance_km: np.ndarray
+    sigma: np.ndarray
     window: int
     d_min_km: float
     d_max_km: float | None
     n_pairs: int
 
-    def distances(self) -> np.ndarray:
-        return np.array([d for d, _ in self.points])
-
-    def strengths(self) -> np.ndarray:
-        return np.array([s for _, s in self.points])
-
 
 def distance_strength_series(
-    pairs: Sequence[StrengthPair],
+    pairs: PairTable,
     window: int = DEFAULT_WINDOW,
     d_min_km: float = DEFAULT_D_MIN_KM,
     d_max_km: float | None = None,
@@ -172,29 +175,26 @@ def distance_strength_series(
     """Slide a mean window of ``window`` points over distance-sorted pairs.
 
     Pairs closer than ``d_min_km`` (and, when set, farther than
-    ``d_max_km``) are dropped before windowing.  A window of 1 reproduces
-    the raw points, which is how the unsmoothed fit variant is expressed.
+    ``d_max_km``) are dropped before windowing.  Equal distances keep the
+    table's (source, target) order.  A window of 1 reproduces the raw
+    points, which is how the unsmoothed fit variant is expressed.
     """
     if window < 1:
         raise ValueError("window must be at least 1")
-    kept = [
-        p
-        for p in pairs
-        if p.distance_km >= d_min_km
-        and (d_max_km is None or p.distance_km <= d_max_km)
-    ]
-    if len(kept) < window or not kept:
+    d = pairs.distance_km
+    inside = d >= d_min_km
+    if d_max_km is not None:
+        inside &= d <= d_max_km
+    kept = np.flatnonzero(inside)
+    if len(kept) < window:
         raise InsufficientData(
             f"{len(kept)} pairs after distance filtering, window is {window}"
         )
-    kept.sort(key=lambda p: (p.distance_km, p.source, p.target))
-    d = np.array([p.distance_km for p in kept])
-    s = np.array([p.normalized_strength for p in kept])
+    order = kept[np.argsort(d[kept], kind="stable")]
     kernel = np.ones(window) / window
-    mean_d = np.convolve(d, kernel, mode="valid")
-    mean_s = np.convolve(s, kernel, mode="valid")
-    points = tuple(zip(mean_d.tolist(), mean_s.tolist()))
-    return DistanceSeries(points, window, d_min_km, d_max_km, len(kept))
+    mean_d = np.convolve(d[order], kernel, mode="valid")
+    mean_s = np.convolve(pairs.sigma[order], kernel, mode="valid")
+    return DistanceSeries(mean_d, mean_s, window, d_min_km, d_max_km, len(kept))
 
 
 @dataclass(frozen=True)
@@ -218,10 +218,10 @@ class GravityFit:
 
 def fit_gravity_exponent(series: DistanceSeries) -> GravityFit:
     """Ordinary least squares of ln(sigma) on ln(distance)."""
-    if len(series.points) < 3:
-        raise InsufficientData(f"{len(series.points)} series points, need >= 3")
-    d = series.distances()
-    s = series.strengths()
+    d = series.distance_km
+    s = series.sigma
+    if len(d) < 3:
+        raise InsufficientData(f"{len(d)} series points, need >= 3")
     if np.any(d <= 0) or np.any(s <= 0):
         raise NonPositiveValue("log fit needs strictly positive values")
     x = np.log(d)
@@ -242,7 +242,7 @@ def fit_gravity_exponent(series: DistanceSeries) -> GravityFit:
         exponent=-slope,
         std_error=std_error,
         intercept=intercept,
-        n_points=len(series.points),
+        n_points=len(d),
         window=series.window,
         d_min_km=series.d_min_km,
         d_max_km=float(d.max()),
@@ -277,10 +277,14 @@ def write_geo_points(geo: Mapping[str, GeoPoint], path) -> None:
             fh.write(f"{node}\t{point.latitude!r}\t{point.longitude!r}\n")
 
 
-def export_geo_links(
-    pairs: Sequence[StrengthPair], geo: Mapping[str, GeoPoint], path
-) -> None:
+def export_geo_links(pairs: PairTable, geo: Mapping[str, GeoPoint], path) -> None:
     """Emit ``geo_links_<year>.csv``: one plot-ready row per pair."""
+    nodes = pairs.nodes
+    # format each node's coordinates once; its rows reuse the strings
+    coords = [
+        (repr(geo[node].latitude), repr(geo[node].longitude)) if node in geo else None
+        for node in nodes
+    ]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(
@@ -294,21 +298,12 @@ def export_geo_links(
                 "sigma",
             ]
         )
-        for pair in pairs:
-            if pair.source not in geo or pair.target not in geo:
-                raise MissingCoordinates(f"{pair.source} or {pair.target}")
-            p, q = geo[pair.source], geo[pair.target]
-            writer.writerow(
-                [
-                    pair.source,
-                    pair.target,
-                    repr(p.latitude),
-                    repr(p.longitude),
-                    repr(q.latitude),
-                    repr(q.longitude),
-                    repr(pair.normalized_strength),
-                ]
-            )
+        for s, t, sigma in zip(
+            pairs.source.tolist(), pairs.target.tolist(), pairs.sigma.tolist()
+        ):
+            if coords[s] is None or coords[t] is None:
+                raise MissingCoordinates(f"{nodes[s]} or {nodes[t]}")
+            writer.writerow([nodes[s], nodes[t], *coords[s], *coords[t], repr(sigma)])
 
 
 def write_gravity_series(series: DistanceSeries, path) -> None:
@@ -316,7 +311,7 @@ def write_gravity_series(series: DistanceSeries, path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["mean_d_km", "mean_sigma"])
-        for d, s in series.points:
+        for d, s in zip(series.distance_km.tolist(), series.sigma.tolist()):
             writer.writerow([repr(d), repr(s)])
 
 

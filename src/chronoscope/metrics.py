@@ -22,7 +22,7 @@ from .errors import (
     MalformedLine,
     TooFewMembers,
 )
-from .snapshot import YearSnapshot
+from .snapshot import IndexedSnapshot, group_sums
 
 # nodes missing from a partition mapping form one implicit group
 UNAFFILIATED = "unaffiliated"
@@ -63,7 +63,6 @@ class RankingTable:
     """External integer ranking of nodes, 1 = best; ties allowed."""
 
     ranks: Mapping[str, int]
-    year: int | None = None
 
 
 @dataclass(frozen=True)
@@ -125,7 +124,7 @@ class ModularityResult:
 
 
 def modularity(
-    snapshot: YearSnapshot,
+    snapshot: IndexedSnapshot,
     partition: Mapping[str, str],
     node_filter: Iterable[str] | None = None,
 ) -> ModularityResult:
@@ -137,42 +136,32 @@ def modularity(
     collapses to per-group totals, evaluated in exact integer arithmetic up
     to the final division.
     """
-    nodes = sorted(node_filter) if node_filter is not None else sorted(snapshot.nodes())
-    keep = set(nodes)
-    group_of = {node: partition.get(node, UNAFFILIATED) for node in nodes}
-
-    m = 0
-    internal: dict[str, int] = {}
-    s_out: dict[str, int] = {}
-    s_in: dict[str, int] = {}
-    for (src, tgt), weight in snapshot.edges.items():
-        if src not in keep or tgt not in keep:
-            continue
-        m += weight
-        s_out[src] = s_out.get(src, 0) + weight
-        s_in[tgt] = s_in.get(tgt, 0) + weight
-        if group_of[src] == group_of[tgt]:
-            group = group_of[src]
-            internal[group] = internal.get(group, 0) + weight
+    graph = snapshot if node_filter is None else snapshot.induced(node_filter)
+    names, group = np.unique(
+        [partition.get(node, UNAFFILIATED) for node in graph.nodes], return_inverse=True
+    )
+    m = int(graph.weight.sum())
     if m == 0:
         raise EmptyGraph("induced subgraph has no edge weight")
 
+    source_group = group[graph.src]
+    same = source_group == group[graph.dst]
+    internal = group_sums(source_group[same], graph.weight[same], len(names))
+    group_out, group_in = (group_sums(group, s, len(names)) for s in graph.strengths())
     groups: dict[str, GroupWeights] = {}
     internal_total = 0
     expected_total = 0  # sum of S_out(g) * S_in(g), still integer
-    for group in sorted(set(group_of.values())):
-        members = [node for node in nodes if group_of[node] == group]
-        group_out = sum(s_out.get(node, 0) for node in members)
-        group_in = sum(s_in.get(node, 0) for node in members)
-        inside = internal.get(group, 0)
+    for name, inside, s_out, s_in in zip(
+        names.tolist(), internal.tolist(), group_out.tolist(), group_in.tolist()
+    ):
         internal_total += inside
-        expected_total += group_out * group_in
-        groups[group] = GroupWeights(inside, group_out * group_in / m)
+        expected_total += s_out * s_in
+        groups[name] = GroupWeights(inside, s_out * s_in / m)
     q = (internal_total * m - expected_total) / (m * m)
     return ModularityResult(q, m, groups)
 
 
-def group_internal_density(snapshot: YearSnapshot, members: Iterable[str]) -> float:
+def group_internal_density(snapshot: IndexedSnapshot, members: Iterable[str]) -> float:
     """Fraction of ordered member pairs joined by at least one link.
 
     Presence-only by construction: edge weights never matter.
@@ -181,12 +170,7 @@ def group_internal_density(snapshot: YearSnapshot, members: Iterable[str]) -> fl
     k = len(member_set)
     if k < 2:
         raise TooFewMembers(f"need at least 2 members, got {k}")
-    linked = sum(
-        1
-        for (src, tgt) in snapshot.edges
-        if src in member_set and tgt in member_set
-    )
-    return linked / (k * (k - 1))
+    return len(snapshot.induced(member_set).src) / (k * (k - 1))
 
 
 # --- input files ---
@@ -201,7 +185,7 @@ def read_partition(path) -> dict[str, str]:
     return mapping
 
 
-def read_ranking(path, year: int | None = None) -> RankingTable:
+def read_ranking(path) -> RankingTable:
     """Read ``third_level_domain<TAB>rank_integer`` lines (1 = best)."""
     ranks: dict[str, int] = {}
     for lineno, parts in _tsv_rows(path):
@@ -214,7 +198,7 @@ def read_ranking(path, year: int | None = None) -> RankingTable:
         if rank < 1:
             raise MalformedLine(f"{path}:{lineno}: ranks start at 1")
         ranks[parts[0]] = rank
-    return RankingTable(ranks, year)
+    return RankingTable(ranks)
 
 
 def read_node_list(path) -> list[str]:

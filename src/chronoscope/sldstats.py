@@ -5,6 +5,8 @@ third-level domains each SLD holds per year, each SLD's share of the total,
 within-SLD links per node, and the SLD-to-SLD flow matrix in absolute and
 target-size-normalized form.  Nodes whose suffix is not registered in the
 policy aggregate under the synthetic ``other`` bucket instead of erroring.
+:func:`sld_cells` labels each node of a snapshot once and sums its edge
+arrays by SLD; the statistics are read off that grouping.
 """
 
 from __future__ import annotations
@@ -13,9 +15,11 @@ import csv
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
+import numpy as np
+
 from .domains import SuffixPolicy, sld_label
 from .errors import UnknownSld
-from .snapshot import YearSnapshot
+from .snapshot import IndexedSnapshot, group_sums
 
 
 @dataclass(frozen=True)
@@ -29,7 +33,6 @@ class SldYearStats:
 
     @property
     def empty(self) -> bool:
-        # shares are reported as 0 rather than undefined in this case
         return self.total_nodes == 0
 
 
@@ -40,8 +43,7 @@ class SldFlowMatrix:
     ``absolute`` sums edge weights per (source SLD, target SLD); when built
     with ``include_self=False`` the diagonal is omitted from the absolute
     view but kept in the normalized one, which divides each cell by the
-    target SLD's node count.  SLDs without nodes normalize to 0 and are
-    listed in ``zero_node_slds``.
+    target SLD's node count (never 0: the cell's edges end in that SLD).
     """
 
     year: int
@@ -49,84 +51,84 @@ class SldFlowMatrix:
     normalized: Mapping[tuple[str, str], float]
     node_counts: Mapping[str, int]
     include_self: bool
-    zero_node_slds: frozenset[str] = frozenset()
 
 
-def node_counts_by_sld(snapshot: YearSnapshot, policy: SuffixPolicy) -> SldYearStats:
+@dataclass(frozen=True, eq=False)
+class SldCells:
+    """One snapshot grouped by SLD, the input of the statistics below.
+
+    Each node is labelled once.  ``counts`` holds the node count of each SLD
+    bucket that has nodes; ``edges`` and ``weight`` count the edges and sum
+    their weights per (source SLD, target SLD) cell, indexed like ``labels``.
+    """
+
+    year: int
+    registered_slds: frozenset[str]
+    labels: tuple[str, ...]
+    counts: Mapping[str, int]
+    edges: np.ndarray
+    weight: np.ndarray
+
+
+def sld_cells(snapshot: IndexedSnapshot, policy: SuffixPolicy) -> SldCells:
+    """Label every node with its SLD bucket and sum the edges into cells."""
+    names, of_node = np.unique(
+        [sld_label(node, policy) for node in snapshot.nodes], return_inverse=True
+    )
+    labels = tuple(names.tolist())
+    size = len(labels)
+    cell = of_node[snapshot.src] * size + of_node[snapshot.dst]
+    return SldCells(
+        snapshot.year,
+        policy.registered_slds,
+        labels,
+        dict(zip(labels, np.bincount(of_node, minlength=size).tolist())),
+        np.bincount(cell, minlength=size * size).reshape(size, size),
+        group_sums(cell, snapshot.weight, size * size).reshape(size, size),
+    )
+
+
+def node_counts_by_sld(cells: SldCells) -> SldYearStats:
     """Count third-level domains per SLD and their shares of the total.
 
     A node is anything that appears as an edge endpoint or in the node-pages
     data.  Shares over all SLDs sum to 1 whenever any node exists.
     """
-    counts: dict[str, int] = {}
-    for node in snapshot.nodes():
-        sld = sld_label(node, policy)
-        counts[sld] = counts.get(sld, 0) + 1
-    total = sum(counts.values())
-    shares = {
-        sld: (count / total if total else 0.0) for sld, count in counts.items()
-    }
-    return SldYearStats(snapshot.year, counts, shares, total)
+    total = sum(cells.counts.values())
+    shares = {sld: count / total for sld, count in cells.counts.items()}
+    return SldYearStats(cells.year, dict(cells.counts), shares, total)
 
 
-def within_sld_links_per_node(
-    snapshot: YearSnapshot,
-    sld: str,
-    policy: SuffixPolicy,
-    distinct: bool = False,
-) -> float:
+def within_sld_links_per_node(cells: SldCells, sld: str, distinct: bool = False) -> float:
     """Weight of links staying inside one SLD, per node of that SLD.
 
     ``distinct`` counts edges instead of summing their weights.  Returns 0
     for an SLD without nodes.
     """
-    if sld not in policy.registered_slds:
+    if sld not in cells.registered_slds:
         raise UnknownSld(f"{sld!r} is not registered in the policy")
-    nodes = sum(1 for node in snapshot.nodes() if sld_label(node, policy) == sld)
-    if nodes == 0:
+    if sld not in cells.counts:
         return 0.0
-    internal = 0
-    for (src, tgt), weight in snapshot.edges.items():
-        if sld_label(src, policy) == sld and sld_label(tgt, policy) == sld:
-            internal += 1 if distinct else weight
-    return internal / nodes
+    i = cells.labels.index(sld)
+    return int((cells.edges if distinct else cells.weight)[i, i]) / cells.counts[sld]
 
 
-def inter_sld_flows(
-    snapshot: YearSnapshot, policy: SuffixPolicy, include_self: bool = False
-) -> SldFlowMatrix:
+def inter_sld_flows(cells: SldCells, include_self: bool = False) -> SldFlowMatrix:
     """Aggregate edge weights into the SLD-to-SLD flow matrix.
 
     With ``include_self=True`` the absolute matrix total equals the
     snapshot's total edge weight exactly.
     """
-    stats = node_counts_by_sld(snapshot, policy)
-    totals: dict[tuple[str, str], int] = {}
-    for (src, tgt), weight in snapshot.edges.items():
-        cell = (sld_label(src, policy), sld_label(tgt, policy))
-        totals[cell] = totals.get(cell, 0) + weight
-    zero_nodes = set()
+    labels = cells.labels
+    absolute: dict[tuple[str, str], int] = {}
     normalized: dict[tuple[str, str], float] = {}
-    for (src_sld, tgt_sld), total in totals.items():
-        nodes = stats.counts.get(tgt_sld, 0)
-        if nodes == 0:
-            zero_nodes.add(tgt_sld)
-            normalized[(src_sld, tgt_sld)] = 0.0
-        else:
-            normalized[(src_sld, tgt_sld)] = total / nodes
-    absolute = {
-        cell: total
-        for cell, total in totals.items()
-        if include_self or cell[0] != cell[1]
-    }
-    return SldFlowMatrix(
-        snapshot.year,
-        absolute,
-        normalized,
-        stats.counts,
-        include_self,
-        frozenset(zero_nodes),
-    )
+    for i, j in zip(*np.nonzero(cells.edges)):
+        cell = (labels[i], labels[j])
+        total = int(cells.weight[i, j])
+        normalized[cell] = total / cells.counts[labels[j]]
+        if include_self or i != j:
+            absolute[cell] = total
+    return SldFlowMatrix(cells.year, absolute, normalized, dict(cells.counts), include_self)
 
 
 def write_sld_series(rows: Iterable[SldYearStats], path) -> None:

@@ -14,13 +14,18 @@ twice produces byte-identical files.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
+import numpy as np
+
 from .errors import SnapshotFormatError
 
 _HEADER_PREFIX = "#snapshot v1 year="
+# edge weights and every sum of them must fit the int64 arrays of the view
+MAX_TOTAL_WEIGHT = 2**63 - 1
 
 
 @dataclass(frozen=True)
@@ -28,7 +33,8 @@ class YearSnapshot:
     """Weighted directed graph over third-level domains for one year.
 
     ``edges`` maps ``(source, target)`` to a positive integer hyperlink
-    count; self-loops are rejected.  ``node_pages`` carries per-domain crawl
+    count; self-loops are rejected, and the weights may sum to at most
+    ``MAX_TOTAL_WEIGHT``.  ``node_pages`` carries per-domain crawl
     page counts when a node-pages file was supplied; it is side data and does
     not participate in equality or in the snapshot file format.
     """
@@ -43,49 +49,69 @@ class YearSnapshot:
                 raise ValueError(f"self-loop edge {src!r}")
             if not isinstance(weight, int) or weight < 1:
                 raise ValueError(f"edge {src!r}->{tgt!r} has weight {weight!r}")
+        if sum(self.edges.values()) > MAX_TOTAL_WEIGHT:
+            raise ValueError(f"edge weights sum to more than {MAX_TOTAL_WEIGHT}")
         object.__setattr__(self, "edges", MappingProxyType(dict(self.edges)))
         object.__setattr__(self, "node_pages", MappingProxyType(dict(self.node_pages)))
 
     def __repr__(self):
         return (
             f"YearSnapshot(year={self.year}, edges={len(self.edges)}, "
-            f"nodes={len(self.nodes())})"
+            f"nodes={len(self.indexed.nodes)})"
         )
 
-    def nodes(self) -> set[str]:
-        """Union of edge endpoints and node-pages domains."""
-        out = set()
-        for src, tgt in self.edges:
-            out.add(src)
-            out.add(tgt)
-        out.update(self.node_pages)
-        return out
+    @cached_property
+    def indexed(self) -> "IndexedSnapshot":
+        """The snapshot as arrays, built on first use.
 
-    def total_weight(self) -> int:
-        return sum(self.edges.values())
+        Its nodes are the edge endpoints and the node-pages domains.
+        """
+        nodes = tuple(sorted({n for pair in self.edges for n in pair}.union(self.node_pages)))
+        index = {node: i for i, node in enumerate(nodes)}
+        m = len(self.edges)
+        src = np.fromiter((index[s] for s, _ in self.edges), np.int64, m)
+        dst = np.fromiter((index[t] for _, t in self.edges), np.int64, m)
+        weight = np.fromiter(self.edges.values(), np.int64, m)
+        order = np.lexsort((dst, src))
+        return IndexedSnapshot(self.year, nodes, src[order], dst[order], weight[order])
 
-    def out_strengths(self) -> dict[str, int]:
-        """Per-node sum of outgoing edge weights (edge endpoints only)."""
-        strengths: dict[str, int] = {}
-        for (src, _), weight in self.edges.items():
-            strengths[src] = strengths.get(src, 0) + weight
-        return strengths
 
-    def in_strengths(self) -> dict[str, int]:
-        """Per-node sum of incoming edge weights (edge endpoints only)."""
-        strengths: dict[str, int] = {}
-        for (_, tgt), weight in self.edges.items():
-            strengths[tgt] = strengths.get(tgt, 0) + weight
-        return strengths
+@dataclass(frozen=True, eq=False)
+class IndexedSnapshot:
+    """The view every analysis runs on: a weighted digraph as int64 arrays.
 
-    def induced(self, nodes: Iterable[str]) -> "YearSnapshot":
-        """Subgraph on the given nodes (edges with both endpoints inside)."""
-        keep = set(nodes)
-        edges = {
-            (s, t): w for (s, t), w in self.edges.items() if s in keep and t in keep
-        }
-        pages = {n: p for n, p in self.node_pages.items() if n in keep}
-        return YearSnapshot(self.year, edges, pages)
+    ``src`` and ``dst`` index into the sorted ``nodes``; edges are in
+    (src, dst) order, which is also the order of the node names.
+    """
+
+    year: int
+    nodes: tuple[str, ...]
+    src: np.ndarray
+    dst: np.ndarray
+    weight: np.ndarray
+
+    def induced(self, nodes: Iterable[str]) -> "IndexedSnapshot":
+        """Subgraph on ``nodes`` (all of them, also those without edges here)."""
+        keep = tuple(sorted(set(nodes)))
+        index = {node: i for i, node in enumerate(keep)}
+        remap = np.fromiter(
+            (index.get(node, -1) for node in self.nodes), np.int64, len(self.nodes)
+        )
+        src, dst = remap[self.src], remap[self.dst]
+        inside = (src >= 0) & (dst >= 0)
+        return IndexedSnapshot(self.year, keep, src[inside], dst[inside], self.weight[inside])
+
+    def strengths(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per-node sums of outgoing and of incoming edge weights."""
+        n = len(self.nodes)
+        return group_sums(self.src, self.weight, n), group_sums(self.dst, self.weight, n)
+
+
+def group_sums(groups: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
+    """Sums of ``values`` per group index, exact for integers, in input order."""
+    sums = np.zeros(size, values.dtype)
+    np.add.at(sums, groups, values)
+    return sums
 
 
 def write_snapshot(snapshot: YearSnapshot, path) -> None:
@@ -126,4 +152,7 @@ def read_snapshot(path, node_pages: Mapping[str, int] | None = None) -> YearSnap
             if weight < 1 or src == tgt or not src or not tgt:
                 raise SnapshotFormatError(f"{path}:{lineno}: invalid edge record")
             edges[(src, tgt)] = weight
-    return YearSnapshot(year, edges, node_pages or {})
+    try:
+        return YearSnapshot(year, edges, node_pages or {})
+    except ValueError as exc:
+        raise SnapshotFormatError(f"{path}: {exc}") from None

@@ -11,9 +11,10 @@ The distance-decay generator calibrates itself: an uncorrected kernel
 each node's strength sums carry its geographic reach into the denominator
 (border nodes see systematically longer distances, which tilts the slope;
 no positive edge assignment can cancel this exactly).  The generator
-therefore runs a secant search on the kernel exponent against a noiseless
-replica of the measurement pipeline until the realized exponent matches the
-requested one, then applies the multiplicative lognormal noise.
+therefore runs a secant search on the kernel exponent, measuring each
+noiseless float kernel with the gravity module's own pair table, series and
+fit, until the measured exponent matches the requested one; then it applies
+the multiplicative lognormal noise and rounds to integer weights.
 """
 
 from __future__ import annotations
@@ -23,8 +24,16 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import InvalidSpec
-from .gravity import DEFAULT_D_MIN_KM, DEFAULT_WINDOW, EARTH_RADIUS_KM, GeoPoint
+from .errors import DegenerateDesign, InsufficientData, InvalidSpec, NonPositiveValue
+from .gravity import (
+    DEFAULT_D_MIN_KM,
+    DEFAULT_WINDOW,
+    GeoPoint,
+    distance_strength_series,
+    fit_gravity_exponent,
+    haversine_km,
+    pair_table,
+)
 from .snapshot import YearSnapshot
 
 # target for the smallest generated weight; keeps integer rounding noise
@@ -76,46 +85,6 @@ def synthetic_geo(n_nodes: int, seed: int) -> dict[str, GeoPoint]:
     }
 
 
-def _distance_matrix(lat_deg: np.ndarray, lon_deg: np.ndarray) -> np.ndarray:
-    lat = np.radians(lat_deg)
-    lon = np.radians(lon_deg)
-    dphi = lat[:, None] - lat[None, :]
-    dlam = lon[:, None] - lon[None, :]
-    h = (
-        np.sin(dphi / 2.0) ** 2
-        + np.cos(lat)[:, None] * np.cos(lat)[None, :] * np.sin(dlam / 2.0) ** 2
-    )
-    return 2.0 * EARTH_RADIUS_KM * np.arcsin(np.minimum(1.0, np.sqrt(h)))
-
-
-def _replica_exponent(
-    weights: np.ndarray, distances: np.ndarray, window: int, d_min_km: float
-) -> float:
-    # noiseless mirror of normalize -> sort -> window -> log-log OLS
-    n = weights.shape[0]
-    mask = ~np.eye(n, dtype=bool) & (weights > 0)
-    row = weights.sum(axis=1)
-    col = weights.sum(axis=0)
-    sigma = weights[mask] / np.outer(row, col)[mask]
-    d = distances[mask]
-    keep = d >= d_min_km
-    if keep.sum() < 3:
-        keep = d > 0
-    d, sigma = d[keep], sigma[keep]
-    w_eff = int(min(window, max(1, len(d) - 2)))
-    order = np.argsort(d, kind="stable")
-    kernel = np.ones(w_eff) / w_eff
-    mean_d = np.convolve(d[order], kernel, mode="valid")
-    mean_s = np.convolve(sigma[order], kernel, mode="valid")
-    x = np.log(mean_d)
-    y = np.log(mean_s)
-    dx = x - x.mean()
-    sxx = float(dx @ dx)
-    if sxx == 0.0:
-        raise InvalidSpec("degenerate geography: all pair distances equal")
-    return -float(dx @ (y - y.mean())) / sxx
-
-
 def gen_gravity_graph(
     spec: SynthSpec,
     geo: Mapping[str, GeoPoint],
@@ -141,18 +110,32 @@ def gen_gravity_graph(
     nodes = sorted(geo)[: spec.n_nodes]
     lat = np.array([geo[v].latitude for v in nodes])
     lon = np.array([geo[v].longitude for v in nodes])
-    distances = _distance_matrix(lat, lon)
+    distances = haversine_km(lat[:, None], lon[:, None], lat[None, :], lon[None, :])
     off = ~np.eye(spec.n_nodes, dtype=bool)
     if np.any(distances[off] == 0.0):
         raise InvalidSpec("coincident coordinates make the decay undefined")
     np.fill_diagonal(distances, 1.0)  # placeholder; diagonal never used
+    rows, cols = np.nonzero(off)
+    pair_km = distances[off]
+    # few nodes: measure all pairs when fewer than 3 reach d_min_km, and
+    # shrink the window so that at least 3 series points remain
+    if np.count_nonzero(pair_km >= d_min_km) < 3:
+        d_min_km = 0.0
+    window = min(window, max(1, np.count_nonzero(pair_km >= d_min_km) - 2))
 
     target = spec.planted_exponent
 
     def realized(g: float) -> float:
         kernel = distances**(-g)
         np.fill_diagonal(kernel, 0.0)
-        return _replica_exponent(kernel, distances, window, d_min_km)
+        pairs = pair_table(
+            nodes, rows, cols, kernel[off], kernel.sum(axis=1), kernel.sum(axis=0), pair_km
+        )
+        try:
+            series = distance_strength_series(pairs, window=window, d_min_km=d_min_km)
+            return fit_gravity_exponent(series).exponent
+        except (DegenerateDesign, InsufficientData, NonPositiveValue) as exc:
+            raise InvalidSpec(f"degenerate geography: {exc}") from None
 
     g_prev = target
     f_prev = realized(g_prev)

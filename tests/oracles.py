@@ -93,6 +93,37 @@ def brute_modularity(edges, labels, nodes):
     return float(q / m)
 
 
+def brute_sld_stats(edges, nodes, registered):
+    """SLD statistics by enumeration, with SLD = a host's last two labels.
+
+    A node whose last two labels are not in ``registered`` counts as
+    "other".  Returns the node count per SLD, the within-SLD links per node
+    keyed ``(sld, distinct)`` for every registered SLD, and the summed weight
+    per (source SLD, target SLD) cell.
+    """
+
+    def sld(host):
+        tail = ".".join(host.split(".")[-2:])
+        return tail if tail in registered else "other"
+
+    counts = defaultdict(int)
+    for node in nodes:
+        counts[sld(node)] += 1
+    within = {}
+    for name in registered:
+        for distinct in (False, True):
+            inside = [
+                1 if distinct else w
+                for (u, v), w in edges.items()
+                if sld(u) == name and sld(v) == name
+            ]
+            within[(name, distinct)] = sum(inside) / counts[name] if counts[name] else 0.0
+    cells = defaultdict(int)
+    for (u, v), w in edges.items():
+        cells[(sld(u), sld(v))] += w
+    return {k: c for k, c in counts.items() if c}, within, dict(cells)
+
+
 def sphere_distance_km(lat1, lon1, lat2, lon2, radius=6371.0088):
     """Great-circle distance via the atan2 form, not the haversine form."""
     phi1, lam1 = math.radians(lat1), math.radians(lon1)

@@ -18,12 +18,12 @@ from oracles import brute_betweenness, eig_authority, solve_pagerank
 
 
 def snap(edges, year=2010):
-    return YearSnapshot(year, edges)
+    return YearSnapshot(year, edges).indexed
 
 
 def suite(edges, nodes=None, **kwargs):
     s = snap(edges)
-    return centrality_suite(s, nodes or s.nodes(), **kwargs)
+    return centrality_suite(s, nodes or s.nodes, **kwargs)
 
 
 def random_digraph(rng, n, density=0.4, max_weight=10):

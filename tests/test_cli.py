@@ -201,6 +201,47 @@ def test_export_graphml(tmp_path):
     assert '<data key="weight">5</data>' in text
 
 
+def test_input_files_read_once_per_command(tmp_path, monkeypatch):
+    snaps = []
+    for year in (2009, 2010):
+        path = tmp_path / f"snapshot_{year}.tsv"
+        path.write_text(
+            f"#snapshot v1 year={year}\n"
+            "a.ac.uk\tb.ac.uk\t5\nb.ac.uk\tc.ac.uk\t2\nc.ac.uk\ta.ac.uk\t1\n"
+        )
+        snaps.append(path)
+    inputs = {
+        "nodes.txt": "a.ac.uk\nb.ac.uk\nc.ac.uk\n",
+        "league.tsv": "a.ac.uk\t1\nb.ac.uk\t2\nc.ac.uk\t3\n",
+        "groups.tsv": "a.ac.uk\tg\nb.ac.uk\tg\n",
+        "geo.tsv": "a.ac.uk\t51.75\t-1.25\nb.ac.uk\t52.2\t0.12\nc.ac.uk\t53.4\t-2.2\n",
+    }
+    for name, text in inputs.items():
+        (tmp_path / name).write_text(text)
+    reads = []
+    for name in ("read_node_list", "read_ranking", "read_partition"):
+        original = getattr(chronoscope.metrics, name)
+
+        def counted(path, _original=original):
+            reads.append(Path(path).name)
+            return _original(path)
+
+        monkeypatch.setattr(chronoscope.metrics, name, counted)
+    nodes = ["--nodes", tmp_path / "nodes.txt"]
+    commands = [
+        ["centrality", *nodes],
+        ["correlate", "--ranking", tmp_path / "league.tsv", *nodes],
+        ["modularity", "--partition", tmp_path / "groups.tsv", *nodes],
+        ["gravity", "--geo", tmp_path / "geo.tsv", "--window", 1, *nodes],
+        ["export", *nodes],
+        ["density", "--members", tmp_path / "nodes.txt"],
+    ]
+    for command, *options in commands:
+        reads.clear()
+        assert run(command, *snaps, *options, "--out-dir", tmp_path / "out") == 0
+        assert reads and len(reads) == len(set(reads)), (command, reads)
+
+
 def test_year_filter_skips_other_years(tmp_path, linkfile):
     out = tmp_path / "out"
     assert run("ingest", linkfile, "--out-dir", out, "--year", 2000) == 0

@@ -1,5 +1,6 @@
 import math
 import random
+from collections import namedtuple
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from chronoscope.gravity import (
     EARTH_RADIUS_KM,
     DistanceSeries,
     GeoPoint,
-    StrengthPair,
+    PairTable,
     distance_strength_series,
     export_geo_links,
     fit_gravity_exponent,
@@ -32,20 +33,56 @@ from oracles import sphere_distance_km
 OXFORD = GeoPoint(51.7548, -1.2544)
 CAMBRIDGE = GeoPoint(52.2053, 0.1218)
 
+# one pair with node names, as the tests write and read pair tables
+Row = namedtuple("Row", "source target raw_strength normalized_strength distance_km")
+
+
+def dist(p, q):
+    return float(haversine_km(p.latitude, p.longitude, q.latitude, q.longitude))
+
+
+def table(pairs):
+    """A PairTable holding these rows, put in (source, target) order."""
+    pairs = sorted(pairs)
+    nodes = tuple(sorted({r.source for r in pairs} | {r.target for r in pairs}))
+    index = {v: i for i, v in enumerate(nodes)}
+    return PairTable(
+        nodes,
+        np.array([index[r.source] for r in pairs], dtype=np.int64),
+        np.array([index[r.target] for r in pairs], dtype=np.int64),
+        np.array([r.raw_strength for r in pairs], dtype=np.int64),
+        np.array([r.normalized_strength for r in pairs], dtype=float),
+        np.array([r.distance_km for r in pairs], dtype=float),
+    )
+
+
+def rows(pairs):
+    """The rows of a PairTable, in table order."""
+    return [
+        Row(pairs.nodes[s], pairs.nodes[t], w, sigma, d)
+        for s, t, w, sigma, d in zip(
+            pairs.source.tolist(),
+            pairs.target.tolist(),
+            pairs.weight.tolist(),
+            pairs.sigma.tolist(),
+            pairs.distance_km.tolist(),
+        )
+    ]
+
 
 # --- haversine ---
 
 def test_haversine_zero_for_identical_points():
-    assert haversine_km(OXFORD, OXFORD) == 0.0
+    assert dist(OXFORD, OXFORD) == 0.0
 
 
 def test_haversine_antipodal_half_circumference():
-    d = haversine_km(GeoPoint(0, 0), GeoPoint(0, 180))
+    d = dist(GeoPoint(0, 0), GeoPoint(0, 180))
     assert d == pytest.approx(math.pi * EARTH_RADIUS_KM, rel=1e-12)
 
 
 def test_haversine_matches_independent_formula():
-    d = haversine_km(OXFORD, CAMBRIDGE)
+    d = dist(OXFORD, CAMBRIDGE)
     expected = sphere_distance_km(51.7548, -1.2544, 52.2053, 0.1218)
     assert d == pytest.approx(expected, rel=1e-6)
 
@@ -59,13 +96,13 @@ coords = st.tuples(
 @given(a=coords, b=coords)
 def test_haversine_symmetric(a, b):
     p, q = GeoPoint(*a), GeoPoint(*b)
-    assert haversine_km(p, q) == haversine_km(q, p)
+    assert dist(p, q) == dist(q, p)
 
 
 @given(a=coords, b=coords, c=coords)
 def test_haversine_triangle_inequality(a, b, c):
     p, q, r = GeoPoint(*a), GeoPoint(*b), GeoPoint(*c)
-    assert haversine_km(p, r) <= haversine_km(p, q) + haversine_km(q, r) + 1e-9
+    assert dist(p, r) <= dist(p, q) + dist(q, r) + 1e-9
 
 
 def test_geopoint_range_validation():
@@ -87,9 +124,9 @@ def geo_for(nodes, seed=0):
 def test_two_node_sigma():
     snap = YearSnapshot(2010, {("a.ac.uk", "b.ac.uk"): 4})
     geo = geo_for(["a.ac.uk", "b.ac.uk"])
-    result = normalized_strengths(snap, ["a.ac.uk", "b.ac.uk"], geo)
+    result = normalized_strengths(snap.indexed, ["a.ac.uk", "b.ac.uk"], geo)
     assert len(result.pairs) == 1
-    pair = result.pairs[0]
+    pair = rows(result.pairs)[0]
     assert pair.normalized_strength == pytest.approx(0.25)
     assert pair.raw_strength == 4
     # the unlinked opposite direction is the one excluded ordered pair
@@ -99,7 +136,7 @@ def test_two_node_sigma():
 def test_unlinked_pairs_excluded():
     nodes = ["a.ac.uk", "b.ac.uk", "c.ac.uk"]
     snap = YearSnapshot(2010, {("a.ac.uk", "b.ac.uk"): 1})
-    result = normalized_strengths(snap, nodes, geo_for(nodes))
+    result = normalized_strengths(snap.indexed, nodes, geo_for(nodes))
     assert len(result.pairs) == 1
     assert result.excluded_pairs == 6 - 1
 
@@ -115,14 +152,14 @@ def test_sigma_matches_first_principles_recompute():
     }
     snap = YearSnapshot(2010, edges)
     geo = geo_for(nodes, seed=9)
-    result = normalized_strengths(snap, nodes, geo)
+    result = normalized_strengths(snap.indexed, nodes, geo)
     assert len(result.pairs) == len(edges)
-    for pair in result.pairs:
+    for pair in rows(result.pairs):
         s_out = sum(w for (u, _), w in edges.items() if u == pair.source)
         s_in = sum(w for (_, v), w in edges.items() if v == pair.target)
         expected = edges[(pair.source, pair.target)] / (s_out * s_in)
         assert pair.normalized_strength == pytest.approx(expected, rel=1e-12)
-        assert pair.distance_km == haversine_km(geo[pair.source], geo[pair.target])
+        assert pair.distance_km == dist(geo[pair.source], geo[pair.target])
 
 
 def test_strengths_use_induced_subgraph_only():
@@ -130,23 +167,23 @@ def test_strengths_use_induced_subgraph_only():
     snap = YearSnapshot(
         2010, {("a.ac.uk", "b.ac.uk"): 4, ("a.ac.uk", "x.co.uk"): 1000}
     )
-    result = normalized_strengths(snap, nodes, geo_for(nodes))
-    assert result.pairs[0].normalized_strength == pytest.approx(0.25)
+    result = normalized_strengths(snap.indexed, nodes, geo_for(nodes))
+    assert rows(result.pairs)[0].normalized_strength == pytest.approx(0.25)
 
 
 def test_missing_coordinates():
     snap = YearSnapshot(2010, {("a.ac.uk", "b.ac.uk"): 1})
     with pytest.raises(MissingCoordinates):
-        normalized_strengths(snap, ["a.ac.uk", "b.ac.uk"], {"a.ac.uk": OXFORD})
+        normalized_strengths(snap.indexed, ["a.ac.uk", "b.ac.uk"], {"a.ac.uk": OXFORD})
 
 
 def test_symmetrize_mean():
-    pairs = (
-        StrengthPair("a.ac.uk", "b.ac.uk", 4, 0.2, 100.0),
-        StrengthPair("b.ac.uk", "a.ac.uk", 2, 0.1, 100.0),
-        StrengthPair("c.ac.uk", "a.ac.uk", 1, 0.5, 50.0),
-    )
-    merged = symmetrize_pairs(pairs)
+    pairs = table([
+        Row("a.ac.uk", "b.ac.uk", 4, 0.2, 100.0),
+        Row("b.ac.uk", "a.ac.uk", 2, 0.1, 100.0),
+        Row("c.ac.uk", "a.ac.uk", 1, 0.5, 50.0),
+    ])
+    merged = rows(symmetrize_pairs(pairs))
     assert len(merged) == 2
     ab = next(p for p in merged if p.target == "b.ac.uk")
     assert ab.normalized_strength == pytest.approx(0.15)
@@ -158,29 +195,37 @@ def test_symmetrize_mean():
 # --- moving-average series ---
 
 def pairs_from(points):
-    return tuple(
-        StrengthPair(f"s{i}", f"t{i}", 1, sigma, d)
-        for i, (d, sigma) in enumerate(points)
+    return table(
+        Row(f"s{i}", f"t{i}", 1, sigma, d) for i, (d, sigma) in enumerate(points)
     )
+
+
+def points(series):
+    return tuple(zip(series.distance_km.tolist(), series.sigma.tolist()))
+
+
+def series_of(pts, d_min_km=0.0):
+    d, sigma = zip(*pts)
+    return DistanceSeries(np.array(d), np.array(sigma), 1, d_min_km, None, len(pts))
 
 
 def test_series_pairwise_means():
     series = distance_strength_series(
         pairs_from([(1, 1), (2, 3), (3, 5)]), window=2, d_min_km=0
     )
-    assert series.points == ((1.5, 2.0), (2.5, 4.0))
+    assert points(series) == ((1.5, 2.0), (2.5, 4.0))
 
 
 def test_series_window_one_is_identity():
     pts = [(5.0, 2.0), (1.0, 1.0), (9.0, 7.0)]
     series = distance_strength_series(pairs_from(pts), window=1, d_min_km=0)
-    assert series.points == ((1.0, 1.0), (5.0, 2.0), (9.0, 7.0))
+    assert points(series) == ((1.0, 1.0), (5.0, 2.0), (9.0, 7.0))
 
 
 def test_series_distance_floor():
     pts = [(5.0, 1.0), (25.0, 2.0), (30.0, 4.0)]
     series = distance_strength_series(pairs_from(pts), window=1, d_min_km=20)
-    assert series.points == ((25.0, 2.0), (30.0, 4.0))
+    assert points(series) == ((25.0, 2.0), (30.0, 4.0))
     assert series.n_pairs == 2
 
 
@@ -189,7 +234,7 @@ def test_series_distance_ceiling():
     series = distance_strength_series(
         pairs_from(pts), window=1, d_min_km=0, d_max_km=100.0
     )
-    assert series.points == ((5.0, 1.0), (25.0, 2.0))
+    assert points(series) == ((5.0, 1.0), (25.0, 2.0))
 
 
 def test_series_insufficient_data():
@@ -209,7 +254,7 @@ def test_series_point_count(n, window):
             distance_strength_series(pairs_from(pts), window=window)
     else:
         series = distance_strength_series(pairs_from(pts), window=window)
-        assert len(series.points) == n - window + 1
+        assert len(series.distance_km) == n - window + 1
 
 
 # --- the log-log fit ---
@@ -217,7 +262,8 @@ def test_series_point_count(n, window):
 def power_law_series(a=0.3, scale=1.0, n=50):
     ds = np.linspace(30, 800, n)
     return DistanceSeries(
-        tuple((float(d), float(scale * d**-a)) for d in ds),
+        ds,
+        scale * ds**-a,
         window=1,
         d_min_km=20.0,
         d_max_km=None,
@@ -234,8 +280,8 @@ def test_fit_exact_power_law():
 def test_fit_noiseless_residuals_tiny():
     series = power_law_series(a=0.77)
     fit = fit_gravity_exponent(series)
-    x = np.log(series.distances())
-    y = np.log(series.strengths())
+    x = np.log(series.distance_km)
+    y = np.log(series.sigma)
     rss = float(np.sum((y - (fit.intercept - fit.exponent * x)) ** 2))
     assert rss < 1e-18
 
@@ -253,9 +299,7 @@ def test_fit_matches_scipy_linregress():
     rng = np.random.default_rng(4)
     d = np.sort(rng.uniform(25, 900, 300))
     sigma = d**-0.4 * np.exp(rng.normal(0, 0.2, 300))
-    series = DistanceSeries(
-        tuple(zip(d.tolist(), sigma.tolist())), 1, 20.0, None, 300
-    )
+    series = DistanceSeries(d, sigma, 1, 20.0, None, 300)
     fit = fit_gravity_exponent(series)
     ref = stats.linregress(np.log(d), np.log(sigma))
     assert fit.exponent == pytest.approx(-ref.slope, abs=1e-12)
@@ -265,17 +309,11 @@ def test_fit_matches_scipy_linregress():
 
 def test_fit_rejects_bad_input():
     with pytest.raises(InsufficientData):
-        fit_gravity_exponent(
-            DistanceSeries(((1.0, 1.0), (2.0, 0.5)), 1, 0.0, None, 2)
-        )
+        fit_gravity_exponent(series_of(((1.0, 1.0), (2.0, 0.5))))
     with pytest.raises(NonPositiveValue):
-        fit_gravity_exponent(
-            DistanceSeries(((1.0, 1.0), (2.0, 0.0), (3.0, 1.0)), 1, 0.0, None, 3)
-        )
+        fit_gravity_exponent(series_of(((1.0, 1.0), (2.0, 0.0), (3.0, 1.0))))
     with pytest.raises(DegenerateDesign):
-        fit_gravity_exponent(
-            DistanceSeries(((2.0, 1.0), (2.0, 0.5), (2.0, 0.2)), 1, 0.0, None, 3)
-        )
+        fit_gravity_exponent(series_of(((2.0, 1.0), (2.0, 0.5), (2.0, 0.2))))
 
 
 def test_weight_scaling_leaves_exponent_fixed():
@@ -291,7 +329,7 @@ def test_weight_scaling_leaves_exponent_fixed():
         if u != v and rng.random() < 0.5
     }
     def fitted(snapshot):
-        result = normalized_strengths(snapshot, nodes, geo)
+        result = normalized_strengths(snapshot.indexed, nodes, geo)
         series = distance_strength_series(
             result.pairs, window=50, d_min_km=0
         )
@@ -311,7 +349,7 @@ def test_weight_scaling_leaves_exponent_fixed():
 def test_export_geo_links_rows(tmp_path):
     nodes = ["a.ac.uk", "b.ac.uk"]
     geo = geo_for(nodes)
-    pairs = (StrengthPair("a.ac.uk", "b.ac.uk", 4, 0.25, 120.0),)
+    pairs = table([Row("a.ac.uk", "b.ac.uk", 4, 0.25, 120.0)])
     out = tmp_path / "geo_links.csv"
     export_geo_links(pairs, geo, out)
     lines = out.read_text().splitlines()
@@ -323,14 +361,14 @@ def test_export_geo_links_rows(tmp_path):
 
 def test_export_geo_links_empty(tmp_path):
     out = tmp_path / "geo_links.csv"
-    export_geo_links((), {}, out)
+    export_geo_links(table([]), {}, out)
     assert out.read_text().splitlines() == [
         "source,target,source_lat,source_lon,target_lat,target_lon,sigma"
     ]
 
 
 def test_export_geo_links_missing_coordinates(tmp_path):
-    pairs = (StrengthPair("a.ac.uk", "b.ac.uk", 1, 0.5, 10.0),)
+    pairs = table([Row("a.ac.uk", "b.ac.uk", 1, 0.5, 10.0)])
     with pytest.raises(MissingCoordinates):
         export_geo_links(pairs, {"a.ac.uk": OXFORD}, tmp_path / "x.csv")
 

@@ -398,7 +398,7 @@ def test_ingest_matches_single_line_parser(tmp_path):
     assert summary.out_of_scope == skips["OutOfScopeTld"]
     assert summary.malformed_urls == skips["MalformedUrl"]
     assert summary.unknown_sld == skips["UnknownSld"]
-    assert result.snapshots[1999].nodes() == nodes | {"t.co.uk"}
+    assert set(result.snapshots[1999].indexed.nodes) == nodes | {"t.co.uk"}
 
 
 def test_ingest_shard_invariance(tmp_path):
@@ -446,7 +446,7 @@ def test_ingest_year_filter_and_node_pages(tmp_path):
     assert set(result.snapshots) == {1996}
     snap = result.snapshots[1996]
     assert snap.node_pages == {"ox.ac.uk": 120, "unlinked.gov.uk": 3}
-    assert "unlinked.gov.uk" in snap.nodes()
+    assert "unlinked.gov.uk" in snap.indexed.nodes
 
 
 def test_read_node_pages_rejects_bad_rows(tmp_path):

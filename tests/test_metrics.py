@@ -1,5 +1,6 @@
 import math
 import random
+from collections import defaultdict
 
 import numpy as np
 import pytest
@@ -33,7 +34,7 @@ from oracles import brute_modularity
 
 
 def snap(edges, year=2010):
-    return YearSnapshot(year, edges)
+    return YearSnapshot(year, edges).indexed
 
 
 # --- Spearman ---
@@ -104,7 +105,7 @@ def test_league_all_measures_perfect_on_aligned_table():
         for name in MEASURES
     }
     table = CentralityTable(2010, nodes, values)
-    ranking = RankingTable({node: i + 1 for i, node in enumerate(nodes)}, 2010)
+    ranking = RankingTable({node: i + 1 for i, node in enumerate(nodes)})
     result = rank_centrality_vs_league(table, ranking)
     assert result.n_overlap == 6
     for name in MEASURES:
@@ -308,11 +309,12 @@ def test_random_partition_modularity_centers_near_zero():
     stderr = sd / len(qs) ** 0.5
     assert abs(mean) <= 3 * stderr
 
-    m = s.total_weight()
-    s_out, s_in = s.out_strengths(), s.in_strengths()
-    analytic = -(1 - 1 / k) * sum(
-        s_out.get(v, 0) * s_in.get(v, 0) for v in nodes
-    ) / (m * m)
+    m = sum(edges.values())
+    s_out, s_in = defaultdict(int), defaultdict(int)
+    for (u, v), w in edges.items():
+        s_out[u] += w
+        s_in[v] += w
+    analytic = -(1 - 1 / k) * sum(s_out[v] * s_in[v] for v in nodes) / (m * m)
     assert abs(mean - analytic) <= 3 * stderr
 
 
@@ -325,9 +327,8 @@ def test_read_partition_and_ranking(tmp_path):
 
     rank = tmp_path / "league.tsv"
     rank.write_text("ox.ac.uk\t1\ncam.ac.uk\t2\n")
-    table = read_ranking(rank, year=2010)
+    table = read_ranking(rank)
     assert table.ranks == {"ox.ac.uk": 1, "cam.ac.uk": 2}
-    assert table.year == 2010
 
     with pytest.raises(MalformedLine):
         read_ranking(part)

@@ -17,7 +17,7 @@ from .domains import (
     parse_domain_key,
     sld_label,
 )
-from .snapshot import IndexedSnapshot, YearSnapshot, read_snapshot, write_snapshot
+from .snapshot import YearSnapshot, read_snapshot, write_snapshot
 from .ingest import ingest_links, read_node_pages
 from .sldstats import (
     SldCells,
@@ -71,7 +71,6 @@ __all__ = [
     "DomainKey",
     "GeoPoint",
     "GravityFit",
-    "IndexedSnapshot",
     "LeagueCorrelation",
     "MEASURES",
     "ModularityResult",

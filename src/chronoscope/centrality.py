@@ -14,7 +14,7 @@ and in-degree reading of prominence.
 The path measures run Dijkstra from a block of sources at once in numpy,
 then Brandes' accumulation over each source's tight edges, those with
 ``d[src] + length == d[dst]``.  Ties are still decided by that float ``==``
-(a known defect, ROADMAP item 3): exactly tied sums can differ in the last bit.
+(a known defect, ROADMAP item 1): exactly tied sums can differ in the last bit.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import numpy as np
 from scipy import sparse
 
 from .errors import ConvergenceFailure, EmptyFilter
-from .snapshot import IndexedSnapshot
+from .snapshot import YearSnapshot
 
 MEASURES = (
     "in_degree",
@@ -41,9 +41,6 @@ MEASURES = (
     "hub",
     "authority",
 )
-
-INVERSE_WEIGHT = "inverse-weight"
-UNIT = "unit"
 
 PAGERANK_DAMPING = 0.85
 PAGERANK_TOL = 1e-12
@@ -62,29 +59,14 @@ class CentralityTable:
     nodes: tuple[str, ...]
     values: Mapping[str, Mapping[str, float]]
 
-    def measure(self, name: str) -> Mapping[str, float]:
-        return self.values[name]
 
-    def rank_vector(self, name: str) -> tuple[str, ...]:
-        """Nodes ordered most-central first; ties break on node name."""
-        vals = self.values[name]
-        return tuple(sorted(self.nodes, key=lambda n: (-vals[n], n)))
-
-
-def centrality_suite(
-    snapshot: IndexedSnapshot,
-    node_filter: Iterable[str],
-    edge_length: str = INVERSE_WEIGHT,
-) -> CentralityTable:
+def centrality_suite(snapshot: YearSnapshot, node_filter: Iterable[str]) -> CentralityTable:
     """Compute all ten measures on the induced subgraph.
 
     Pagerank uses damping 0.85, uniform redistribution of dangling mass,
     and stops when the L1 change drops below 1e-12 (ConvergenceFailure
-    after 200 iterations).  ``edge_length`` switches the path-based
-    measures between 1/weight and unit lengths.
+    after 200 iterations).
     """
-    if edge_length not in (INVERSE_WEIGHT, UNIT):
-        raise ValueError(f"unknown edge length mode {edge_length!r}")
     graph = snapshot.induced(node_filter)
     if not graph.nodes:
         raise EmptyFilter("node filter is empty")
@@ -96,8 +78,7 @@ def centrality_suite(
     pagerank = _pagerank(adjacency, out_strength)
     hub, authority = _hits(adjacency)
 
-    length = 1.0 / weights if edge_length == INVERSE_WEIGHT else np.ones(len(weights))
-    betweenness, closeness, harmonic = _path_measures(rows, cols, length, n)
+    betweenness, closeness, harmonic = _path_measures(rows, cols, 1.0 / weights, n)
 
     columns = (
         np.bincount(cols, minlength=n), np.bincount(rows, minlength=n), in_strength,

@@ -83,7 +83,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="link-log files to yearly snapshot files",
     )
     p.add_argument("links", nargs="+", help="tab-separated link-log files")
-    p.add_argument("--node-pages", default=None, help="year/domain/page-count file")
     p.add_argument("--gap-seconds", type=int, default=DEFAULT_GAP_SECONDS)
     p.add_argument(
         "--year-select",
@@ -216,15 +215,15 @@ def _note(path: Path) -> None:
     print(f"wrote {path}", file=sys.stderr)
 
 
-def _load_snapshots(args, node_pages=None) -> list[YearSnapshot]:
-    pages = read_node_pages(node_pages) if node_pages else {}
+def _load_snapshots(args, pages_file=None) -> list[YearSnapshot]:
+    pages = read_node_pages(pages_file) if pages_file else {}
     snapshots = []
     for path in args.snapshots:
         snap = read_snapshot(path)
         if args.year is not None and snap.year != args.year:
             continue
         if pages.get(snap.year):
-            snap = YearSnapshot(snap.year, snap.edges, pages[snap.year])
+            snap = snap.induced(set(snap.nodes).union(pages[snap.year]))
         snapshots.append(snap)
     return snapshots
 
@@ -236,7 +235,6 @@ def _node_filter(args, fallback=None):
 
 def _cmd_ingest(args) -> None:
     policy = _policy(args)
-    pages = read_node_pages(args.node_pages) if args.node_pages else None
     years = [args.year] if args.year is not None else None
     result = ingest_links(
         args.links,
@@ -244,7 +242,6 @@ def _cmd_ingest(args) -> None:
         gap_seconds=args.gap_seconds,
         year_select=args.year_select,
         strict=args.strict,
-        node_pages=pages,
         years=years,
     )
     out = _out_dir(args)
@@ -258,11 +255,11 @@ def _cmd_ingest(args) -> None:
 def _cmd_stats(args) -> None:
     policy = _policy(args)
     out = _out_dir(args)
-    snapshots = _load_snapshots(args, node_pages=args.node_pages)
+    snapshots = _load_snapshots(args, pages_file=args.node_pages)
     series = []
     links_per_node: dict[int, dict[str, float]] = {}
     for snap in snapshots:
-        cells = sldstats_mod.sld_cells(snap.indexed, policy)
+        cells = sldstats_mod.sld_cells(snap, policy)
         series.append(sldstats_mod.node_counts_by_sld(cells))
         links_per_node[snap.year] = {
             sld: sldstats_mod.within_sld_links_per_node(cells, sld, distinct=args.distinct)
@@ -284,8 +281,7 @@ def _cmd_centrality(args) -> None:
     out = _out_dir(args)
     nodes = _node_filter(args)
     for snap in _load_snapshots(args):
-        view = snap.indexed
-        table = centrality_mod.centrality_suite(view, view.nodes if nodes is None else nodes)
+        table = centrality_mod.centrality_suite(snap, snap.nodes if nodes is None else nodes)
         path = out / f"centrality_{snap.year}.csv"
         centrality_mod.write_centrality(table, path)
         _note(path)
@@ -296,7 +292,7 @@ def _cmd_correlate(args) -> None:
     ranking = metrics_mod.read_ranking(args.ranking)
     nodes = _node_filter(args, fallback=sorted(ranking.ranks))
     for snap in _load_snapshots(args):
-        table = centrality_mod.centrality_suite(snap.indexed, nodes)
+        table = centrality_mod.centrality_suite(snap, nodes)
         result = metrics_mod.rank_centrality_vs_league(table, ranking)
         path = out / f"correlations_{snap.year}.csv"
         metrics_mod.write_correlations(result, path)
@@ -308,7 +304,7 @@ def _cmd_modularity(args) -> None:
     partition = metrics_mod.read_partition(args.partition)
     node_filter = _node_filter(args)
     for snap in _load_snapshots(args):
-        result = metrics_mod.modularity(snap.indexed, partition, node_filter)
+        result = metrics_mod.modularity(snap, partition, node_filter)
         path = out / f"modularity_{snap.year}.csv"
         metrics_mod.write_modularity(result, path)
         _note(path)
@@ -317,7 +313,7 @@ def _cmd_modularity(args) -> None:
 def _cmd_density(args) -> None:
     members = metrics_mod.read_node_list(args.members)
     for snap in _load_snapshots(args):
-        value = metrics_mod.group_internal_density(snap.indexed, members)
+        value = metrics_mod.group_internal_density(snap, members)
         print(f"year={snap.year} density={value!r}")
 
 
@@ -326,7 +322,7 @@ def _cmd_gravity(args) -> None:
     geo = gravity_mod.read_geo_points(args.geo)
     nodes = _node_filter(args, fallback=sorted(geo))
     for snap in _load_snapshots(args):
-        result = gravity_mod.normalized_strengths(snap.indexed, nodes, geo)
+        result = gravity_mod.normalized_strengths(snap, nodes, geo)
         pairs = result.pairs
         if args.symmetrize == gravity_mod.SYMMETRIZE_MEAN:
             pairs = gravity_mod.symmetrize_pairs(pairs)
@@ -389,7 +385,7 @@ def _cmd_export(args) -> None:
     node_filter = _node_filter(args)
     for snap in _load_snapshots(args):
         path = out / f"graph_{snap.year}.graphml"
-        write_graphml(snap.indexed, path, node_filter)
+        write_graphml(snap, path, node_filter)
         _note(path)
 
 

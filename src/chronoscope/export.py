@@ -7,11 +7,11 @@ from xml.sax.saxutils import escape, quoteattr
 
 import numpy as np
 
-from .snapshot import IndexedSnapshot
+from .snapshot import YearSnapshot
 
 
 def write_graphml(
-    snapshot: IndexedSnapshot, path, node_filter: Iterable[str] | None = None
+    snapshot: YearSnapshot, path, node_filter: Iterable[str] | None = None
 ) -> None:
     """Write the (optionally induced) snapshot as a directed GraphML graph.
 
@@ -47,5 +47,5 @@ def write_graphml(
         fh.write("</graphml>\n")
 
 
-def _endpoints(snapshot: IndexedSnapshot) -> set[str]:
+def _endpoints(snapshot: YearSnapshot) -> set[str]:
     return {snapshot.nodes[i] for i in np.union1d(snapshot.src, snapshot.dst).tolist()}

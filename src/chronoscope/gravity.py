@@ -27,7 +27,7 @@ from .errors import (
     MissingCoordinates,
     NonPositiveValue,
 )
-from .snapshot import IndexedSnapshot, group_sums
+from .snapshot import YearSnapshot, group_sums
 
 EARTH_RADIUS_KM = 6371.0088
 
@@ -106,7 +106,7 @@ class StrengthPairSet:
 
 
 def normalized_strengths(
-    snapshot: IndexedSnapshot,
+    snapshot: YearSnapshot,
     nodes: Iterable[str],
     geo: Mapping[str, GeoPoint],
 ) -> StrengthPairSet:

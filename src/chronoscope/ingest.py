@@ -19,7 +19,7 @@ import sys
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .domains import SuffixPolicy, authority_host, parse_host_key, url_authority
 from .errors import MalformedLine, MalformedUrl, OutOfScopeTld, UnknownSld
@@ -133,7 +133,6 @@ def ingest_links(
     gap_seconds: int = DEFAULT_GAP_SECONDS,
     year_select: str = PER_PAIR_MAX,
     strict: bool = False,
-    node_pages: Mapping[int, Mapping[str, int]] | None = None,
     years: Iterable[int] | None = None,
 ) -> IngestResult:
     """Ingest link-log files into per-year snapshots.
@@ -156,8 +155,7 @@ def ingest_links(
     Scoping filters stay counted skips either way: self-links, out-of-scope
     TLDs and unregistered SLDs are dropped by design, not data corruption.
 
-    ``years`` restricts the output to the given years; ``node_pages`` (as
-    returned by :func:`read_node_pages`) attaches page counts per year.
+    ``years`` restricts the output to the given years.
     """
     if gap_seconds <= 0:
         raise ValueError("gap_seconds must be positive")
@@ -283,13 +281,12 @@ def ingest_links(
             for tgt, weight in weights.items():
                 edges[(source, tgt)] = weight
 
-    node_pages = node_pages or {}
     snapshots = {
-        year: YearSnapshot(year, edges, node_pages.get(year, {}))
+        year: YearSnapshot.from_edges(year, edges)
         for year, edges in sorted(per_year_edges.items())
     }
     if wanted is not None:
         for year in sorted(wanted):
             if year not in snapshots:
-                snapshots[year] = YearSnapshot(year, {}, node_pages.get(year, {}))
+                snapshots[year] = YearSnapshot.from_edges(year, {})
     return IngestResult(snapshots, summary)

@@ -22,7 +22,7 @@ from .errors import (
     MalformedLine,
     TooFewMembers,
 )
-from .snapshot import IndexedSnapshot, group_sums
+from .snapshot import YearSnapshot, group_sums
 
 # nodes missing from a partition mapping form one implicit group
 UNAFFILIATED = "unaffiliated"
@@ -124,7 +124,7 @@ class ModularityResult:
 
 
 def modularity(
-    snapshot: IndexedSnapshot,
+    snapshot: YearSnapshot,
     partition: Mapping[str, str],
     node_filter: Iterable[str] | None = None,
 ) -> ModularityResult:
@@ -161,7 +161,7 @@ def modularity(
     return ModularityResult(q, m, groups)
 
 
-def group_internal_density(snapshot: IndexedSnapshot, members: Iterable[str]) -> float:
+def group_internal_density(snapshot: YearSnapshot, members: Iterable[str]) -> float:
     """Fraction of ordered member pairs joined by at least one link.
 
     Presence-only by construction: edge weights never matter.

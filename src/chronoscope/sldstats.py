@@ -19,7 +19,7 @@ import numpy as np
 
 from .domains import SuffixPolicy, sld_label
 from .errors import UnknownSld
-from .snapshot import IndexedSnapshot, group_sums
+from .snapshot import YearSnapshot, group_sums
 
 
 @dataclass(frozen=True)
@@ -30,10 +30,6 @@ class SldYearStats:
     counts: Mapping[str, int]
     shares: Mapping[str, float]
     total_nodes: int
-
-    @property
-    def empty(self) -> bool:
-        return self.total_nodes == 0
 
 
 @dataclass(frozen=True)
@@ -70,7 +66,7 @@ class SldCells:
     weight: np.ndarray
 
 
-def sld_cells(snapshot: IndexedSnapshot, policy: SuffixPolicy) -> SldCells:
+def sld_cells(snapshot: YearSnapshot, policy: SuffixPolicy) -> SldCells:
     """Label every node with its SLD bucket and sum the edges into cells."""
     names, of_node = np.unique(
         [sld_label(node, policy) for node in snapshot.nodes], return_inverse=True

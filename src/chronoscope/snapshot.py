@@ -1,22 +1,25 @@
 """Yearly link-graph snapshots and their on-disk format.
 
 A snapshot is an immutable weighted digraph over third-level domains for one
-calendar year.  The file format is deliberately dull::
+calendar year, held as columns: sorted node names, and int64 ``src``, ``dst``
+and ``weight`` arrays in (src, dst) order.  The file format is dull::
 
     #snapshot v1 year=2010
     cam.ac.uk<TAB>ox.ac.uk<TAB>17
     ox.ac.uk<TAB>cam.ac.uk<TAB>23
 
 Edges are emitted sorted by source then target, so writing the same snapshot
-twice produces byte-identical files.
+twice produces byte-identical files.  Each edge joins two distinct non-empty
+names with a weight of at least 1, and each (source, target) pair occurs
+once: a file that repeats a pair is rejected, not read as its last line.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
+from itertools import repeat
+from operator import itemgetter
 from pathlib import Path
-from types import MappingProxyType
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -24,64 +27,26 @@ import numpy as np
 from .errors import SnapshotFormatError
 
 _HEADER_PREFIX = "#snapshot v1 year="
-# edge weights and every sum of them must fit the int64 arrays of the view
+# edge weights and every sum of them must fit the int64 arrays
 MAX_TOTAL_WEIGHT = 2**63 - 1
 
 
-@dataclass(frozen=True)
-class YearSnapshot:
-    """Weighted directed graph over third-level domains for one year.
+class _BadEdge(ValueError):
+    """A rejected edge at input position ``index`` (None: the total is too large)."""
 
-    ``edges`` maps ``(source, target)`` to a positive integer hyperlink
-    count; self-loops are rejected, and the weights may sum to at most
-    ``MAX_TOTAL_WEIGHT``.  ``node_pages`` carries per-domain crawl
-    page counts when a node-pages file was supplied; it is side data and does
-    not participate in equality or in the snapshot file format.
-    """
-
-    year: int
-    edges: Mapping[tuple[str, str], int]
-    node_pages: Mapping[str, int] = field(default_factory=dict, compare=False)
-
-    def __post_init__(self):
-        for (src, tgt), weight in self.edges.items():
-            if src == tgt:
-                raise ValueError(f"self-loop edge {src!r}")
-            if not isinstance(weight, int) or weight < 1:
-                raise ValueError(f"edge {src!r}->{tgt!r} has weight {weight!r}")
-        if sum(self.edges.values()) > MAX_TOTAL_WEIGHT:
-            raise ValueError(f"edge weights sum to more than {MAX_TOTAL_WEIGHT}")
-        object.__setattr__(self, "edges", MappingProxyType(dict(self.edges)))
-        object.__setattr__(self, "node_pages", MappingProxyType(dict(self.node_pages)))
-
-    def __repr__(self):
-        return (
-            f"YearSnapshot(year={self.year}, edges={len(self.edges)}, "
-            f"nodes={len(self.indexed.nodes)})"
-        )
-
-    @cached_property
-    def indexed(self) -> "IndexedSnapshot":
-        """The snapshot as arrays, built on first use.
-
-        Its nodes are the edge endpoints and the node-pages domains.
-        """
-        nodes = tuple(sorted({n for pair in self.edges for n in pair}.union(self.node_pages)))
-        index = {node: i for i, node in enumerate(nodes)}
-        m = len(self.edges)
-        src = np.fromiter((index[s] for s, _ in self.edges), np.int64, m)
-        dst = np.fromiter((index[t] for _, t in self.edges), np.int64, m)
-        weight = np.fromiter(self.edges.values(), np.int64, m)
-        order = np.lexsort((dst, src))
-        return IndexedSnapshot(self.year, nodes, src[order], dst[order], weight[order])
+    def __init__(self, index: int | None, reason: str):
+        super().__init__(reason)
+        self.index = index
 
 
 @dataclass(frozen=True, eq=False)
-class IndexedSnapshot:
-    """The view every analysis runs on: a weighted digraph as int64 arrays.
+class YearSnapshot:
+    """Weighted directed graph over third-level domains for one year.
 
     ``src`` and ``dst`` index into the sorted ``nodes``; edges are in
-    (src, dst) order, which is also the order of the node names.
+    (src, dst) order, which is also the order of the node names.  Only
+    :meth:`induced` keeps nodes without edges.  :meth:`from_edges` checks
+    the edges; the plain constructor trusts them.
     """
 
     year: int
@@ -90,16 +55,33 @@ class IndexedSnapshot:
     dst: np.ndarray
     weight: np.ndarray
 
-    def induced(self, nodes: Iterable[str]) -> "IndexedSnapshot":
+    @classmethod
+    def from_edges(cls, year: int, edges: Mapping[tuple[str, str], int]) -> "YearSnapshot":
+        """The snapshot of ``(source, target) -> weight``; ValueError on a bad edge."""
+        sources, targets = map(itemgetter(0), edges), map(itemgetter(1), edges)
+        return _from_columns(year, list(sources), list(targets), list(edges.values()))
+
+    def __eq__(self, other):
+        if not isinstance(other, YearSnapshot):
+            return NotImplemented
+        mine, theirs = (np.stack((s.src, s.dst, s.weight)) for s in (self, other))
+        return (self.year, self.nodes) == (other.year, other.nodes) and np.array_equal(mine, theirs)
+
+    @property
+    def edges(self) -> dict[tuple[str, str], int]:
+        """``(source, target) -> weight`` in edge order, as a new dict on each call."""
+        name = self.nodes.__getitem__
+        pairs = zip(map(name, self.src.tolist()), map(name, self.dst.tolist()))
+        return dict(zip(pairs, self.weight.tolist()))
+
+    def induced(self, nodes: Iterable[str]) -> "YearSnapshot":
         """Subgraph on ``nodes`` (all of them, also those without edges here)."""
         keep = tuple(sorted(set(nodes)))
         index = {node: i for i, node in enumerate(keep)}
-        remap = np.fromiter(
-            (index.get(node, -1) for node in self.nodes), np.int64, len(self.nodes)
-        )
+        remap = np.array([index.get(node, -1) for node in self.nodes], np.int64)
         src, dst = remap[self.src], remap[self.dst]
         inside = (src >= 0) & (dst >= 0)
-        return IndexedSnapshot(self.year, keep, src[inside], dst[inside], self.weight[inside])
+        return YearSnapshot(self.year, keep, src[inside], dst[inside], self.weight[inside])
 
     def strengths(self) -> tuple[np.ndarray, np.ndarray]:
         """Per-node sums of outgoing and of incoming edge weights."""
@@ -114,19 +96,55 @@ def group_sums(groups: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
     return sums
 
 
+def _from_columns(year: int, sources: list, targets: list, weights: list) -> YearSnapshot:
+    """The snapshot of edges ``sources[i] -> targets[i]`` of ``weights[i]``.
+
+    Raises ValueError at the first edge with a weight below 1, equal or empty
+    endpoints, or a repeated pair, else if the weights exceed ``MAX_TOTAL_WEIGHT``.
+    """
+    nodes = tuple(sorted(set(sources).union(targets)))
+    code = dict(zip(nodes, range(len(nodes))))
+    m = len(sources)
+    src = np.fromiter(map(code.__getitem__, sources), np.int64, m)
+    dst = np.fromiter(map(code.__getitem__, targets), np.int64, m)
+    try:
+        weight = np.fromiter(weights, np.int64, m)
+    except OverflowError:  # beyond int64: checked as Python ints, and always rejected
+        weight = np.array(weights, dtype=object)
+    pair = src * len(nodes) + dst
+    order = np.argsort(pair, kind="stable")  # a repeated pair keeps its input order
+    pair, src, dst, weight = pair[order], src[order], dst[order], weight[order]
+    invalid = (weight < 1) | (src == dst)
+    if nodes and not nodes[0]:  # the empty name sorts first
+        invalid |= (src == 0) | (dst == 0)
+    bad = invalid.copy()
+    bad[1:] |= pair[1:] == pair[:-1]
+    if bad.any():
+        first = np.flatnonzero(bad)[np.argmin(order[bad])]
+        reason = "invalid edge record" if invalid[first] else "duplicate edge record"
+        raise _BadEdge(int(order[first]), reason)
+    # exact for up to 2^31 edges: each half sums without wrapping
+    if (int((weight >> 32).sum()) << 32) + int((weight & 0xFFFFFFFF).sum()) > MAX_TOTAL_WEIGHT:
+        raise _BadEdge(None, f"edge weights sum to more than {MAX_TOTAL_WEIGHT}")
+    return YearSnapshot(year, nodes, src, dst, weight)
+
+
 def write_snapshot(snapshot: YearSnapshot, path) -> None:
     """Write a snapshot file; emission order is sorted and deterministic."""
+    nodes, columns = snapshot.nodes, (snapshot.src, snapshot.dst, snapshot.weight)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"{_HEADER_PREFIX}{snapshot.year}\n")
-        for (src, tgt) in sorted(snapshot.edges):
-            fh.write(f"{src}\t{tgt}\t{snapshot.edges[(src, tgt)]}\n")
+        fh.writelines(
+            f"{nodes[s]}\t{nodes[t]}\t{w}\n" for s, t, w in zip(*(c.tolist() for c in columns))
+        )
 
 
-def read_snapshot(path, node_pages: Mapping[str, int] | None = None) -> YearSnapshot:
+def read_snapshot(path) -> YearSnapshot:
     """Read a snapshot file written by :func:`write_snapshot`.
 
-    ``node_pages`` can re-attach page counts, which the file format does not
-    carry.
+    :class:`SnapshotFormatError` names ``path:line`` of the first bad line:
+    one without three tab-separated fields, else with a weight that is not an
+    integer, else whose edge :meth:`YearSnapshot.from_edges` would reject.
     """
     path = Path(path)
     with open(path, encoding="utf-8") as fh:
@@ -137,22 +155,34 @@ def read_snapshot(path, node_pages: Mapping[str, int] | None = None) -> YearSnap
             year = int(header[len(_HEADER_PREFIX):])
         except ValueError:
             raise SnapshotFormatError(f"{path}: bad year in header {header!r}") from None
-        edges: dict[tuple[str, str], int] = {}
-        for lineno, raw in enumerate(fh, start=2):
-            parts = raw.rstrip("\n").split("\t")
-            if len(parts) != 3:
-                raise SnapshotFormatError(f"{path}:{lineno}: expected 3 fields")
-            src, tgt, weight_text = parts
-            try:
-                weight = int(weight_text)
-            except ValueError:
-                raise SnapshotFormatError(
-                    f"{path}:{lineno}: bad weight {weight_text!r}"
-                ) from None
-            if weight < 1 or src == tgt or not src or not tgt:
-                raise SnapshotFormatError(f"{path}:{lineno}: invalid edge record")
-            edges[(src, tgt)] = weight
+        lines = fh.read().split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    # each check reads only the lines before the failure found so far
+    failure, end = None, len(lines)
+    tabs = np.fromiter(map(str.count, lines, repeat("\t")), np.int64, end)
+    if (wrong := np.flatnonzero(tabs != 2)).size:
+        end = int(wrong[0])
+        failure = (end, "expected 3 fields")
+    fields = "\t".join(lines[:end]).split("\t") if end else []
+    texts = fields[2::3]
     try:
-        return YearSnapshot(year, edges, node_pages or {})
-    except ValueError as exc:
-        raise SnapshotFormatError(f"{path}: {exc}") from None
+        weights = list(map(int, texts))
+    except ValueError:
+        for end, text in enumerate(texts):  # stops at the first that int() rejects
+            try:
+                int(text)
+            except ValueError:
+                break
+        failure = (end, f"bad weight {texts[end]!r}")
+        weights = list(map(int, texts[:end]))
+    try:
+        snapshot = _from_columns(year, fields[0 : 3 * end : 3], fields[1 : 3 * end : 3], weights)
+    except _BadEdge as exc:
+        if exc.index is not None or failure is None:
+            failure = (exc.index, str(exc))
+    if failure is None:
+        return snapshot
+    index, reason = failure
+    where = path if index is None else f"{path}:{index + 2}"
+    raise SnapshotFormatError(f"{where}: {reason}")

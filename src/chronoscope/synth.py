@@ -163,7 +163,7 @@ def gen_gravity_graph(
         (nodes[i], nodes[j]): int(weights[i, j])
         for i, j in zip(*np.nonzero(weights))
     }
-    return YearSnapshot(year, edges)
+    return YearSnapshot.from_edges(year, edges)
 
 
 def gen_partitioned_graph(spec: SynthSpec, year: int = 2010) -> YearSnapshot:
@@ -195,4 +195,4 @@ def gen_partitioned_graph(spec: SynthSpec, year: int = 2010) -> YearSnapshot:
     draw = rng.random((spec.n_nodes, spec.n_nodes)) < probs
     np.fill_diagonal(draw, False)
     edges = {(nodes[i], nodes[j]): 1 for i, j in zip(*np.nonzero(draw))}
-    return YearSnapshot(year, edges)
+    return YearSnapshot.from_edges(year, edges)

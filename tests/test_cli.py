@@ -94,6 +94,28 @@ def test_stats_pipeline(tmp_path, linkfile):
     assert "1996,ac.uk,2,1.0" in series
 
 
+def test_stats_counts_node_pages_of_the_snapshot_year(tmp_path):
+    snap = tmp_path / "snapshot_2001.tsv"
+    snap.write_text(
+        "#snapshot v1 year=2001\n"
+        "a.ac.uk\tb.ac.uk\t3\na.ac.uk\tc.co.uk\t2\nb.ac.uk\ta.ac.uk\t1\n",
+        encoding="utf-8",
+    )
+    pages = tmp_path / "pages.tsv"
+    # d.ac.uk has pages but no links; e.co.uk belongs to another year
+    pages.write_text("2001\td.ac.uk\t7\n2001\ta.ac.uk\t5\n2002\te.co.uk\t9\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert run("stats", snap, "--node-pages", pages, "--out-dir", out) == 0
+    assert (out / "sld_series.csv").read_text().splitlines() == [
+        "year,sld,node_count,share",
+        "2001,ac.uk,3,0.75",
+        "2001,co.uk,1,0.25",
+    ]
+    # ac.uk's within-SLD weight 3 + 1 over its three nodes, not two
+    lines = (out / "links_per_node.csv").read_text().splitlines()
+    assert lines[1:3] == ["2001,ac.uk,1.3333333333333333", "2001,co.uk,0.0"]
+
+
 def test_synth_gravity_roundtrip(tmp_path):
     out = tmp_path / "out"
     assert (

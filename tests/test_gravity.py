@@ -122,9 +122,9 @@ def geo_for(nodes, seed=0):
 
 
 def test_two_node_sigma():
-    snap = YearSnapshot(2010, {("a.ac.uk", "b.ac.uk"): 4})
+    snap = YearSnapshot.from_edges(2010, {("a.ac.uk", "b.ac.uk"): 4})
     geo = geo_for(["a.ac.uk", "b.ac.uk"])
-    result = normalized_strengths(snap.indexed, ["a.ac.uk", "b.ac.uk"], geo)
+    result = normalized_strengths(snap, ["a.ac.uk", "b.ac.uk"], geo)
     assert len(result.pairs) == 1
     pair = rows(result.pairs)[0]
     assert pair.normalized_strength == pytest.approx(0.25)
@@ -135,8 +135,8 @@ def test_two_node_sigma():
 
 def test_unlinked_pairs_excluded():
     nodes = ["a.ac.uk", "b.ac.uk", "c.ac.uk"]
-    snap = YearSnapshot(2010, {("a.ac.uk", "b.ac.uk"): 1})
-    result = normalized_strengths(snap.indexed, nodes, geo_for(nodes))
+    snap = YearSnapshot.from_edges(2010, {("a.ac.uk", "b.ac.uk"): 1})
+    result = normalized_strengths(snap, nodes, geo_for(nodes))
     assert len(result.pairs) == 1
     assert result.excluded_pairs == 6 - 1
 
@@ -150,9 +150,9 @@ def test_sigma_matches_first_principles_recompute():
         for v in nodes
         if u != v and rng.random() < 0.7
     }
-    snap = YearSnapshot(2010, edges)
+    snap = YearSnapshot.from_edges(2010, edges)
     geo = geo_for(nodes, seed=9)
-    result = normalized_strengths(snap.indexed, nodes, geo)
+    result = normalized_strengths(snap, nodes, geo)
     assert len(result.pairs) == len(edges)
     for pair in rows(result.pairs):
         s_out = sum(w for (u, _), w in edges.items() if u == pair.source)
@@ -164,17 +164,17 @@ def test_sigma_matches_first_principles_recompute():
 
 def test_strengths_use_induced_subgraph_only():
     nodes = ["a.ac.uk", "b.ac.uk"]
-    snap = YearSnapshot(
+    snap = YearSnapshot.from_edges(
         2010, {("a.ac.uk", "b.ac.uk"): 4, ("a.ac.uk", "x.co.uk"): 1000}
     )
-    result = normalized_strengths(snap.indexed, nodes, geo_for(nodes))
+    result = normalized_strengths(snap, nodes, geo_for(nodes))
     assert rows(result.pairs)[0].normalized_strength == pytest.approx(0.25)
 
 
 def test_missing_coordinates():
-    snap = YearSnapshot(2010, {("a.ac.uk", "b.ac.uk"): 1})
+    snap = YearSnapshot.from_edges(2010, {("a.ac.uk", "b.ac.uk"): 1})
     with pytest.raises(MissingCoordinates):
-        normalized_strengths(snap.indexed, ["a.ac.uk", "b.ac.uk"], {"a.ac.uk": OXFORD})
+        normalized_strengths(snap, ["a.ac.uk", "b.ac.uk"], {"a.ac.uk": OXFORD})
 
 
 def test_symmetrize_mean():
@@ -329,15 +329,15 @@ def test_weight_scaling_leaves_exponent_fixed():
         if u != v and rng.random() < 0.5
     }
     def fitted(snapshot):
-        result = normalized_strengths(snapshot.indexed, nodes, geo)
+        result = normalized_strengths(snapshot, nodes, geo)
         series = distance_strength_series(
             result.pairs, window=50, d_min_km=0
         )
         return fit_gravity_exponent(series)
 
-    base = fitted(YearSnapshot(2010, edges))
+    base = fitted(YearSnapshot.from_edges(2010, edges))
     for c in (2, 10, 1000):
-        scaled = fitted(YearSnapshot(2010, {k: w * c for k, w in edges.items()}))
+        scaled = fitted(YearSnapshot.from_edges(2010, {k: w * c for k, w in edges.items()}))
         assert abs(scaled.exponent - base.exponent) < 1e-9
         assert scaled.intercept - base.intercept == pytest.approx(
             -math.log(c), abs=1e-9

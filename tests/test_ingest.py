@@ -183,7 +183,7 @@ def test_select_takes_per_pair_maximum(tmp_path):
 
 def test_select_empty(tmp_path):
     result = ingest_rows(tmp_path, [link(utc(2004))], years=[1999])
-    assert result.snapshots == {1999: YearSnapshot(1999, {})}
+    assert result.snapshots == {1999: YearSnapshot.from_edges(1999, {})}
 
 
 def test_select_retains_all_pairs(tmp_path):
@@ -253,20 +253,20 @@ def test_select_best_session_mode(tmp_path):
 # --- snapshot persistence ---
 
 def test_snapshot_roundtrip_identity(tmp_path):
-    snap = YearSnapshot(2010, {("ox.ac.uk", "cam.ac.uk"): 2, ("a.co.uk", "b.org.uk"): 9})
+    snap = YearSnapshot.from_edges(2010, {("ox.ac.uk", "cam.ac.uk"): 2, ("a.co.uk", "b.org.uk"): 9})
     write_snapshot(snap, tmp_path / "s.tsv")
     assert read_snapshot(tmp_path / "s.tsv") == snap
 
 
 def test_snapshot_roundtrip_empty(tmp_path):
     path = tmp_path / "empty.tsv"
-    write_snapshot(YearSnapshot(1996, {}), path)
-    assert read_snapshot(path) == YearSnapshot(1996, {})
+    write_snapshot(YearSnapshot.from_edges(1996, {}), path)
+    assert read_snapshot(path) == YearSnapshot.from_edges(1996, {})
     assert path.read_text(encoding="utf-8") == "#snapshot v1 year=1996\n"
 
 
 def test_snapshot_writes_are_deterministic(tmp_path):
-    snap = YearSnapshot(2001, {("b.ac.uk", "a.ac.uk"): 1, ("a.ac.uk", "b.ac.uk"): 3})
+    snap = YearSnapshot.from_edges(2001, {("b.ac.uk", "a.ac.uk"): 1, ("a.ac.uk", "b.ac.uk"): 3})
     write_snapshot(snap, tmp_path / "one.tsv")
     write_snapshot(snap, tmp_path / "two.tsv")
     assert (tmp_path / "one.tsv").read_bytes() == (tmp_path / "two.tsv").read_bytes()
@@ -290,9 +290,9 @@ def test_read_snapshot_rejects_bad_records(tmp_path):
 
 def test_snapshot_rejects_self_loops_and_bad_weights():
     with pytest.raises(ValueError):
-        YearSnapshot(2000, {("a.ac.uk", "a.ac.uk"): 1})
+        YearSnapshot.from_edges(2000, {("a.ac.uk", "a.ac.uk"): 1})
     with pytest.raises(ValueError):
-        YearSnapshot(2000, {("a.ac.uk", "b.ac.uk"): 0})
+        YearSnapshot.from_edges(2000, {("a.ac.uk", "b.ac.uk"): 0})
 
 
 # --- end-to-end ingestion ---
@@ -398,7 +398,7 @@ def test_ingest_matches_single_line_parser(tmp_path):
     assert summary.out_of_scope == skips["OutOfScopeTld"]
     assert summary.malformed_urls == skips["MalformedUrl"]
     assert summary.unknown_sld == skips["UnknownSld"]
-    assert set(result.snapshots[1999].indexed.nodes) == nodes | {"t.co.uk"}
+    assert set(result.snapshots[1999].nodes) == nodes | {"t.co.uk"}
 
 
 def test_ingest_shard_invariance(tmp_path):
@@ -426,7 +426,7 @@ def test_ingest_shard_invariance(tmp_path):
         assert out1.read_bytes() == out2.read_bytes()
 
 
-def test_ingest_year_filter_and_node_pages(tmp_path):
+def test_ingest_year_filter(tmp_path):
     base96, base97 = utc(1996, 3), utc(1997, 3)
     path = tmp_path / "links.tsv"
     write_links(
@@ -436,17 +436,8 @@ def test_ingest_year_filter_and_node_pages(tmp_path):
             (base97, "http://ox.ac.uk/", "http://cam.ac.uk/"),
         ],
     )
-    pages_path = tmp_path / "pages.tsv"
-    pages_path.write_text(
-        "1996\tox.ac.uk\t120\n1996\tunlinked.gov.uk\t3\n1997\tox.ac.uk\t40\n",
-        encoding="utf-8",
-    )
-    pages = read_node_pages(pages_path)
-    result = ingest_links([path], POLICY, node_pages=pages, years=[1996])
+    result = ingest_links([path], POLICY, years=[1996])
     assert set(result.snapshots) == {1996}
-    snap = result.snapshots[1996]
-    assert snap.node_pages == {"ox.ac.uk": 120, "unlinked.gov.uk": 3}
-    assert "unlinked.gov.uk" in snap.indexed.nodes
 
 
 def test_read_node_pages_rejects_bad_rows(tmp_path):

@@ -34,7 +34,7 @@ from oracles import brute_modularity
 
 
 def snap(edges, year=2010):
-    return YearSnapshot(year, edges).indexed
+    return YearSnapshot.from_edges(year, edges)
 
 
 # --- Spearman ---

@@ -19,8 +19,10 @@ from oracles import brute_sld_stats
 POLICY = default_policy()
 
 
-def snap(edges, year=2010, node_pages=None):
-    return sld_cells(YearSnapshot(year, edges, node_pages or {}).indexed, POLICY)
+def snap(edges, year=2010, node_pages=()):
+    """SLD cells of the edges, plus page-only nodes as ``stats --node-pages`` adds them."""
+    view = YearSnapshot.from_edges(year, edges)
+    return sld_cells(view.induced({*view.nodes, *node_pages}), POLICY)
 
 
 def test_node_counts_direct():
@@ -33,7 +35,7 @@ def test_node_counts_direct():
 
 def test_node_counts_empty_snapshot():
     stats = node_counts_by_sld(snap({}))
-    assert stats.total_nodes == 0 and stats.empty
+    assert stats.total_nodes == 0
     assert stats.counts == {} and stats.shares == {}
 
 
@@ -177,7 +179,8 @@ hosts = st.sampled_from(
     pages=st.sets(hosts, max_size=3),
 )
 def test_stats_match_bruteforce_oracle(edges, pages):
-    view = YearSnapshot(2010, edges, dict.fromkeys(pages, 1)).indexed
+    view = YearSnapshot.from_edges(2010, edges)
+    view = view.induced({*view.nodes, *pages})
     nodes = {n for pair in edges for n in pair} | pages
     for policy in (POLICY, SuffixPolicy("uk", frozenset({"ac.uk", "net.uk"}))):
         s = sld_cells(view, policy)

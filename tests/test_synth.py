@@ -20,7 +20,7 @@ from oracles import brute_modularity
 
 
 def fitted_exponent(snapshot, geo, window=500):
-    result = normalized_strengths(snapshot.indexed, sorted(geo), geo)
+    result = normalized_strengths(snapshot, sorted(geo), geo)
     series = distance_strength_series(result.pairs, window=window)
     return fit_gravity_exponent(series).exponent
 
@@ -59,7 +59,7 @@ def test_gravity_accepts_larger_geo():
     spec = SynthSpec(seed=5, n_nodes=10, planted_exponent=0.5)
     geo = synthetic_geo(30, 5)
     snap = gen_gravity_graph(spec, geo)
-    assert snap.indexed.nodes == tuple(sorted(geo)[:10])
+    assert snap.nodes == tuple(sorted(geo)[:10])
 
 
 def test_gravity_spec_validation():
@@ -113,7 +113,7 @@ def test_partitioned_separated_groups_match_oracle():
     # complete inside each group, empty across
     for (src, tgt) in snap.edges:
         assert groups[src] == groups[tgt]
-    result = modularity(snap.indexed, groups)
+    result = modularity(snap, groups)
     expected = brute_modularity(dict(snap.edges), groups, node_names(10))
     assert result.q == pytest.approx(expected, abs=1e-12)
     assert result.q == pytest.approx(0.5)
@@ -123,7 +123,7 @@ def test_partitioned_null_probabilities_allowed():
     groups = equal_groups(60, 5)
     spec = SynthSpec(seed=4, n_nodes=60, groups=groups, p_intra=0.2, p_inter=0.2)
     snap = gen_partitioned_graph(spec)
-    q = modularity(snap.indexed, groups).q
+    q = modularity(snap, groups).q
     assert abs(q) < 0.1  # no planted signal to find
 
 

@@ -83,7 +83,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="link-log files to yearly snapshot files",
     )
     p.add_argument("links", nargs="+", help="tab-separated link-log files")
-    p.add_argument("--gap-seconds", type=int, default=DEFAULT_GAP_SECONDS)
+    p.add_argument("--gap-seconds", type=_positive_int, default=DEFAULT_GAP_SECONDS)
     p.add_argument(
         "--year-select",
         choices=[PER_PAIR_MAX, BEST_SESSION],
@@ -198,6 +198,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=_cmd_export)
 
     return parser
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
 
 
 def _out_dir(args) -> Path:

@@ -5,8 +5,10 @@ enumeration, dense linear algebra, exact rationals) and shares no code with
 the package under test.
 """
 
+import datetime
+import io
 import math
-from collections import defaultdict
+from collections import Counter, defaultdict
 from fractions import Fraction
 from urllib.parse import urlsplit
 
@@ -146,3 +148,99 @@ def sphere_distance_km(lat1, lon1, lat2, lon2, radius=6371.0088):
 def urlsplit_hostname(url):
     """Hostname of an absolute URL as the standard library parses it, or ""."""
     return urlsplit(url).hostname or ""
+
+
+def brute_ingest(data, registered, gap_seconds, best_session=False):
+    """Ingest one link-log file's bytes by hand, under a ``.uk`` policy.
+
+    The standard library's text layer splits the lines (universal newlines)
+    and marks undecodable bytes as surrogate escapes; a line with one is
+    malformed.  A line then needs three tab-separated fields, an integer
+    time in [0, 2301-01-01 UTC) and two URLs that ``urlsplit`` reduces to
+    third-level domains under the ``registered`` SLDs.  Each source's
+    time-sorted records split into sessions at gaps above ``gap_seconds``;
+    a session belongs to the UTC year of its start.  A year keeps each
+    pair's largest session count or, with ``best_session``, per source the
+    pairs of its session with the largest total (the earlier start wins a
+    tie).
+
+    Returns ``(snapshots, summary, first_error)``: ``{year: {(source,
+    target): weight}}``, the counts of ``IngestSummary`` as a dict, and the
+    1-based line number and kind (``"line"`` or ``"url"``) of the first line
+    that strict mode rejects, or None.
+    """
+    limit = int(datetime.datetime(2301, 1, 1, tzinfo=datetime.timezone.utc).timestamp())
+    summary = Counter(lines=0, records=0, sessions=0, self_loops=0, malformed_lines=0,
+                      malformed_urls=0, out_of_scope=0, unknown_sld=0)
+    first_error = None
+    skips = ("malformed_urls", "out_of_scope", "unknown_sld")
+
+    def domain(url):
+        host = urlsplit(url).hostname or ""
+        if host.startswith("www."):
+            host = host[4:]
+        labels = host.split(".")
+        if not all(labels):
+            return "malformed_urls"
+        if labels[-1] != "uk":
+            return "out_of_scope"
+        if len(labels) < 2:
+            return "malformed_urls"
+        if ".".join(labels[-2:]) not in registered:
+            return "unknown_sld"
+        return ".".join(labels[-3:]) if len(labels) >= 3 else "malformed_urls"
+
+    events = defaultdict(list)
+    text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors="surrogateescape")
+    for number, line in enumerate(text, start=1):
+        summary["lines"] += 1
+        fields = line.rstrip("\n").split("\t")
+        bad = any("\udc80" <= c <= "\udcff" for c in line) or len(fields) != 3
+        if not bad:
+            try:
+                time = int(fields[0])
+            except ValueError:
+                bad = True
+            else:
+                bad = not 0 <= time < limit
+        if bad:
+            summary["malformed_lines"] += 1
+            first_error = first_error or (number, "line")
+            continue
+        source = domain(fields[1])
+        target = domain(fields[2]) if source not in skips else None
+        skip = source if source in skips else target if target in skips else None
+        if skip == "malformed_urls":
+            first_error = first_error or (number, "url")
+        if skip is not None:
+            summary[skip] += 1
+        elif source == target:
+            summary["self_loops"] += 1
+        else:
+            summary["records"] += 1
+            events[source].append((time, target))
+
+    snapshots = {}
+    for source in sorted(events):
+        runs = []
+        for time, target in sorted(events[source]):
+            if runs and time - runs[-1][-1][0] <= gap_seconds:
+                runs[-1].append((time, target))
+            else:
+                runs.append([(time, target)])
+        summary["sessions"] += len(runs)
+        best = {}
+        for run in runs:
+            year = datetime.datetime.fromtimestamp(run[0][0], tz=datetime.timezone.utc).year
+            counts = Counter(target for _, target in run)
+            if best_session:
+                if year not in best or len(run) > sum(best[year].values()):
+                    best[year] = counts
+                continue
+            edges = snapshots.setdefault(year, {})
+            for target, count in counts.items():
+                edges[(source, target)] = max(edges.get((source, target), 0), count)
+        for year, counts in best.items():
+            edges = snapshots.setdefault(year, {})
+            edges.update(((source, target), count) for target, count in counts.items())
+    return snapshots, dict(summary), first_error

@@ -293,6 +293,14 @@ def test_usage_error_exit_code():
     assert excinfo.value.code == 2
 
 
+@pytest.mark.parametrize("gap", ["0", "-5", "ten"])
+def test_ingest_rejects_non_positive_gap(linkfile, gap, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        run("ingest", linkfile, "--gap-seconds", gap)
+    assert excinfo.value.code == 2
+    assert "--gap-seconds" in capsys.readouterr().err
+
+
 def test_out_dir_env_fallback(tmp_path, linkfile, monkeypatch):
     env_out = tmp_path / "env_out"
     monkeypatch.setenv("CHRONOSCOPE_OUT", str(env_out))
@@ -315,14 +323,15 @@ def test_custom_policy_file(tmp_path, capsys):
 
 def test_cli_import_loads_no_sparse_graph_or_linalg():
     # scipy.sparse.csgraph pulls in scipy.sparse.linalg, which costs every
-    # command about 0.1 s of start-up and 11 MB of resident memory
+    # command about 0.1 s of start-up and 11 MB of resident memory; ingest
+    # imports multiprocessing only when it starts workers
     src = str(Path(chronoscope.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p
     ))
     code = (
         "import sys, chronoscope.cli; print(sorted(m for m in sys.modules"
-        " if m.startswith(('scipy.sparse.csgraph', 'scipy.sparse.linalg'))))"
+        " if m.startswith(('scipy.sparse.csgraph', 'scipy.sparse.linalg', 'multiprocessing'))))"
     )
     done = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True

@@ -1,11 +1,15 @@
 import collections
+import concurrent.futures
 import datetime
+import os
+import pickle
 import random
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from chronoscope.domains import default_policy, parse_domain_key
 from chronoscope.errors import (
@@ -14,14 +18,17 @@ from chronoscope.errors import (
     MalformedUrl,
     SnapshotFormatError,
 )
+from chronoscope import ingest
 from chronoscope.ingest import (
     BEST_SESSION,
+    PER_PAIR_MAX,
     IngestSummary,
     ingest_links,
     read_node_pages,
-    year_of_timestamp,
+    years_of,
 )
 from chronoscope.snapshot import YearSnapshot, read_snapshot, write_snapshot
+from oracles import brute_ingest
 
 POLICY = default_policy()
 
@@ -142,34 +149,196 @@ TARGETS = ["c.ac.uk", "d.org.uk", "e.gov.uk"]
         max_size=60,
     ),
     gap=st.integers(min_value=1, max_value=5_000),
+    year_select=st.sampled_from([PER_PAIR_MAX, BEST_SESSION]),
 )
-def test_sessionize_partitions_records(rows, gap):
-    # rows straddle a new year and arrive unsorted; the expected snapshots
-    # come from sessionizing each source's sorted rows by hand
+def test_sessionize_partitions_records(rows, gap, year_select):
+    # rows straddle a new year and arrive unsorted; few distinct totals make
+    # best-session ties common
     base = utc(2004) - 20_000
-    sessions = 0
-    expected = {}
-    for source in SOURCES:
-        events = sorted((base + off, tgt) for src, tgt, off in rows if src == source)
-        runs = []
-        for time, target in events:
-            if runs and time - runs[-1][-1][0] <= gap:
-                runs[-1].append((time, target))
-            else:
-                runs.append([(time, target)])
-        sessions += len(runs)
-        for run in runs:
-            edges = expected.setdefault(year_of(run[0][0]), {})
-            for target, count in collections.Counter(t for _, t in run).items():
-                edges[(source, target)] = max(edges.get((source, target), 0), count)
-
+    rows = [link(base + off, src, tgt) for src, tgt, off in rows]
+    data = "".join(f"{t}\t{s}\t{g}\n" for t, s, g in rows).encode()
+    best = year_select == BEST_SESSION
+    expected, summary, _ = brute_ingest(data, POLICY.registered_slds, gap, best)
     with tempfile.TemporaryDirectory() as tmp:
-        result = ingest_rows(
-            Path(tmp), [link(base + off, src, tgt) for src, tgt, off in rows], gap_seconds=gap
-        )
-    assert result.summary.sessions == sessions
-    assert result.summary.records == len(rows)
+        result = ingest_rows(Path(tmp), rows, gap_seconds=gap, year_select=year_select)
+    assert vars(result.summary) == summary
     assert edges_by_year(result) == expected
+
+
+# lines for the range properties: good, skipped, malformed and non-UTF-8
+HOSTS = [
+    "a.ac.uk", "WWW.B.CO.UK", "c.gov.uk:8080", "user@d.org.uk", "mail.a.ac.uk",
+    "x.example.com", "y.zz.uk", "", "ac.uk", "bad..ac.uk",
+]
+LINE = st.one_of(
+    st.builds(
+        lambda t, s, g: f"{t}\thttp://{s}/p\thttp://{g}/q".encode(),
+        st.integers(utc(2003) - 3_000, utc(2003) + 3_000) | st.sampled_from([-1, utc(2301)]),
+        st.sampled_from(HOSTS),
+        st.sampled_from(HOSTS),
+    ),
+    st.sampled_from(
+        [
+            b"",
+            b"junk",
+            b"12\thttp://a.ac.uk/",
+            b"1\thttp://a.ac.uk/\thttp://c.gov.uk/\textra",
+            b"soon\thttp://a.ac.uk/\thttp://c.gov.uk/",
+            b"1057017600\thttp://a.ac.uk/\xff\thttp://c.gov.uk/",
+            b"\xe2\x82\thttp://a.ac.uk/\thttp://c.gov.uk/",
+        ]
+    ),
+)
+
+
+@st.composite
+def link_logs(draw):
+    """A log's bytes with mixed line breaks, and cut points after some \\n."""
+    lines = draw(st.lists(st.tuples(LINE, st.sampled_from([b"\n", b"\r\n", b"\r"])), max_size=30))
+    data = b"".join(line + end for line, end in lines)
+    if lines and draw(st.booleans()):
+        data = data[: -len(lines[-1][1])]  # no break after the last line
+    newlines = [i + 1 for i, byte in enumerate(data) if byte == ord("\n")]
+    cuts = draw(st.lists(st.sampled_from(newlines), unique=True)) if newlines else []
+    return data, sorted(cuts)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    log=link_logs(),
+    gap=st.integers(min_value=1, max_value=4_000),
+    year_select=st.sampled_from([PER_PAIR_MAX, BEST_SESSION]),
+    strict=st.booleans(),
+    block_bytes=st.integers(min_value=1, max_value=200),
+)
+def test_ranges_match_single_range_and_oracle(log, gap, year_select, strict, block_bytes):
+    data, cuts = log
+    expected, summary, first_error = brute_ingest(
+        data, POLICY.registered_slds, gap, year_select == BEST_SESSION
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "links.tsv"
+        path.write_bytes(data)
+        bounds = [0, *(c for c in cuts if c < len(data)), len(data)]
+        ranges = [(path, a, b) for a, b in zip(bounds, bounds[1:]) if a < b]
+        outcomes = []
+        for patches in ({}, {"_ranges": lambda paths, cores: ranges, "_BLOCK_BYTES": block_bytes}):
+            with pytest.MonkeyPatch.context() as mp:
+                for name, value in patches.items():
+                    mp.setattr(ingest, name, value)
+                try:
+                    outcomes.append(ingest_links([path], POLICY, gap, year_select, strict))
+                except ChronoscopeError as exc:
+                    outcomes.append(exc)
+    if strict and first_error is not None:
+        line, kind = first_error
+        for exc in outcomes:
+            assert type(exc) is {"line": MalformedLine, "url": MalformedUrl}[kind]
+            assert str(exc).startswith(f"{path}:{line}: ")
+        return
+    for result in outcomes:
+        assert vars(result.summary) == summary
+        assert edges_by_year(result) == expected
+    assert outcomes[0].snapshots == outcomes[1].snapshots
+
+
+def test_strict_names_the_first_bad_line_of_all_ranges(tmp_path):
+    # lines 4 and 6 are bad; the cut puts them in different ranges, or the
+    # first bad line at the start of the second range
+    good = f"{utc(2003)}\thttp://a.ac.uk/\thttp://c.gov.uk/\n"
+    path = tmp_path / "links.tsv"
+    path.write_text(good * 3 + "junk\n" + good + "also junk\n", encoding="utf-8")
+    size = path.stat().st_size
+    for cut in (4 * len(good) + len("junk\n"), 3 * len(good)):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ingest, "_ranges", lambda paths, cores: [(path, 0, cut), (path, cut, size)])
+            with pytest.raises(MalformedLine) as err:
+                ingest_links([path], POLICY, strict=True)
+        assert str(err.value) == f"{path}:4: expected 3 fields"
+
+
+def test_non_utf8_line_is_malformed(tmp_path):
+    path = tmp_path / "links.tsv"
+    good = f"{utc(2003)}\thttp://a.ac.uk/\thttp://c.gov.uk/\n".encode()
+    bad = f"{utc(2003)}\thttp://\xff.ac.uk/\thttp://c.gov.uk/\n".encode("latin-1")
+    path.write_bytes(good + bad + good)
+    result = ingest_links([path], POLICY)
+    assert result.summary.lines == 3 and result.summary.malformed_lines == 1
+    assert edges_by_year(result) == {2003: {("a.ac.uk", "c.gov.uk"): 2}}
+    with pytest.raises(MalformedLine) as err:
+        ingest_links([path], POLICY, strict=True)
+    assert str(err.value) == f"{path}:2: invalid UTF-8"
+
+
+# --- worker pool ---
+
+class _RecordingPool:
+    """Stands in for the process pool: runs the map here, with results
+    pickled as a pool would send them, and records its worker count."""
+
+    built: list[int] = []
+
+    def __init__(self, max_workers, mp_context):
+        assert mp_context.get_start_method() == "fork"
+        self.built.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        assert len(tasks) >= self.built[-1]
+        return [pickle.loads(pickle.dumps(fn(task))) for task in tasks]
+
+
+def _big_log(tmp_path, lines=400):
+    rng = random.Random(5)
+    rows = [
+        (utc(2003) + rng.randrange(100_000), f"http://s{rng.randrange(9)}.ac.uk/",
+         f"http://t{rng.randrange(9)}.co.uk/")
+        for _ in range(lines)
+    ]
+    path = tmp_path / "links.tsv"
+    write_links(path, rows)
+    return path
+
+
+@settings(max_examples=40, deadline=None)
+@example(cores=2, lines=3)
+@given(
+    cores=st.integers(min_value=1, max_value=1 << 16),
+    lines=st.integers(min_value=0, max_value=400),
+)
+def test_workers_never_exceed_cores_or_ranges(cores, lines):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = _big_log(Path(tmp), lines)
+        reference = ingest_links([path], POLICY)
+        _RecordingPool.built = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
+            mp.setattr(ingest, "_MIN_RANGE_BYTES", 64)
+            mp.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
+            result = ingest_links([path], POLICY)
+    assert result.snapshots == reference.snapshots and result.summary == reference.summary
+    assert len(_RecordingPool.built) <= 1
+    if cores == 1 or lines < 2:
+        assert not _RecordingPool.built
+    elif lines >= 4:  # over 128 bytes: two ranges of at least 64 bytes
+        assert _RecordingPool.built
+    for workers in _RecordingPool.built:
+        assert 2 <= workers <= cores
+
+
+def test_one_core_builds_no_pool(tmp_path, monkeypatch):
+    path = _big_log(tmp_path)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3})
+    monkeypatch.setattr(ingest, "_MIN_RANGE_BYTES", 64)
+    _RecordingPool.built = []
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
+    assert ingest_links([path, path], POLICY).summary.lines == 800
+    assert _RecordingPool.built == []
 
 
 # --- yearly selection ---
@@ -344,7 +513,7 @@ def test_ingest_rejects_times_from_2301_on(tmp_path):
     assert result.summary.malformed_lines == 2
     assert result.summary.records == 1
     assert set(result.snapshots) == {2300}
-    assert year_of_timestamp(last) == year_of(last) == 2300
+    assert years_of(np.array([last])).tolist() == [year_of(last)] == [2300]
     with pytest.raises(MalformedLine, match=r"links\.tsv:1: "):
         ingest_links([path], POLICY, strict=True)
 
@@ -464,10 +633,13 @@ def test_session_year_boundary(tmp_path):
 
 
 def test_year_of_timestamp_matches_datetime():
-    for year in (1970, 1996, 2000, 2010, 2038):
-        boundary = utc(year)
-        for ts in (boundary - 1, boundary, boundary + 1, boundary + 86_400):
-            assert year_of_timestamp(ts) == year_of(ts)
+    times = [
+        ts
+        for year in (1970, 1996, 2000, 2010, 2038, 2300)
+        for ts in (utc(year) - 1, utc(year), utc(year) + 1, utc(year) + 86_400)
+        if ts >= 0
+    ]
+    assert years_of(np.array(times, np.int64)).tolist() == [year_of(ts) for ts in times]
 
 
 def test_summary_report_format(capsys):

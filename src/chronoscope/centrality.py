@@ -11,6 +11,10 @@ Distances for the path-based measures treat heavier edges as shorter:
 distances, so they reward being easy to reach, in line with the in-strength
 and in-degree reading of prominence.
 
+Pagerank and HITS are numpy power iterations over the snapshot's
+``src``/``dst``/``weight`` edge columns: each matrix-vector product is one
+``np.bincount`` of per-edge terms.
+
 The path measures run Dijkstra from a block of sources at once in numpy,
 then Brandes' accumulation over each source's tight edges, those with
 ``d[src] + length == d[dst]``.  Ties are still decided by that float ``==``
@@ -24,7 +28,6 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 import numpy as np
-from scipy import sparse
 
 from .errors import ConvergenceFailure, EmptyFilter
 from .snapshot import YearSnapshot
@@ -73,10 +76,9 @@ def centrality_suite(snapshot: YearSnapshot, node_filter: Iterable[str]) -> Cent
     n = len(graph.nodes)
     rows, cols = graph.src, graph.dst  # CSR order: grouped by source
     weights = graph.weight.astype(float)
-    adjacency = sparse.csr_array((weights, (rows, cols)), shape=(n, n))
     out_strength, in_strength = graph.strengths()
-    pagerank = _pagerank(adjacency, out_strength)
-    hub, authority = _hits(adjacency)
+    pagerank = _pagerank(rows, cols, weights, out_strength)
+    hub, authority = _hits(rows, cols, weights, n)
 
     betweenness, closeness, harmonic = _path_measures(rows, cols, 1.0 / weights, n)
 
@@ -88,16 +90,15 @@ def centrality_suite(snapshot: YearSnapshot, node_filter: Iterable[str]) -> Cent
     return CentralityTable(graph.year, graph.nodes, values)
 
 
-def _pagerank(adjacency: sparse.csr_array, out_strength: np.ndarray) -> np.ndarray:
-    n = adjacency.shape[0]
-    dangling = out_strength == 0.0
-    # row-stochastic transitions for non-dangling rows
-    scale = np.where(dangling, 1.0, out_strength)
-    transition = sparse.csr_array(adjacency / scale[:, None])
+def _pagerank(src, dst, weight, out_strength) -> np.ndarray:
+    n = len(out_strength)
+    dangling = out_strength == 0
+    # each edge's transition probability; a dangling node has no edges
+    share = weight / out_strength[src]
     x = np.full(n, 1.0 / n)
     d = PAGERANK_DAMPING
     for _ in range(PAGERANK_MAX_ITER):
-        spread = x @ transition
+        spread = np.bincount(dst, x[src] * share, minlength=n)
         dangling_mass = x[dangling].sum()
         new = d * spread + (d * dangling_mass + (1.0 - d)) / n
         if np.abs(new - x).sum() < PAGERANK_TOL:
@@ -108,17 +109,16 @@ def _pagerank(adjacency: sparse.csr_array, out_strength: np.ndarray) -> np.ndarr
     )
 
 
-def _hits(adjacency: sparse.csr_array) -> tuple[np.ndarray, np.ndarray]:
-    n = adjacency.shape[0]
-    if adjacency.nnz == 0:
+def _hits(src, dst, weight, n: int) -> tuple[np.ndarray, np.ndarray]:
+    if len(src) == 0:
         zero = np.zeros(n)
         return zero, zero.copy()
     hub = np.full(n, 1.0 / n)
     authority = np.full(n, 1.0 / n)
     for _ in range(HITS_MAX_ITER):
-        new_authority = hub @ adjacency
+        new_authority = np.bincount(dst, hub[src] * weight, minlength=n)
         new_authority /= new_authority.sum()
-        new_hub = adjacency @ new_authority
+        new_hub = np.bincount(src, weight * new_authority[dst], minlength=n)
         new_hub /= new_hub.sum()
         change = np.abs(new_hub - hub).sum() + np.abs(new_authority - authority).sum()
         hub, authority = new_hub, new_authority

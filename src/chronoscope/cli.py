@@ -165,11 +165,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d-min-km", type=float, default=gravity_mod.DEFAULT_D_MIN_KM)
     p.add_argument("--d-max-km", type=float, default=None)
     p.add_argument(
-        "--fit-raw",
-        action="store_true",
-        help="fit the raw pairs instead of the smoothed series (window 1)",
-    )
-    p.add_argument(
         "--symmetrize",
         choices=[gravity_mod.SYMMETRIZE_NONE, gravity_mod.SYMMETRIZE_MEAN],
         default=gravity_mod.SYMMETRIZE_NONE,
@@ -336,10 +331,9 @@ def _cmd_gravity(args) -> None:
         pairs = result.pairs
         if args.symmetrize == gravity_mod.SYMMETRIZE_MEAN:
             pairs = gravity_mod.symmetrize_pairs(pairs)
-        window = 1 if args.fit_raw else args.window
         series = gravity_mod.distance_strength_series(
             pairs,
-            window=window,
+            window=args.window,
             d_min_km=args.d_min_km,
             d_max_km=args.d_max_km,
         )

@@ -104,10 +104,13 @@ def test_authority_matches_eigenvector(seed):
         pytest.skip("empty draw")
     table = centrality_suite(snap(edges), nodes)
     expected = eig_authority(nodes, edges)
+    # hubs of G are the authorities of G with every edge reversed
+    expected_hub = eig_authority(nodes, {(v, u): w for (u, v), w in edges.items()})
     for node in nodes:
         assert table.values["authority"][node] == pytest.approx(
             expected[node], abs=1e-8
         )
+        assert table.values["hub"][node] == pytest.approx(expected_hub[node], abs=1e-8)
 
 
 def test_strengths_sum_incident_weights():

@@ -6,6 +6,17 @@ into ``--out-dir`` (falling back to the ``CHRONOSCOPE_OUT`` environment
 variable, then the working directory), and exits 0 on success, 1 on data
 errors (one machine-readable line on stderr), 2 on usage errors.  Reruns on
 identical inputs produce byte-identical outputs.
+
+The commands that read snapshot files (stats, centrality, correlate,
+modularity, density, gravity, export) read their side inputs (geo,
+partition, ranking, members, ``--nodes``, node pages) once, then fan the
+years out over ``parallel.fork_map``: each year's file is read, filtered by
+``--year`` and analysed on its own, in a ``fork`` worker when there are
+cores and input enough, else in this process.  Every year is computed
+before anything is written, so a failure in any year leaves no per-year
+artifact; then this process writes the artifacts and prints the notes and
+density lines in argv order, the same on either path.  A snapshot file that
+does not exist fails the command before any snapshot is read.
 """
 
 from __future__ import annotations
@@ -18,6 +29,7 @@ from pathlib import Path
 from . import centrality as centrality_mod
 from . import gravity as gravity_mod
 from . import metrics as metrics_mod
+from . import parallel
 from . import sldstats as sldstats_mod
 from .domains import default_policy, load_policy
 from .errors import ChronoscopeError
@@ -29,7 +41,7 @@ from .ingest import (
     ingest_links,
     read_node_pages,
 )
-from .snapshot import YearSnapshot, read_snapshot, write_snapshot
+from .snapshot import read_snapshot, write_snapshot
 from .synth import (
     SynthSpec,
     equal_groups,
@@ -161,7 +173,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--nodes", default=None, help="node filter file (default: the geo domains)"
     )
-    p.add_argument("--window", type=int, default=gravity_mod.DEFAULT_WINDOW)
+    p.add_argument("--window", type=_positive_int, default=gravity_mod.DEFAULT_WINDOW)
     p.add_argument("--d-min-km", type=float, default=gravity_mod.DEFAULT_D_MIN_KM)
     p.add_argument("--d-max-km", type=float, default=None)
     p.add_argument(
@@ -220,17 +232,18 @@ def _note(path: Path) -> None:
     print(f"wrote {path}", file=sys.stderr)
 
 
-def _load_snapshots(args, pages_file=None) -> list[YearSnapshot]:
-    pages = read_node_pages(pages_file) if pages_file else {}
-    snapshots = []
-    for path in args.snapshots:
+def _years(args, compute) -> list[tuple[int, object]]:
+    """``(year, compute(snapshot))`` for each snapshot file of the ``--year``,
+    in argv order, read and computed over ``parallel.fork_map``."""
+
+    def one(path):
         snap = read_snapshot(path)
         if args.year is not None and snap.year != args.year:
-            continue
-        if pages.get(snap.year):
-            snap = snap.induced(set(snap.nodes).union(pages[snap.year]))
-        snapshots.append(snap)
-    return snapshots
+            return None
+        return snap.year, compute(snap)
+
+    nbytes = sum(map(os.path.getsize, args.snapshots))
+    return [done for done in parallel.fork_map(one, args.snapshots, nbytes) if done]
 
 
 def _node_filter(args, fallback=None):
@@ -260,34 +273,42 @@ def _cmd_ingest(args) -> None:
 def _cmd_stats(args) -> None:
     policy = _policy(args)
     out = _out_dir(args)
-    snapshots = _load_snapshots(args, pages_file=args.node_pages)
-    series = []
-    links_per_node: dict[int, dict[str, float]] = {}
-    for snap in snapshots:
+    pages = read_node_pages(args.node_pages) if args.node_pages else {}
+    slds = sorted(policy.registered_slds)
+
+    def compute(snap):
+        if pages.get(snap.year):
+            snap = snap.induced(set(snap.nodes).union(pages[snap.year]))
         cells = sldstats_mod.sld_cells(snap, policy)
-        series.append(sldstats_mod.node_counts_by_sld(cells))
-        links_per_node[snap.year] = {
+        links = {
             sld: sldstats_mod.within_sld_links_per_node(cells, sld, distinct=args.distinct)
-            for sld in sorted(policy.registered_slds)
+            for sld in slds
         }
         flows = sldstats_mod.inter_sld_flows(cells, include_self=args.include_self)
-        path = out / f"flows_{snap.year}.csv"
+        return sldstats_mod.node_counts_by_sld(cells), links, flows
+
+    years = _years(args, compute)
+    for year, (_, _, flows) in years:
+        path = out / f"flows_{year}.csv"
         sldstats_mod.write_flows(flows, path)
         _note(path)
     path = out / "sld_series.csv"
-    sldstats_mod.write_sld_series(series, path)
+    sldstats_mod.write_sld_series([counts for _, (counts, _, _) in years], path)
     _note(path)
     path = out / "links_per_node.csv"
-    sldstats_mod.write_links_per_node(links_per_node, path)
+    sldstats_mod.write_links_per_node({year: links for year, (_, links, _) in years}, path)
     _note(path)
 
 
 def _cmd_centrality(args) -> None:
     out = _out_dir(args)
     nodes = _node_filter(args)
-    for snap in _load_snapshots(args):
-        table = centrality_mod.centrality_suite(snap, snap.nodes if nodes is None else nodes)
-        path = out / f"centrality_{snap.year}.csv"
+
+    def compute(snap):
+        return centrality_mod.centrality_suite(snap, snap.nodes if nodes is None else nodes)
+
+    for year, table in _years(args, compute):
+        path = out / f"centrality_{year}.csv"
         centrality_mod.write_centrality(table, path)
         _note(path)
 
@@ -296,10 +317,13 @@ def _cmd_correlate(args) -> None:
     out = _out_dir(args)
     ranking = metrics_mod.read_ranking(args.ranking)
     nodes = _node_filter(args, fallback=sorted(ranking.ranks))
-    for snap in _load_snapshots(args):
+
+    def compute(snap):
         table = centrality_mod.centrality_suite(snap, nodes)
-        result = metrics_mod.rank_centrality_vs_league(table, ranking)
-        path = out / f"correlations_{snap.year}.csv"
+        return metrics_mod.rank_centrality_vs_league(table, ranking)
+
+    for year, result in _years(args, compute):
+        path = out / f"correlations_{year}.csv"
         metrics_mod.write_correlations(result, path)
         _note(path)
 
@@ -308,27 +332,33 @@ def _cmd_modularity(args) -> None:
     out = _out_dir(args)
     partition = metrics_mod.read_partition(args.partition)
     node_filter = _node_filter(args)
-    for snap in _load_snapshots(args):
-        result = metrics_mod.modularity(snap, partition, node_filter)
-        path = out / f"modularity_{snap.year}.csv"
+
+    def compute(snap):
+        return metrics_mod.modularity(snap, partition, node_filter)
+
+    for year, result in _years(args, compute):
+        path = out / f"modularity_{year}.csv"
         metrics_mod.write_modularity(result, path)
         _note(path)
 
 
 def _cmd_density(args) -> None:
     members = metrics_mod.read_node_list(args.members)
-    for snap in _load_snapshots(args):
-        value = metrics_mod.group_internal_density(snap, members)
-        print(f"year={snap.year} density={value!r}")
+
+    def compute(snap):
+        return metrics_mod.group_internal_density(snap, members)
+
+    for year, value in _years(args, compute):
+        print(f"year={year} density={value!r}")
 
 
 def _cmd_gravity(args) -> None:
     out = _out_dir(args)
     geo = gravity_mod.read_geo_points(args.geo)
     nodes = _node_filter(args, fallback=sorted(geo))
-    for snap in _load_snapshots(args):
-        result = gravity_mod.normalized_strengths(snap, nodes, geo)
-        pairs = result.pairs
+
+    def compute(snap):
+        pairs = gravity_mod.normalized_strengths(snap, nodes, geo).pairs
         if args.symmetrize == gravity_mod.SYMMETRIZE_MEAN:
             pairs = gravity_mod.symmetrize_pairs(pairs)
         series = gravity_mod.distance_strength_series(
@@ -337,14 +367,16 @@ def _cmd_gravity(args) -> None:
             d_min_km=args.d_min_km,
             d_max_km=args.d_max_km,
         )
-        fit = gravity_mod.fit_gravity_exponent(series)
-        series_path = out / f"gravity_series_{snap.year}.csv"
+        return pairs, series, gravity_mod.fit_gravity_exponent(series)
+
+    for year, (pairs, series, fit) in _years(args, compute):
+        series_path = out / f"gravity_series_{year}.csv"
         gravity_mod.write_gravity_series(series, series_path)
         _note(series_path)
-        fit_path = out / f"gravity_fit_{snap.year}.csv"
+        fit_path = out / f"gravity_fit_{year}.csv"
         gravity_mod.write_gravity_fit(fit, fit_path)
         _note(fit_path)
-        links_path = out / f"geo_links_{snap.year}.csv"
+        links_path = out / f"geo_links_{year}.csv"
         gravity_mod.export_geo_links(pairs, geo, links_path)
         _note(links_path)
 
@@ -387,8 +419,8 @@ def _cmd_synth(args) -> None:
 def _cmd_export(args) -> None:
     out = _out_dir(args)
     node_filter = _node_filter(args)
-    for snap in _load_snapshots(args):
-        path = out / f"graph_{snap.year}.graphml"
+    for year, snap in _years(args, lambda snap: snap):
+        path = out / f"graph_{year}.graphml"
         write_graphml(snap, path, node_filter)
         _note(path)
 

@@ -15,12 +15,10 @@ range in blocks of a few MB, each ending at a line break, and decodes a block
 at once, line by line only when the block is not valid UTF-8.  It returns the
 range's line accounting, its own vocabulary of third-level domains, and its
 records as ``array('q')`` times with int32 source and target codes into that
-vocabulary.  With more than one usable core (``os.sched_getaffinity``) and at
-least 4 MB of input per worker, the ranges run in a pool of ``fork`` workers,
-at most one per core and per range, else one after another in this process.
-On Python 3.12 and later, forking a process that has imported numpy (whose
-BLAS starts threads) warns with a DeprecationWarning; the workers only parse
-text and touch no numpy state.
+vocabulary.  The ranges, about one per usable core, run through
+``parallel.fork_map``: in ``fork`` workers when there is more than one usable
+core and at least ``parallel.MIN_WORKER_BYTES`` of input per worker, else one
+after another in this process.
 
 In strict mode a range stops at its first structural problem, and the first
 one in file order is raised with ``path:line``, the line counted within its
@@ -49,6 +47,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
+from . import parallel
 from .domains import SuffixPolicy, authority_host, parse_host_key, url_authority
 from .errors import (
     ChronoscopeError,
@@ -76,9 +75,6 @@ _TIME_LIMIT = int(_YEAR_BOUNDS[-1])
 
 # a range is read in blocks of this many bytes (plus a partial last line)
 _BLOCK_BYTES = 4 << 20
-# each worker gets at least this much input, so that starting the pool
-# costs a few percent of the parse it takes over
-_MIN_RANGE_BYTES = 4 << 20
 
 # host-cache codes of the skipped-URL kinds; codes >= 0 index a vocabulary
 _MALFORMED_URL, _OUT_OF_SCOPE, _UNKNOWN_SLD = -1, -2, -3
@@ -168,7 +164,7 @@ def _ranges(paths: Sequence, cores: int) -> list[tuple[object, int, int]]:
     """``(path, start, stop)`` byte ranges covering each non-empty file in
     order, about one per core; each ends after a ``\\n`` or at end of file."""
     sizes = [os.path.getsize(path) for path in paths]
-    chunk = max(-(-sum(sizes) // cores), _MIN_RANGE_BYTES)
+    chunk = max(-(-sum(sizes) // cores), parallel.MIN_WORKER_BYTES)
     ranges = []
     for path, size in zip(paths, sizes):
         start, pieces = 0, -(-size // chunk)
@@ -219,9 +215,8 @@ def _utf8_or_none(raw: bytes) -> str | None:
         return None
 
 
-def _parse_range(task: tuple) -> _ParsedRange:
-    """Parse one ``(path, start, stop, policy, strict)`` byte range."""
-    path, start, stop, policy, strict = task
+def _parse_range(path, start: int, stop: int, policy: SuffixPolicy, strict: bool) -> _ParsedRange:
+    """Parse bytes ``[start, stop)`` of a file."""
     names: list[str] = []
     code_of: dict[str, int] = {}
 
@@ -435,23 +430,9 @@ def ingest_links(
         raise ValueError("gap_seconds must be positive")
     if year_select not in (PER_PAIR_MAX, BEST_SESSION):
         raise ValueError(f"unknown selection mode {year_select!r}")
-    # os.cpu_count() ignores the affinity mask (taskset, cgroup cpusets)
-    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    ranges = _ranges(paths, cores)
-    tasks = [(path, start, stop, policy, strict) for path, start, stop in ranges]
+    ranges = _ranges(paths, parallel.usable_cores())
     total = sum(stop - start for _, start, stop in ranges)
-    workers = min(cores, len(tasks), total // _MIN_RANGE_BYTES)
-    if workers > 1:
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        # an executor, unlike multiprocessing.Pool, fails instead of waiting
-        # forever when a worker dies (say, killed for memory)
-        fork = multiprocessing.get_context("fork")
-        with ProcessPoolExecutor(workers, mp_context=fork) as pool:
-            parsed = list(pool.map(_parse_range, tasks))
-    else:
-        parsed = [_parse_range(task) for task in tasks]
+    parsed = parallel.fork_map(lambda span: _parse_range(*span, policy, strict), ranges, total)
 
     line_base = 0  # lines of the file's earlier ranges
     for (path, start, _), part in zip(ranges, parsed):

@@ -1,3 +1,4 @@
+import concurrent.futures
 import datetime
 import os
 import subprocess
@@ -7,7 +8,9 @@ from pathlib import Path
 import pytest
 
 import chronoscope
+from chronoscope import parallel
 from chronoscope.cli import main
+from pools import CountingPool, RecordingPool
 
 
 def utc(year, month=1, day=1):
@@ -223,45 +226,152 @@ def test_export_graphml(tmp_path):
     assert '<data key="weight">5</data>' in text
 
 
-def test_input_files_read_once_per_command(tmp_path, monkeypatch):
+SIDE_INPUTS = {
+    "nodes.txt": "a.ac.uk\nb.ac.uk\nc.ac.uk\nd.ac.uk\n",
+    "league.tsv": "a.ac.uk\t1\nb.ac.uk\t2\nc.ac.uk\t3\nd.ac.uk\t4\n",
+    "groups.tsv": "a.ac.uk\tg\nb.ac.uk\tg\nc.ac.uk\th\nd.ac.uk\th\n",
+    "geo.tsv": (
+        "a.ac.uk\t51.75\t-1.25\nb.ac.uk\t52.2\t0.12\n"
+        "c.ac.uk\t53.4\t-2.2\nd.ac.uk\t55.95\t-3.19\n"
+    ),
+    "pages.tsv": "2009\tf.co.uk\t4\n2010\ta.ac.uk\t2\n",
+}
+
+
+def _snapshot_set(tmp_path, years=(2008, 2009, 2010)):
+    """One snapshot file per year, each with other weights, plus every side
+    input of the snapshot-reading commands."""
+    for name, text in SIDE_INPUTS.items():
+        (tmp_path / name).write_text(text)
     snaps = []
-    for year in (2009, 2010):
+    for k, year in enumerate(years):
         path = tmp_path / f"snapshot_{year}.tsv"
         path.write_text(
             f"#snapshot v1 year={year}\n"
-            "a.ac.uk\tb.ac.uk\t5\nb.ac.uk\tc.ac.uk\t2\nc.ac.uk\ta.ac.uk\t1\n"
+            f"a.ac.uk\tb.ac.uk\t{5 + k}\na.ac.uk\tc.ac.uk\t1\na.ac.uk\te.co.uk\t{1 + k}\n"
+            f"b.ac.uk\tc.ac.uk\t2\nb.ac.uk\td.ac.uk\t{3 * k + 1}\n"
+            f"c.ac.uk\ta.ac.uk\t{2 + k}\nd.ac.uk\ta.ac.uk\t4\ne.co.uk\tb.ac.uk\t1\n"
         )
         snaps.append(path)
-    inputs = {
-        "nodes.txt": "a.ac.uk\nb.ac.uk\nc.ac.uk\n",
-        "league.tsv": "a.ac.uk\t1\nb.ac.uk\t2\nc.ac.uk\t3\n",
-        "groups.tsv": "a.ac.uk\tg\nb.ac.uk\tg\n",
-        "geo.tsv": "a.ac.uk\t51.75\t-1.25\nb.ac.uk\t52.2\t0.12\nc.ac.uk\t53.4\t-2.2\n",
+    return snaps
+
+
+def _options(tmp_path):
+    """Each snapshot-reading command's options over ``_snapshot_set``'s inputs."""
+    nodes = ["--nodes", tmp_path / "nodes.txt"]
+    return {
+        "stats": ["--node-pages", tmp_path / "pages.tsv"],
+        "centrality": nodes,
+        "correlate": ["--ranking", tmp_path / "league.tsv", *nodes],
+        "modularity": ["--partition", tmp_path / "groups.tsv", *nodes],
+        "density": ["--members", tmp_path / "nodes.txt"],
+        "gravity": ["--geo", tmp_path / "geo.tsv", "--window", 1, *nodes],
+        "export": nodes,
     }
-    for name, text in inputs.items():
-        (tmp_path / name).write_text(text)
-    reads = []
-    for name in ("read_node_list", "read_ranking", "read_partition"):
-        original = getattr(chronoscope.metrics, name)
+
+
+SNAPSHOT_COMMANDS = ["stats", "centrality", "correlate", "modularity", "density", "gravity", "export"]
+
+
+def _cores(mp, cores, floor=1):
+    """Let ``fork_map`` see ``cores`` usable cores and start a worker per
+    ``floor`` bytes of input."""
+    mp.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
+    mp.setattr(parallel, "MIN_WORKER_BYTES", floor)
+
+
+def _outcome(capsys, argv, out):
+    """Exit code, stdout, stderr and the files written into ``out``."""
+    code = run(*argv, "--out-dir", out)
+    captured = capsys.readouterr()
+    files = {p.name: p.read_bytes() for p in sorted(out.iterdir())} if out.exists() else {}
+    return code, captured.out, captured.err.replace(str(out), "<out>"), files
+
+
+def test_input_files_read_once_per_command(tmp_path, monkeypatch):
+    # each side input is read once, in this process, also when the years
+    # run in fork workers: a worker's read would log another pid
+    snaps = _snapshot_set(tmp_path, years=(2009, 2010))
+    log = tmp_path / "reads.log"
+    readers = [
+        (chronoscope.metrics, "read_node_list"),
+        (chronoscope.metrics, "read_ranking"),
+        (chronoscope.metrics, "read_partition"),
+        (chronoscope.gravity, "read_geo_points"),
+        (chronoscope.cli, "read_node_pages"),
+    ]
+    for module, name in readers:
+        original = getattr(module, name)
 
         def counted(path, _original=original):
-            reads.append(Path(path).name)
+            with open(log, "a", encoding="utf-8") as fh:
+                fh.write(f"{os.getpid()} {Path(path).name}\n")
             return _original(path)
 
-        monkeypatch.setattr(chronoscope.metrics, name, counted)
-    nodes = ["--nodes", tmp_path / "nodes.txt"]
-    commands = [
-        ["centrality", *nodes],
-        ["correlate", "--ranking", tmp_path / "league.tsv", *nodes],
-        ["modularity", "--partition", tmp_path / "groups.tsv", *nodes],
-        ["gravity", "--geo", tmp_path / "geo.tsv", "--window", 1, *nodes],
-        ["export", *nodes],
-        ["density", "--members", tmp_path / "nodes.txt"],
-    ]
-    for command, *options in commands:
-        reads.clear()
-        assert run(command, *snaps, *options, "--out-dir", tmp_path / "out") == 0
-        assert reads and len(reads) == len(set(reads)), (command, reads)
+        monkeypatch.setattr(module, name, counted)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+    for cores in (1, 2):
+        _cores(monkeypatch, cores)
+        for command, options in _options(tmp_path).items():
+            log.write_text("")
+            CountingPool.built = []
+            assert run(command, *snaps, *options, "--out-dir", tmp_path / "out") == 0
+            assert CountingPool.built == ([] if cores == 1 else [2])
+            reads = [line.split() for line in log.read_text().splitlines()]
+            names = [name for _, name in reads]
+            assert names and len(names) == len(set(names)), (cores, command, reads)
+            assert {pid for pid, _ in reads} == {str(os.getpid())}, (cores, command, reads)
+
+
+@pytest.mark.parametrize("command", SNAPSHOT_COMMANDS)
+def test_pool_path_equals_in_process_path(tmp_path, capsys, command):
+    snaps = _snapshot_set(tmp_path)
+    argv = [command, *snaps, *_options(tmp_path)[command]]
+    outcomes = []
+    for cores in (1, 2):
+        CountingPool.built = []
+        with pytest.MonkeyPatch.context() as mp:
+            _cores(mp, cores)
+            mp.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+            outcomes.append(_outcome(capsys, argv, tmp_path / f"out{cores}"))
+        assert CountingPool.built == ([] if cores == 1 else [2])
+    assert outcomes[0] == outcomes[1]
+    code, stdout, err, files = outcomes[0]
+    assert code == 0
+    if command == "density":
+        assert stdout.count("density=") == 3
+    else:
+        assert len(files) >= 3 and err.count("wrote ") == len(files)
+
+
+@pytest.mark.parametrize("command", SNAPSHOT_COMMANDS)
+def test_bad_year_writes_nothing_on_either_path(tmp_path, capsys, command):
+    snaps = _snapshot_set(tmp_path)
+    snaps[1].write_text("#snapshot v1 year=2009\na.ac.uk\tb.ac.uk\t0\n")
+    argv = [command, *snaps, *_options(tmp_path)[command]]
+    for cores in (1, 2):
+        with pytest.MonkeyPatch.context() as mp:
+            _cores(mp, cores)
+            assert _outcome(capsys, argv, tmp_path / f"out{cores}") == (
+                1,
+                "",
+                f"error: SnapshotFormatError: {snaps[1]}:2: invalid edge record\n",
+                {},
+            )
+
+
+@pytest.mark.parametrize(
+    "cores, files, floor, workers",
+    [(1, 3, 1, 0), (2, 1, 1, 0), (2, 3, 1, 2), (3, 2, 1, 2), (5, 3, 1, 3), (2, 3, 1 << 30, 0)],
+)
+def test_years_use_one_worker_per_core_and_file_at_most(tmp_path, cores, files, floor, workers):
+    snaps = _snapshot_set(tmp_path)[:files]
+    RecordingPool.built = []
+    with pytest.MonkeyPatch.context() as mp:
+        _cores(mp, cores, floor)
+        mp.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        assert run("centrality", *snaps, "--out-dir", tmp_path / "out") == 0
+    assert RecordingPool.built == ([workers] if workers else [])
 
 
 def test_year_filter_skips_other_years(tmp_path, linkfile):
@@ -301,6 +411,15 @@ def test_ingest_rejects_non_positive_gap(linkfile, gap, capsys):
     assert "--gap-seconds" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("window", ["0", "-3", "ten"])
+def test_gravity_rejects_non_positive_window(tmp_path, window, capsys):
+    snap = _snapshot_set(tmp_path)[0]
+    with pytest.raises(SystemExit) as excinfo:
+        run("gravity", snap, "--geo", tmp_path / "geo.tsv", "--window", window)
+    assert excinfo.value.code == 2
+    assert "--window" in capsys.readouterr().err
+
+
 def test_out_dir_env_fallback(tmp_path, linkfile, monkeypatch):
     env_out = tmp_path / "env_out"
     monkeypatch.setenv("CHRONOSCOPE_OUT", str(env_out))
@@ -323,15 +442,15 @@ def test_custom_policy_file(tmp_path, capsys):
 
 def test_cli_import_loads_no_sparse_graph_or_linalg():
     # the runtime needs numpy alone: importing scipy costs every command about
-    # 0.2 s of start-up and 14 MB of resident memory; ingest imports
-    # multiprocessing only when it starts workers
+    # 0.2 s of start-up and 14 MB of resident memory; parallel.fork_map
+    # imports multiprocessing and concurrent.futures only when it starts workers
     src = str(Path(chronoscope.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p
     ))
     code = (
         "import sys, chronoscope.cli; print(sorted(m for m in sys.modules"
-        " if m.split('.')[0] in ('scipy', 'multiprocessing')))"
+        " if m.split('.')[0] in ('scipy', 'multiprocessing', 'concurrent')))"
     )
     done = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True

@@ -2,7 +2,6 @@ import collections
 import concurrent.futures
 import datetime
 import os
-import pickle
 import random
 import tempfile
 from pathlib import Path
@@ -18,7 +17,7 @@ from chronoscope.errors import (
     MalformedUrl,
     SnapshotFormatError,
 )
-from chronoscope import ingest
+from chronoscope import ingest, parallel
 from chronoscope.ingest import (
     BEST_SESSION,
     PER_PAIR_MAX,
@@ -29,6 +28,7 @@ from chronoscope.ingest import (
 )
 from chronoscope.snapshot import YearSnapshot, read_snapshot, write_snapshot
 from oracles import brute_ingest
+from pools import RecordingPool
 
 POLICY = default_policy()
 
@@ -272,27 +272,6 @@ def test_non_utf8_line_is_malformed(tmp_path):
 
 # --- worker pool ---
 
-class _RecordingPool:
-    """Stands in for the process pool: runs the map here, with results
-    pickled as a pool would send them, and records its worker count."""
-
-    built: list[int] = []
-
-    def __init__(self, max_workers, mp_context):
-        assert mp_context.get_start_method() == "fork"
-        self.built.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, tasks):
-        assert len(tasks) >= self.built[-1]
-        return [pickle.loads(pickle.dumps(fn(task))) for task in tasks]
-
-
 def _big_log(tmp_path, lines=400):
     rng = random.Random(5)
     rows = [
@@ -315,30 +294,30 @@ def test_workers_never_exceed_cores_or_ranges(cores, lines):
     with tempfile.TemporaryDirectory() as tmp:
         path = _big_log(Path(tmp), lines)
         reference = ingest_links([path], POLICY)
-        _RecordingPool.built = []
+        RecordingPool.built = []
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
-            mp.setattr(ingest, "_MIN_RANGE_BYTES", 64)
-            mp.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
+            mp.setattr(parallel, "MIN_WORKER_BYTES", 64)
+            mp.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
             result = ingest_links([path], POLICY)
     assert result.snapshots == reference.snapshots and result.summary == reference.summary
-    assert len(_RecordingPool.built) <= 1
+    assert len(RecordingPool.built) <= 1
     if cores == 1 or lines < 2:
-        assert not _RecordingPool.built
+        assert not RecordingPool.built
     elif lines >= 4:  # over 128 bytes: two ranges of at least 64 bytes
-        assert _RecordingPool.built
-    for workers in _RecordingPool.built:
+        assert RecordingPool.built
+    for workers in RecordingPool.built:
         assert 2 <= workers <= cores
 
 
 def test_one_core_builds_no_pool(tmp_path, monkeypatch):
     path = _big_log(tmp_path)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3})
-    monkeypatch.setattr(ingest, "_MIN_RANGE_BYTES", 64)
-    _RecordingPool.built = []
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(parallel, "MIN_WORKER_BYTES", 64)
+    RecordingPool.built = []
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     assert ingest_links([path, path], POLICY).summary.lines == 800
-    assert _RecordingPool.built == []
+    assert RecordingPool.built == []
 
 
 # --- yearly selection ---

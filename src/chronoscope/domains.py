@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from .errors import MalformedUrl, OutOfScopeTld, PolicyFileError, UnknownSld
 
 # Unknown-SLD handling modes.
@@ -125,19 +127,44 @@ def parse_host_key(host: str, policy: SuffixPolicy) -> DomainKey:
     raise UnknownSld(f"{sld!r} is not a registered SLD")
 
 
-def url_authority(url: str) -> str:
-    """Authority part of a URL: the text after ``://`` (or a leading ``//``)
-    up to the first ``/``; empty when the URL has neither marker.
+def authority_spans(
+    data: np.ndarray, starts: np.ndarray, stops: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Byte spans ``[lo, hi)`` of the URL authorities of the fields
+    ``data[starts[i]:stops[i]]``, where ``data`` holds UTF-8 bytes as uint8.
 
-    The scheme is not checked, so ``ht tp://``, ``://`` and ``1http://`` all
-    introduce an authority.
+    A field's authority starts after its first ``://``, else after a leading
+    ``//``, and runs up to the next ``/`` or the field's end; a field with
+    neither marker has an empty authority (``lo == hi``).  The scheme is not
+    checked, so ``ht tp://``, ``://`` and ``1http://`` all introduce an
+    authority.  The markers are ASCII, so the spans cut the fields at
+    character boundaries.
     """
-    _, sep, rest = url.partition("://")
-    if not sep:
-        if not url.startswith("//"):
-            return ""
-        rest = url[2:]
-    return rest.partition("/")[0]
+    n = len(data)
+    if not n:
+        return starts, starts
+    colons = np.flatnonzero(data[:-2] == 58)  # ':'
+    marks = colons[(data[colons + 1] == 47) & (data[colons + 2] == 47)]  # '/'
+    first = np.append(marks, n)[np.searchsorted(marks, starts)]
+    after_mark = first + 3 <= stops
+    leading = (
+        (starts + 2 <= stops)
+        & (data[np.minimum(starts, n - 1)] == 47)
+        & (data[np.minimum(starts + 1, n - 1)] == 47)
+    )
+    lo = np.where(after_mark, first + 3, np.where(leading, starts + 2, starts))
+    slashes = np.flatnonzero(data == 47)
+    hi = np.minimum(np.append(slashes, n)[np.searchsorted(slashes, lo)], stops)
+    return lo, np.where(after_mark | leading, hi, lo)
+
+
+def url_authority(url: str) -> str:
+    """Authority part of one URL, by the rule of :func:`authority_spans`."""
+    raw = url.encode("utf-8", "surrogatepass")
+    (lo,), (hi,) = authority_spans(
+        np.frombuffer(raw, np.uint8), np.zeros(1, np.int64), np.full(1, len(raw))
+    )
+    return raw[lo:hi].decode("utf-8", "surrogatepass")
 
 
 def authority_host(authority: str) -> str:

@@ -14,6 +14,7 @@ pairs as columns; the synthetic generator calibrates with these functions.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping
@@ -252,7 +253,8 @@ def fit_gravity_exponent(series: DistanceSeries) -> GravityFit:
 # --- file formats ---
 
 def read_geo_points(path) -> dict[str, GeoPoint]:
-    """Read ``third_level_domain<TAB>lat_degrees<TAB>lon_degrees`` lines."""
+    """Read ``third_level_domain<TAB>lat_degrees<TAB>lon_degrees`` lines, one per
+    domain."""
     geo: dict[str, GeoPoint] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -266,6 +268,8 @@ def read_geo_points(path) -> dict[str, GeoPoint]:
                 point = GeoPoint(float(parts[1]), float(parts[2]))
             except ValueError as exc:
                 raise MalformedLine(f"{path}:{lineno}: {exc}") from None
+            if parts[0] in geo:
+                raise MalformedLine(f"{path}:{lineno}: repeated domain {parts[0]!r}")
             geo[parts[0]] = point
     return geo
 
@@ -280,30 +284,36 @@ def write_geo_points(geo: Mapping[str, GeoPoint], path) -> None:
 def export_geo_links(pairs: PairTable, geo: Mapping[str, GeoPoint], path) -> None:
     """Emit ``geo_links_<year>.csv``: one plot-ready row per pair."""
     nodes = pairs.nodes
-    # format each node's coordinates once; its rows reuse the strings
-    coords = [
-        (repr(geo[node].latitude), repr(geo[node].longitude)) if node in geo else None
-        for node in nodes
-    ]
+    located = np.array([node in geo for node in nodes], bool)
+    unlocated = ~(located[pairs.source] & located[pairs.target])
+    if unlocated.any():
+        row = int(np.argmax(unlocated))
+        raise MissingCoordinates(f"{nodes[pairs.source[row]]} or {nodes[pairs.target[row]]}")
+    # each node's name as a CSV field (quoted by csv) and its coordinate
+    # fields, formatted once; the rows only join them
+    cell = io.StringIO()
+    writer = csv.writer(cell, lineterminator="\n")
+    names, coords = [], []
+    for node, has_point in zip(nodes, located.tolist()):
+        cell.seek(0)
+        cell.truncate()
+        writer.writerow([node])
+        names.append(cell.getvalue()[:-1])
+        point = geo.get(node)
+        coords.append(f"{point.latitude!r},{point.longitude!r}" if has_point else "")
+    source, target = pairs.source.tolist(), pairs.target.tolist()
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            [
-                "source",
-                "target",
-                "source_lat",
-                "source_lon",
-                "target_lat",
-                "target_lon",
-                "sigma",
-            ]
+        fh.write("source,target,source_lat,source_lon,target_lat,target_lon,sigma\n")
+        fh.writelines(
+            map(
+                "{},{},{},{},{!r}\n".format,
+                map(names.__getitem__, source),
+                map(names.__getitem__, target),
+                map(coords.__getitem__, source),
+                map(coords.__getitem__, target),
+                pairs.sigma.tolist(),
+            )
         )
-        for s, t, sigma in zip(
-            pairs.source.tolist(), pairs.target.tolist(), pairs.sigma.tolist()
-        ):
-            if coords[s] is None or coords[t] is None:
-                raise MissingCoordinates(f"{nodes[s]} or {nodes[t]}")
-            writer.writerow([nodes[s], nodes[t], *coords[s], *coords[t], repr(sigma)])
 
 
 def write_gravity_series(series: DistanceSeries, path) -> None:

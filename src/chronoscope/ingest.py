@@ -11,11 +11,27 @@ year produced.
 
 Parsing.  Each input file is cut into byte ranges that end at a ``\\n`` (or
 at the end of the file), and one function parses a range.  It reads the
-range in blocks of a few MB, each ending at a line break, and decodes a block
-at once, line by line only when the block is not valid UTF-8.  It returns the
-range's line accounting, its own vocabulary of third-level domains, and its
-records as ``array('q')`` times with int32 source and target codes into that
-vocabulary.  The ranges, about one per usable core, run through
+range in blocks of a few MB, each ending at a line break, and scans a block's
+bytes with numpy instead of making Python objects per line:
+
+- the tabs and line breaks give each line's fields; a line without exactly
+  two tabs is malformed, and so is a line that is not valid UTF-8 (one
+  decode per block finds out, then line by line only in a block that fails);
+- a time field of 1 to 18 ASCII digits is read with digit arithmetic, any
+  other text with ``int()``, one field at a time;
+- ``domains.authority_spans`` gives each URL's authority as a byte span;
+- each authority becomes a key of little-endian words plus its length (the
+  word count rounded up to a power of two), and the keys are hashed, grouped
+  per block and looked up in the range's table of resolved authorities of
+  that word count, each group verified word by word (a hash collision falls
+  back to an exact grouping).  Only authorities new to the range are decoded
+  and resolved to a third-level domain, once each.
+
+The skip accounting then follows from masks over the block's lines: a
+malformed line first, then the source URL, then the target, then a self-link.
+A range returns its line accounting, its own vocabulary of third-level
+domains, and its records as int64 times with int32 source and target codes
+into that vocabulary.  The ranges, about one per usable core, run through
 ``parallel.fork_map``: in ``fork`` workers when there is more than one usable
 core and at least ``parallel.MIN_WORKER_BYTES`` of input per worker, else one
 after another in this process.
@@ -25,15 +41,17 @@ one in file order is raised with ``path:line``, the line counted within its
 own file: a range's line numbers continue from the file's earlier ranges.
 
 Reduction.  The ranges' vocabularies merge into one sorted vocabulary, so a
-code's order is its name's order.  The records are sorted by (source, time);
-a session starts where the source changes or the time steps by more than
-``gap_seconds``, and it belongs to the UTC year of its start.  A sort by
-(session, target) counts each session's links per target, and a sort by
-(year, source, target, descending count) puts each pair's maximum first in
-its group; ``best-session`` first keeps each (year, source)'s session with
-the largest total.  Each year's snapshot is its slice of those sorted columns.
-No step depends on how the records are split over files or ranges, so the
-result is independent of sharding.
+code's order is its name's order.  Each sort below is one numpy sort of
+int64 keys packed exactly from two columns.  The records are sorted by
+(source, time); a session starts where the source changes or the time steps
+by more than ``gap_seconds``, and it belongs to the UTC year of its start.  A
+sort by (session, target) counts each session's links per target.  Sessions
+run in (source, start) order, so the (source, year) groups of sessions get
+dense ids in that order, and a sort by (group, target) with a maximum per run
+gives each pair's largest count; ``best-session`` first keeps each group's
+session with the largest total.  Each year's snapshot is its groups' pairs,
+already in (source, target) order.  No step depends on how the records are
+split over files or ranges, so the result is independent of sharding.
 """
 
 from __future__ import annotations
@@ -48,7 +66,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from . import parallel
-from .domains import SuffixPolicy, authority_host, parse_host_key, url_authority
+from .domains import SuffixPolicy, authority_host, authority_spans, parse_host_key
 from .errors import (
     ChronoscopeError,
     MalformedLine,
@@ -76,8 +94,20 @@ _TIME_LIMIT = int(_YEAR_BOUNDS[-1])
 # a range is read in blocks of this many bytes (plus a partial last line)
 _BLOCK_BYTES = 4 << 20
 
-# host-cache codes of the skipped-URL kinds; codes >= 0 index a vocabulary
-_MALFORMED_URL, _OUT_OF_SCOPE, _UNKNOWN_SLD = -1, -2, -3
+# host codes of the skipped-URL kinds, and of an authority not yet resolved;
+# codes >= 0 index a vocabulary
+_MALFORMED_URL, _OUT_OF_SCOPE, _UNKNOWN_SLD, _UNSEEN = -1, -2, -3, -4
+# the reduction packs an int32 code into the low 31 bits of an int64 key
+_CODE_MASK = (1 << 31) - 1
+
+_TAB, _NEWLINE = 9, 10
+# the longest time field read with numpy digit arithmetic: 10**18 < 2**63
+_DIGITS = 18
+# authority keys take a power-of-two number of words
+_POWERS_OF_TWO = 1 << np.arange(63, dtype=np.int64)
+# _BYTE_MASKS[k] keeps the low k bytes of a little-endian word
+_BYTE_MASKS = np.array([(1 << 8 * k) - 1 for k in range(9)], np.uint64)
+_HASH_MULTIPLIER = np.uint64(0x9E3779B97F4A7C15)
 
 
 def years_of(times: np.ndarray) -> np.ndarray:
@@ -133,9 +163,9 @@ class _ParsedRange:
 
     summary: IngestSummary
     names: list[str]
-    times: array
-    sources: array
-    targets: array
+    times: np.ndarray
+    sources: np.ndarray
+    targets: np.ndarray
     error: tuple[int, ChronoscopeError] | None
 
 
@@ -180,10 +210,9 @@ def _ranges(paths: Sequence, cores: int) -> list[tuple[object, int, int]]:
     return ranges
 
 
-def _blocks(path, start: int, stop: int) -> Iterator[list]:
-    """The lines of bytes ``[start, stop)`` of a file, one list per block of
-    about ``_BLOCK_BYTES``, without line breaks; a line that is not valid
-    UTF-8 is None."""
+def _blocks(path, start: int, stop: int) -> Iterator[bytes]:
+    """Bytes ``[start, stop)`` of a file in blocks of about ``_BLOCK_BYTES``,
+    each ending at a line break, with every line break turned into ``\\n``."""
     with open(path, "rb") as fh:
         fh.seek(start)
         left, carry = stop - start, b""
@@ -197,22 +226,167 @@ def _blocks(path, start: int, stop: int) -> Iterator[list]:
                 block, carry = block[:cut], block[cut:]
             if b"\r" in block:
                 block = block.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-            try:
-                lines = block.decode("utf-8").split("\n")
-            except UnicodeDecodeError:
-                lines = [_utf8_or_none(raw) for raw in block.split(b"\n")]
-            if lines[-1] == "":  # the break that ends the block
-                lines.pop()
-            yield lines
+            yield block
             if last:
                 return
 
 
-def _utf8_or_none(raw: bytes) -> str | None:
+def _utf8_lines(block: bytes, begins: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """Whether each line ``block[begins[i]:ends[i]]`` is valid UTF-8."""
+    valid = np.ones(len(begins), bool)
     try:
-        return raw.decode("utf-8")
+        block.decode("utf-8")
     except UnicodeDecodeError:
-        return None
+        for i, (begin, end) in enumerate(zip(begins.tolist(), ends.tolist())):
+            try:
+                block[begin:end].decode("utf-8")
+            except UnicodeDecodeError:
+                valid[i] = False
+    return valid
+
+
+def _times(block: bytes, data: np.ndarray, begins: np.ndarray, stops: np.ndarray):
+    """``int()`` of the time fields ``block[begins[i]:stops[i]]`` and whether
+    each is a time in ``[0, _TIME_LIMIT)``.
+
+    Fields of 1 to ``_DIGITS`` ASCII digits are read with numpy; any other
+    text (a sign, spaces, ``_``, other digits, longer runs) goes through
+    ``int()`` one field at a time.
+    """
+    size = stops - begins
+    value = np.full(len(size), -1, np.int64)
+    fast = np.flatnonzero((size >= 1) & (size <= _DIGITS))
+    if len(fast):
+        # right-aligned digit columns, the bytes before a field zeroed
+        width = int(size[fast].max())
+        columns = np.arange(width)
+        digits = data.take(stops[fast, None] - width + columns, mode="clip") - np.uint8(48)
+        digits *= columns >= width - size[fast, None]
+        numeric = (digits <= 9).all(axis=1)  # the uint8 difference wraps below '0'
+        fast = fast[numeric]
+        number = np.zeros(len(fast), np.int64)
+        for column in digits[numeric].T:
+            number = number * 10 + column
+        value[fast] = number
+    slow = np.ones(len(size), bool)
+    slow[fast] = False
+    for i in np.flatnonzero(slow).tolist():
+        try:
+            number = int(block[begins[i] : stops[i]].decode("utf-8"))
+        except ValueError:
+            continue
+        if 0 <= number < _TIME_LIMIT:
+            value[i] = number
+    return value, (value >= 0) & (value < _TIME_LIMIT)
+
+
+def _hash(words: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """A uint64 hash of each key row ``(words[i], lengths[i])``."""
+    h = lengths.astype(np.uint64)
+    for column in words.T:
+        h = (h ^ column) * _HASH_MULTIPLIER
+        h ^= h >> np.uint64(29)
+    return h
+
+
+class _AuthorityTable:
+    """A range's resolved authorities of one key width: hash-sorted key rows
+    (hash, ``width`` little-endian words, byte length) and their host codes."""
+
+    def __init__(self, width: int):
+        self.hashes = np.empty(0, np.uint64)
+        self.words = np.empty((0, width), np.uint64)
+        self.lengths = np.empty(0, np.int64)
+        self.codes = np.empty(0, np.int32)
+
+    def find(self, hashes, words, lengths) -> np.ndarray:
+        """The codes of the keys, ``_UNSEEN`` for a key not in the table."""
+        codes = np.full(len(hashes), _UNSEEN, np.int32)
+        # compare each key with the table entries of its hash in turn: one
+        # step unless hashes collide
+        at = np.searchsorted(self.hashes, hashes)
+        todo = np.flatnonzero(at < len(self.hashes))
+        at = at[todo]
+        while len(todo):
+            hit = self.hashes[at] == hashes[todo]
+            todo, at = todo[hit], at[hit]
+            same = (self.lengths[at] == lengths[todo]) & (self.words[at] == words[todo]).all(axis=1)
+            codes[todo[same]] = self.codes[at[same]]
+            at += 1
+            left = ~same & (at < len(self.hashes))
+            todo, at = todo[left], at[left]
+        return codes
+
+    def add(self, hashes, words, lengths, codes) -> None:
+        """Enter keys that the table does not hold, with their codes."""
+        order = np.argsort(hashes)
+        at = np.searchsorted(self.hashes, hashes[order])
+        self.hashes = np.insert(self.hashes, at, hashes[order])
+        self.words = np.insert(self.words, at, words[order], axis=0)
+        self.lengths = np.insert(self.lengths, at, lengths[order])
+        self.codes = np.insert(self.codes, at, codes[order])
+
+
+def _authority_codes(
+    block: bytes, lo: np.ndarray, hi: np.ndarray, tables: dict[int, _AuthorityTable], resolve
+) -> np.ndarray:
+    """Host codes of the authorities ``block[lo[i]:hi[i]]``; ``resolve`` sees
+    each distinct authority that ``tables`` do not yet hold, once.
+
+    Each authority is a key of little-endian words, read from any byte offset
+    with the bytes past its length masked off; the length stays part of the
+    key because NUL is valid UTF-8.  The word count is rounded up to a power
+    of two, so a key takes at most about twice its own bytes however long
+    other authorities are, and equal keys share a width and its table.
+    """
+    lengths = hi - lo
+    widths = _POWERS_OF_TWO[np.searchsorted(_POWERS_OF_TWO, -(-lengths // 8))]
+    padded = block + bytes(8 * int(widths.max(initial=1)))
+    loads = np.ndarray((len(padded) - 7,), "<u8", padded, strides=(1,))
+    codes = np.empty(len(lo), np.int32)
+    for width in np.unique(widths).tolist():
+        keys = np.flatnonzero(widths == width)
+        if width not in tables:
+            tables[width] = _AuthorityTable(width)
+        offsets = 8 * np.arange(width)
+        words = loads[lo[keys, None] + offsets]
+        words &= _BYTE_MASKS[np.clip(lengths[keys, None] - offsets, 0, 8)]
+        codes[keys] = _key_codes(block, lo[keys], lengths[keys], words, tables[width], resolve)
+    return codes
+
+
+def _key_codes(block: bytes, lo, lengths, words, table: _AuthorityTable, resolve) -> np.ndarray:
+    """Host codes of the keys ``(words[i], lengths[i])`` of the authorities at
+    ``block[lo[i]:]``."""
+    hashes = _hash(words, lengths)
+    order = np.argsort(hashes)
+    new = _new_groups(hashes[order])
+    first = order[new]  # one member per distinct hash
+    inverse = np.empty_like(order)
+    inverse[order] = np.cumsum(new) - 1
+    rep = first[inverse]
+    if not ((lengths[rep] == lengths) & (words[rep] == words).all(axis=1)).all():
+        # two authorities share a hash: group the keys exactly
+        rows = np.column_stack((lengths.astype(np.uint64), words))
+        _, first, inverse = np.unique(rows, axis=0, return_index=True, return_inverse=True)
+    codes = table.find(hashes[first], words[first], lengths[first])
+    unseen = np.flatnonzero(codes == _UNSEEN)
+    if len(unseen):
+        at = first[unseen]
+        codes[unseen] = [
+            resolve(block[a : a + n].decode("utf-8"))
+            for a, n in zip(lo[at].tolist(), lengths[at].tolist())
+        ]
+        table.add(hashes[at], words[at], lengths[at], codes[unseen])
+    return codes[inverse.reshape(-1)]
+
+
+def _third_level(authority: str, policy: SuffixPolicy) -> str:
+    """The third-level domain an authority names; raises as ``parse_host_key``."""
+    host = authority_host(authority)
+    if not host:
+        raise MalformedUrl("empty hostname")
+    return parse_host_key(host, policy).third_level
 
 
 def _parse_range(path, start: int, stop: int, policy: SuffixPolicy, strict: bool) -> _ParsedRange:
@@ -221,14 +395,9 @@ def _parse_range(path, start: int, stop: int, policy: SuffixPolicy, strict: bool
     code_of: dict[str, int] = {}
 
     def resolve(authority: str) -> int:
-        host = authority_host(authority)
         try:
-            if not host:
-                raise MalformedUrl("empty hostname")
-            name = parse_host_key(host, policy).third_level
+            name = _third_level(authority, policy)
         except MalformedUrl:
-            if strict:
-                raise
             return _MALFORMED_URL
         except OutOfScopeTld:
             return _OUT_OF_SCOPE
@@ -240,84 +409,131 @@ def _parse_range(path, start: int, stop: int, policy: SuffixPolicy, strict: bool
             names.append(name)
         return code
 
-    host_cache: dict[str, int] = {}
-    cache_get = host_cache.get
+    tables: dict[int, _AuthorityTable] = {}  # by key width
+    summary = IngestSummary()
     times, sources, targets = array("q"), array("i"), array("i")
-    add_time, add_source, add_target = times.append, sources.append, targets.append
-    n_lines = n_self = n_malformed = index = 0
-    url_skips = [0, 0, 0]  # indexed by the negative skip codes
     error = None
-    try:
-        for lines in _blocks(path, start, stop):
-            for index, line in enumerate(lines):
-                try:
-                    time_text, source_url, target_url = line.split("\t")
-                except AttributeError:  # None: not UTF-8
-                    if strict:
-                        raise MalformedLine("invalid UTF-8") from None
-                    n_malformed += 1
-                    continue
-                except ValueError:
-                    if strict:
-                        raise MalformedLine("expected 3 fields") from None
-                    n_malformed += 1
-                    continue
-                try:
-                    crawl_time = int(time_text)
-                except ValueError:
-                    if strict:
-                        raise MalformedLine(f"bad time {time_text!r}") from None
-                    n_malformed += 1
-                    continue
-                if not 0 <= crawl_time < _TIME_LIMIT:
-                    if strict:
-                        raise MalformedLine(f"time {crawl_time} out of range")
-                    n_malformed += 1
-                    continue
-
-                authority = url_authority(source_url)
-                source = cache_get(authority)
-                if source is None:
-                    source = host_cache[authority] = resolve(authority)
-                if source < 0:
-                    url_skips[source] += 1
-                    continue
-                authority = url_authority(target_url)
-                target = cache_get(authority)
-                if target is None:
-                    target = host_cache[authority] = resolve(authority)
-                if target < 0:
-                    url_skips[target] += 1
-                    continue
-
-                if source == target:
-                    n_self += 1
-                    continue
-                add_time(crawl_time)
-                add_source(source)
-                add_target(target)
-            n_lines += len(lines)
-    except (MalformedLine, MalformedUrl) as exc:
-        error = (n_lines + index, exc)
-    summary = IngestSummary(
-        lines=n_lines,
-        records=len(times),
-        self_loops=n_self,
-        malformed_lines=n_malformed,
-        malformed_urls=url_skips[_MALFORMED_URL],
-        out_of_scope=url_skips[_OUT_OF_SCOPE],
-        unknown_sld=url_skips[_UNKNOWN_SLD],
+    for block in _blocks(path, start, stop):
+        counts, records, problem = _parse_block(block, tables, resolve, policy, strict)
+        if problem is not None:
+            error = (summary.lines + problem[0], problem[1])
+            break
+        for f in fields(IngestSummary):
+            setattr(summary, f.name, getattr(summary, f.name) + getattr(counts, f.name))
+        for column, values in zip((times, sources, targets), records):
+            column.frombytes(values.tobytes())
+    return _ParsedRange(
+        summary,
+        names,
+        np.frombuffer(times, np.int64),
+        np.frombuffer(sources, np.intc),
+        np.frombuffer(targets, np.intc),
+        error,
     )
-    return _ParsedRange(summary, names, times, sources, targets, error)
 
 
-def _starts(*columns: np.ndarray) -> np.ndarray:
-    """Positions where the rows of the sorted ``columns`` start a new group."""
+def _parse_block(
+    block: bytes, tables: dict[int, _AuthorityTable], resolve, policy: SuffixPolicy, strict: bool
+):
+    """The line accounting and records of one block, or in strict mode its
+    first problem as ``(line index in the block, exception)``."""
+    data = np.frombuffer(block, np.uint8)
+    ends = np.flatnonzero(data == _NEWLINE)
+    if block and block[-1] != _NEWLINE:
+        ends = np.append(ends, len(block))
+    begins = np.append(0, ends[:-1] + 1)[: len(ends)]
+    tabs = np.flatnonzero(data == _TAB)
+    first_tab = np.searchsorted(tabs, begins)
+    three_fields = np.searchsorted(tabs, ends) - first_tab == 2
+    utf8 = _utf8_lines(block, begins, ends)
+    line = np.flatnonzero(utf8 & three_fields)
+    tab1, tab2 = tabs[first_tab[line]], tabs[first_tab[line] + 1]
+    time, valid_time = _times(block, data, begins[line], tab1)
+    line, tab1, tab2, time = line[valid_time], tab1[valid_time], tab2[valid_time], time[valid_time]
+    lo, hi = authority_spans(data, np.append(tab1, tab2) + 1, np.append(tab2, ends[line]))
+    codes = _authority_codes(block, lo, hi, tables, resolve)
+    source, target = codes[: len(line)], codes[len(line) :]
+    skipped_source = source < 0
+    skipped_target = ~skipped_source & (target < 0)
+
+    if strict:
+        # the first line that is malformed or names a malformed URL (a
+        # target only counts when the source is usable)
+        malformed = np.ones(len(begins), bool)
+        malformed[line] = False
+        bad_url = (source == _MALFORMED_URL) | (skipped_target & (target == _MALFORMED_URL))
+        problems = np.union1d(np.flatnonzero(malformed), line[bad_url])
+        if len(problems):
+            i = int(problems[0])
+            if malformed[i]:
+                tab = int(tabs[first_tab[i]]) if three_fields[i] else -1
+                return None, None, (i, _line_problem(block, int(begins[i]), tab, bool(utf8[i])))
+            j = int(np.searchsorted(line, i))
+            j += 0 if source[j] == _MALFORMED_URL else len(line)
+            try:
+                _third_level(block[lo[j] : hi[j]].decode("utf-8"), policy)
+            except MalformedUrl as exc:
+                return None, None, (i, exc)
+
+    kinds = np.bincount(-np.append(source[skipped_source], target[skipped_target]), minlength=4)
+    kept = ~skipped_source & ~skipped_target
+    loops = kept & (source == target)
+    kept &= ~loops
+    counts = IngestSummary(
+        lines=len(begins),
+        records=int(kept.sum()),
+        self_loops=int(loops.sum()),
+        malformed_lines=len(begins) - len(line),
+        malformed_urls=int(kinds[-_MALFORMED_URL]),
+        out_of_scope=int(kinds[-_OUT_OF_SCOPE]),
+        unknown_sld=int(kinds[-_UNKNOWN_SLD]),
+    )
+    return counts, (time[kept], source[kept], target[kept]), None
+
+
+def _line_problem(block: bytes, begin: int, tab: int, utf8: bool) -> MalformedLine:
+    """Why the line at ``begin`` (first tab at ``tab``, -1 unless the line has
+    three fields) is malformed."""
+    if not utf8:
+        return MalformedLine("invalid UTF-8")
+    if tab < 0:
+        return MalformedLine("expected 3 fields")
+    text = block[begin:tab].decode("utf-8")
+    try:
+        return MalformedLine(f"time {int(text)} out of range")
+    except ValueError:
+        return MalformedLine(f"bad time {text!r}")
+
+
+def _new_groups(*columns: np.ndarray) -> np.ndarray:
+    """Whether each row of the sorted ``columns`` starts a new group."""
     new = np.zeros(len(columns[0]), bool)
     new[:1] = True
     for column in columns:
         new[1:] |= column[1:] != column[:-1]
-    return np.flatnonzero(new)
+    return new
+
+
+def _starts(*columns: np.ndarray) -> np.ndarray:
+    """Positions where the rows of the sorted ``columns`` start a new group."""
+    return np.flatnonzero(_new_groups(*columns))
+
+
+def _by_source_time(source: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """The order of the records by (source, time)."""
+    # source << 33 | time >> 1 fits 64 bits for any int32 code and time
+    # below 2**34; records that share a key hold the times 2k and 2k+1 of
+    # one source, so each such run then sorts by the low bit of time
+    key = source.astype(np.uint64) << np.uint64(33) | (times >> 1).astype(np.uint64)
+    order = np.argsort(key)
+    key = key[order]
+    tied = np.flatnonzero(key[1:] == key[:-1])
+    if len(tied):
+        tied = np.union1d(tied, tied + 1)
+        run = np.cumsum(np.diff(key[tied], prepend=key[tied[0]]) != 0)
+        odd = times[order[tied]] & 1
+        order[tied] = order[tied][np.argsort(2 * run + odd)]
+    return order
 
 
 def _reduce(
@@ -335,59 +551,68 @@ def _reduce(
     times, source, target = ([np.empty(0, dtype)] for dtype in (np.int64, np.int32, np.int32))
     for p in parsed:
         remap = np.array([code_of[name] for name in p.names], np.int32)
-        times.append(np.frombuffer(p.times, np.int64))
-        source.append(remap[np.frombuffer(p.sources, np.intc)])
-        target.append(remap[np.frombuffer(p.targets, np.intc)])
+        times.append(p.times)
+        source.append(remap[p.sources])
+        target.append(remap[p.targets])
     times, source, target = map(np.concatenate, (times, source, target))
 
-    # records equal in (source, time) give the same sessions and counts in
-    # any order, so only the sort by source needs to be stable
-    order = np.argsort(times)
-    order = order[np.argsort(source[order], kind="stable")]
+    order = _by_source_time(source, times)
     times, source, target = times[order], source[order], target[order]
+    del order
     new = np.ones(len(times), bool)
     new[1:] = (source[1:] != source[:-1]) | (np.diff(times) > gap_seconds)
     starts = np.flatnonzero(new)
     summary.sessions = len(starts)
-    session = np.cumsum(new) - 1
     session_source, session_year = source[starts], years_of(times[starts])
     session_size = np.diff(np.append(starts, len(times)))
+    del times, source
 
-    # per (session, target) link counts
-    order = np.lexsort((target, session))
-    session, target = session[order], target[order]
-    at = _starts(session, target)
-    pair_session, pair_target = session[at], target[at]
-    pair_count = np.diff(np.append(at, len(order)))
-    del times, source, target, session, order  # the per-record columns
+    # per (session, target) link counts: session << 31 | target is exact
+    # below 2**32 sessions, and sorts in place
+    key = (np.cumsum(new) - 1) << 31 | target
+    del new, target  # the last per-record columns
+    key.sort()
+    at = _starts(key)
+    pair_count = np.diff(np.append(at, len(key)))
+    key = key[at]
+    pair_session, pair_target = key >> 31, key & _CODE_MASK
+    del key
 
-    # (year, source, target, count) of each (session, target) pair
-    pairs = np.stack(
-        (session_year[pair_session], session_source[pair_session], pair_target, pair_count)
-    )
+    # a dense id per (source, year) of the sessions, which run in (source,
+    # start) order, so the years of one source never decrease
+    group = np.cumsum(_new_groups(session_source, session_year)) - 1
+    bounds = _starts(group)
+    group_source, group_year = session_source[bounds], session_year[bounds]
+    keep = np.ones(len(pair_session), bool)
     if year_select == BEST_SESSION:
-        # per (year, source), the session with the largest total; sessions
-        # are in (source, start) order, and the stable sort keeps the earlier
-        # start first among equal totals
-        ranked = np.lexsort((-session_size, session_year, session_source))
-        best = np.zeros(len(starts), bool)
-        best[ranked[_starts(session_source[ranked], session_year[ranked])]] = True
-        pairs = pairs[:, best[pair_session]]
+        # per (source, year), the session with the largest total; among
+        # equal totals the first, which started earliest
+        top = np.maximum.reduceat(session_size, bounds)
+        ties = np.flatnonzero(session_size == top[group])
+        best = np.zeros(len(group), bool)
+        best[ties[_starts(group[ties])]] = True
+        keep &= best[pair_session]
+    pair_group = group[pair_session]
     if wanted is not None:
-        pairs = pairs[:, np.isin(pairs[0], sorted(wanted))]
-    # the largest count of each (year, source, target) sorts first
-    pairs = pairs[:, np.lexsort((-pairs[3], pairs[2], pairs[1], pairs[0]))]
-    year, source, target, weight = pairs[:, _starts(*pairs[:3])]
+        keep &= np.isin(group_year[pair_group], sorted(wanted))
+    # the largest count of each (group, target)
+    key = pair_group[keep] << 31 | pair_target[keep]
+    order = np.argsort(key)
+    key = key[order]
+    at = _starts(key)
+    weight = np.maximum.reduceat(pair_count[keep][order], at)
+    group_of, target = key[at] >> 31, key[at] & _CODE_MASK
+    source, year = group_source[group_of], group_year[group_of]
 
     snapshots = {}
-    bounds = np.append(_starts(year), len(year)).tolist()
-    for lo, hi in zip(bounds, bounds[1:]):
-        ends = np.concatenate((source[lo:hi], target[lo:hi]))
+    for snap_year in np.unique(year).tolist():
+        # the groups of one year run in source order
+        sel = np.flatnonzero(year == snap_year)
+        ends = np.concatenate((source[sel], target[sel]))
         used, local = np.unique(ends, return_inverse=True)
         nodes = tuple(map(names.__getitem__, used.tolist()))
-        snap_year = int(year[lo])
         snapshots[snap_year] = YearSnapshot(
-            snap_year, nodes, local[: hi - lo], local[hi - lo :], weight[lo:hi]
+            snap_year, nodes, local[: len(sel)], local[len(sel) :], weight[sel]
         )
     empty = np.empty(0, np.int64)
     for snap_year in sorted((wanted or set()) - set(snapshots)):

@@ -176,17 +176,17 @@ def group_internal_density(snapshot: YearSnapshot, members: Iterable[str]) -> fl
 # --- input files ---
 
 def read_partition(path) -> dict[str, str]:
-    """Read ``third_level_domain<TAB>group_label`` lines."""
+    """Read ``third_level_domain<TAB>group_label`` lines, one per domain."""
     mapping: dict[str, str] = {}
     for lineno, parts in _tsv_rows(path):
         if len(parts) != 2 or not parts[0] or not parts[1]:
             raise MalformedLine(f"{path}:{lineno}: expected 'domain<TAB>group'")
-        mapping[parts[0]] = parts[1]
+        _add_once(mapping, parts[0], parts[1], path, lineno)
     return mapping
 
 
 def read_ranking(path) -> RankingTable:
-    """Read ``third_level_domain<TAB>rank_integer`` lines (1 = best)."""
+    """Read ``third_level_domain<TAB>rank_integer`` lines (1 = best), one per domain."""
     ranks: dict[str, int] = {}
     for lineno, parts in _tsv_rows(path):
         if len(parts) != 2:
@@ -197,7 +197,7 @@ def read_ranking(path) -> RankingTable:
             raise MalformedLine(f"{path}:{lineno}: bad rank {parts[1]!r}") from None
         if rank < 1:
             raise MalformedLine(f"{path}:{lineno}: ranks start at 1")
-        ranks[parts[0]] = rank
+        _add_once(ranks, parts[0], rank, path, lineno)
     return RankingTable(ranks)
 
 
@@ -209,6 +209,13 @@ def read_node_list(path) -> list[str]:
             raise MalformedLine(f"{path}:{lineno}: expected one domain per line")
         nodes.append(parts[0])
     return nodes
+
+
+def _add_once(mapping: dict, domain: str, value, path, lineno: int) -> None:
+    """``mapping[domain] = value``; a domain already read is a MalformedLine."""
+    if domain in mapping:
+        raise MalformedLine(f"{path}:{lineno}: repeated domain {domain!r}")
+    mapping[domain] = value
 
 
 def _tsv_rows(path):

@@ -145,6 +145,18 @@ def sphere_distance_km(lat1, lon1, lat2, lon2, radius=6371.0088):
     return radius * math.atan2(num, den)
 
 
+def partition_authority(url):
+    """The documented authority rule, by ``str.partition``: the text after the
+    first ``://``, else after a leading ``//``, up to the next ``/``; empty
+    without either marker."""
+    _, sep, rest = url.partition("://")
+    if not sep:
+        if not url.startswith("//"):
+            return ""
+        rest = url[2:]
+    return rest.partition("/")[0]
+
+
 def urlsplit_hostname(url):
     """Hostname of an absolute URL as the standard library parses it, or ""."""
     return urlsplit(url).hostname or ""

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -6,12 +7,14 @@ from chronoscope.domains import (
     REJECT,
     TREAT_AS_2LEVEL,
     DomainKey,
+    authority_spans,
     default_policy,
     load_policy,
     parse_domain_key,
     parse_host_key,
     sld_label,
     SuffixPolicy,
+    url_authority,
 )
 from chronoscope.errors import (
     ChronoscopeError,
@@ -20,7 +23,7 @@ from chronoscope.errors import (
     PolicyFileError,
     UnknownSld,
 )
-from oracles import urlsplit_hostname
+from oracles import partition_authority, urlsplit_hostname
 
 POLICY = default_policy()
 
@@ -182,6 +185,33 @@ urls = st.builds(
 def test_matches_urlsplit_reference(url):
     expected = outcome(lambda: parse_host_key(urlsplit_hostname(url), POLICY))
     assert outcome(lambda: parse_domain_key(url, POLICY)) == expected
+
+
+URL_TEXT = st.text(alphabet=":/?@#a\u00fc", max_size=24)
+
+
+@given(url=URL_TEXT)
+def test_url_authority_is_the_partition_rule(url):
+    assert url_authority(url) == partition_authority(url)
+
+
+@given(urls=st.lists(URL_TEXT, min_size=1, max_size=6), separator=st.sampled_from(["", "\t"]))
+def test_authority_spans_cut_each_field_by_the_partition_rule(urls, separator):
+    # several fields in one buffer, back to back or tab-separated, so that a
+    # marker may start in one field and end in the next
+    raw = [url.encode() for url in urls]
+    data = separator.encode().join(raw)
+    starts, at = [], 0
+    for field in raw:
+        starts.append(at)
+        at += len(field) + len(separator)
+    starts = np.array(starts, np.int64)
+    stops = starts + np.array([len(field) for field in raw], np.int64)
+    lo, hi = authority_spans(np.frombuffer(data, np.uint8), starts, stops)
+    assert ((starts <= lo) & (lo <= hi) & (hi <= stops)).all()
+    assert [data[a:b].decode() for a, b in zip(lo.tolist(), hi.tolist())] == [
+        partition_authority(url) for url in urls
+    ]
 
 
 def test_policy_invariants():

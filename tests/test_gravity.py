@@ -10,6 +10,7 @@ from scipy import stats
 from chronoscope.errors import (
     DegenerateDesign,
     InsufficientData,
+    MalformedLine,
     MissingCoordinates,
     NonPositiveValue,
 )
@@ -378,3 +379,11 @@ def test_geo_file_roundtrip(tmp_path):
     path = tmp_path / "geo.tsv"
     write_geo_points(geo, path)
     assert read_geo_points(path) == geo
+
+
+def test_read_geo_points_rejects_a_repeated_domain(tmp_path):
+    path = tmp_path / "geo.tsv"
+    path.write_text("ox.ac.uk\t51.75\t-1.25\ncam.ac.uk\t52.2\t0.12\nox.ac.uk\t51.0\t-1.0\n")
+    with pytest.raises(MalformedLine) as err:
+        read_geo_points(path)
+    assert str(err.value) == f"{path}:3: repeated domain 'ox.ac.uk'"

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from chronoscope.domains import default_policy, parse_domain_key
+from chronoscope.domains import default_policy, parse_domain_key, parse_host_key
 from chronoscope.errors import (
     ChronoscopeError,
     MalformedLine,
@@ -27,7 +27,7 @@ from chronoscope.ingest import (
     years_of,
 )
 from chronoscope.snapshot import YearSnapshot, read_snapshot, write_snapshot
-from oracles import brute_ingest
+from oracles import brute_ingest, partition_authority
 from pools import RecordingPool
 
 POLICY = default_policy()
@@ -134,6 +134,19 @@ def test_sessionize_empty(tmp_path):
     assert result.summary == IngestSummary()
 
 
+def test_sessions_order_the_two_times_of_one_pair_of_seconds(tmp_path):
+    # each source has records at 2k and 2k+1, in either input order, and one
+    # exactly a gap after 2k+1: one session of three links each
+    base = utc(2004) + 10
+    rows = []
+    for k in range(20):
+        pair = [link(base + 1, f"s{k}.ac.uk"), link(base, f"s{k}.ac.uk")]
+        rows += pair[:: 1 if k % 2 else -1] + [link(base + 1001, f"s{k}.ac.uk")]
+    result = ingest_rows(tmp_path, rows, gap_seconds=1000)
+    assert result.summary.sessions == 20
+    assert set(dict(result.snapshots[2004].edges).values()) == {3}
+
+
 SOURCES = ["a.ac.uk", "b.co.uk"]
 TARGETS = ["c.ac.uk", "d.org.uk", "e.gov.uk"]
 
@@ -169,13 +182,25 @@ def test_sessionize_partitions_records(rows, gap, year_select):
 HOSTS = [
     "a.ac.uk", "WWW.B.CO.UK", "c.gov.uk:8080", "user@d.org.uk", "mail.a.ac.uk",
     "x.example.com", "y.zz.uk", "", "ac.uk", "bad..ac.uk",
+    "a-host-name-longer-than-forty-bytes.example.ac.uk", "a.ac.uk\x00",
 ]
+# URL forms on which urlsplit and the authority rule agree: "://" in the path
+# or query, a leading "//", no scheme, and multi-byte UTF-8 in the path
+URLS = [
+    "http://{}/p", "http://{}/p?u=http://a.ac.uk/", "http://{}/x://y", "//{}/p", "{}/p",
+    "http://{}/\u00fc\u20ac",
+]
+# int() takes a sign, spaces, "_" and non-ASCII digits; the 20- and 25-digit
+# times exceed int64 (the first reads as a 2003 time modulo 2**64)
+TIMES = st.integers(utc(2003) - 3_000, utc(2003) + 3_000) | st.sampled_from(
+    [-1, utc(2301), "+5", " 7", "1_0", "-0", "\u0663", str(2**64 + utc(2003)), "1" * 25]
+)
 LINE = st.one_of(
     st.builds(
-        lambda t, s, g: f"{t}\thttp://{s}/p\thttp://{g}/q".encode(),
-        st.integers(utc(2003) - 3_000, utc(2003) + 3_000) | st.sampled_from([-1, utc(2301)]),
-        st.sampled_from(HOSTS),
-        st.sampled_from(HOSTS),
+        lambda t, s, g: f"{t}\t{s}\t{g}".encode(),
+        TIMES,
+        st.builds(str.format, st.sampled_from(URLS), st.sampled_from(HOSTS)),
+        st.builds(str.format, st.sampled_from(URLS), st.sampled_from(HOSTS)),
     ),
     st.sampled_from(
         [
@@ -268,6 +293,58 @@ def test_non_utf8_line_is_malformed(tmp_path):
     with pytest.raises(MalformedLine) as err:
         ingest_links([path], POLICY, strict=True)
     assert str(err.value) == f"{path}:2: invalid UTF-8"
+
+
+@pytest.mark.parametrize(
+    "collide",
+    [
+        lambda words, lengths: np.zeros(len(lengths), np.uint64),
+        lambda words, lengths: lengths.astype(np.uint64),
+    ],
+    ids=["every-hash-equal", "hash-is-length"],
+)
+def test_colliding_authority_hashes_change_nothing(tmp_path, monkeypatch, collide):
+    # with colliding hashes each block groups its authorities exactly and each
+    # lookup walks the colliding table entries; small blocks make later blocks
+    # find most of their authorities in the table
+    rng = random.Random(11)
+    forms = ["http://{}/", "http://www.{}/a", "https://{}:8080/b", "//{}/c", "http://user@{}/"]
+    rows = [
+        (
+            utc(2003) + rng.randrange(50_000),
+            rng.choice(forms).format(f"s{rng.randrange(30)}.ac.uk"),
+            rng.choice(forms).format(f"t{rng.randrange(30)}.co.uk"),
+        )
+        for _ in range(600)
+    ]
+    rows += [
+        (utc(2003), "http://x.example.com/", "http://t1.co.uk/"),
+        (utc(2003), "http://bad..ac.uk/", "//t2.co.uk/c"),
+    ]
+    path = tmp_path / "links.tsv"
+    write_links(path, rows)
+
+    def run():
+        calls = collections.Counter()
+
+        def counted(host, policy):
+            calls[host] += 1
+            return parse_host_key(host, policy)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ingest, "parse_host_key", counted)
+            return ingest_links([path], POLICY), calls
+
+    reference, reference_calls = run()
+    monkeypatch.setattr(ingest, "_hash", collide)
+    monkeypatch.setattr(ingest, "_BLOCK_BYTES", 2048)
+    result, calls = run()
+    assert result.snapshots == reference.snapshots
+    assert result.summary == reference.summary
+    assert calls == reference_calls
+    # one range resolves each distinct authority once
+    authorities = {partition_authority(url) for row in rows for url in row[1:]}
+    assert sum(calls.values()) == len(authorities)
 
 
 # --- worker pool ---

@@ -338,6 +338,22 @@ def test_read_partition_and_ranking(tmp_path):
     assert read_node_list(nodes_file) == ["ox.ac.uk", "cam.ac.uk"]
 
 
+def test_read_partition_rejects_a_repeated_domain(tmp_path):
+    path = tmp_path / "groups.tsv"
+    path.write_text("ox.ac.uk\tg1\ncam.ac.uk\tg1\nox.ac.uk\tg2\n")
+    with pytest.raises(MalformedLine) as err:
+        read_partition(path)
+    assert str(err.value) == f"{path}:3: repeated domain 'ox.ac.uk'"
+
+
+def test_read_ranking_rejects_a_repeated_domain(tmp_path):
+    path = tmp_path / "league.tsv"
+    path.write_text("# league\nox.ac.uk\t1\nox.ac.uk\t1\n")
+    with pytest.raises(MalformedLine) as err:
+        read_ranking(path)
+    assert str(err.value) == f"{path}:3: repeated domain 'ox.ac.uk'"
+
+
 def test_write_outputs(tmp_path):
     table = centrality_suite(
         snap({("a.ac.uk", "b.ac.uk"): 2, ("b.ac.uk", "a.ac.uk"): 1}),

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import MalformedUrl, OutOfScopeTld, PolicyFileError, UnknownSld
+from .errors import MalformedUrl, OutOfScopeTld, PolicyFileError, UnknownSld, is_utf8
 
 # Unknown-SLD handling modes.
 REJECT = "reject"
@@ -85,7 +85,10 @@ def load_policy(path, unknown_sld: str = REJECT) -> SuffixPolicy:
     first non-comment line is the ccTLD and every following line one SLD.
     """
     entries = []
-    for raw in Path(path).read_text(encoding="utf-8").splitlines():
+    text = Path(path).read_text(encoding="utf-8", errors="surrogateescape")
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        if not is_utf8(raw):
+            raise PolicyFileError(f"{path}:{lineno}: invalid UTF-8")
         line = raw.split("#", 1)[0].strip().lower()
         if line:
             entries.append(line)

@@ -1,7 +1,8 @@
 """Exception types raised across the package.
 
 Everything derives from :class:`ChronoscopeError` so callers (notably the
-CLI) can treat any data/validation problem uniformly.
+CLI) can treat any data/validation problem uniformly.  The text readers
+share :func:`is_utf8` to name the line of an ``invalid UTF-8`` error.
 """
 
 
@@ -91,3 +92,15 @@ class DegenerateDesign(ChronoscopeError):
 
 class InvalidSpec(ChronoscopeError):
     """Generator parameters are missing or out of range."""
+
+
+# --- text input ---
+
+def is_utf8(text: str) -> bool:
+    """Whether ``text``, decoded with ``errors="surrogateescape"``, came from
+    valid UTF-8: only undecodable bytes turn into lone surrogates."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True

@@ -28,6 +28,7 @@ from .errors import (
     MissingCoordinates,
     NonPositiveValue,
 )
+from .metrics import _add_once, _tsv_rows
 from .snapshot import YearSnapshot, group_sums
 
 EARTH_RADIUS_KM = 6371.0088
@@ -256,21 +257,14 @@ def read_geo_points(path) -> dict[str, GeoPoint]:
     """Read ``third_level_domain<TAB>lat_degrees<TAB>lon_degrees`` lines, one per
     domain."""
     geo: dict[str, GeoPoint] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise MalformedLine(f"{path}:{lineno}: expected 3 fields")
-            try:
-                point = GeoPoint(float(parts[1]), float(parts[2]))
-            except ValueError as exc:
-                raise MalformedLine(f"{path}:{lineno}: {exc}") from None
-            if parts[0] in geo:
-                raise MalformedLine(f"{path}:{lineno}: repeated domain {parts[0]!r}")
-            geo[parts[0]] = point
+    for lineno, parts in _tsv_rows(path):
+        if len(parts) != 3:
+            raise MalformedLine(f"{path}:{lineno}: expected 3 fields")
+        try:
+            point = GeoPoint(float(parts[1]), float(parts[2]))
+        except ValueError as exc:
+            raise MalformedLine(f"{path}:{lineno}: {exc}") from None
+        _add_once(geo, parts[0], point, path, lineno)
     return geo
 
 

@@ -42,8 +42,11 @@ own file: a range's line numbers continue from the file's earlier ranges.
 
 Reduction.  The ranges' vocabularies merge into one sorted vocabulary, so a
 code's order is its name's order.  Each sort below is one numpy sort of
-int64 keys packed exactly from two columns.  The records are sorted by
-(source, time); a session starts where the source changes or the time steps
+64-bit keys that hold two columns exactly.  The records are sorted by
+(source, time) through the key ``source * _TIME_LIMIT + time``, exact for
+source codes below ``2**64 // _TIME_LIMIT`` (1,766,028,225, more names than
+fit in memory); the later keys put a session or group id above a 31-bit
+target code.  A session starts where the source changes or the time steps
 by more than ``gap_seconds``, and it belongs to the UTC year of its start.  A
 sort by (session, target) counts each session's links per target.  Sessions
 run in (source, start) order, so the (source, year) groups of sessions get
@@ -74,6 +77,7 @@ from .errors import (
     OutOfScopeTld,
     UnknownSld,
 )
+from .metrics import _add_once, _tsv_rows
 from .snapshot import YearSnapshot
 
 PER_PAIR_MAX = "per-pair-max"
@@ -170,23 +174,19 @@ class _ParsedRange:
 
 
 def read_node_pages(path) -> dict[int, dict[str, int]]:
-    """Read a ``year<TAB>third_level_domain<TAB>page_count`` file."""
+    """Read ``year<TAB>third_level_domain<TAB>page_count`` lines, one per
+    (year, domain)."""
     per_year: dict[int, dict[str, int]] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise MalformedLine(f"{path}:{lineno}: expected 3 fields")
-            try:
-                year, pages = int(parts[0]), int(parts[2])
-            except ValueError:
-                raise MalformedLine(f"{path}:{lineno}: non-integer field") from None
-            if pages < 0:
-                raise MalformedLine(f"{path}:{lineno}: negative page count")
-            per_year.setdefault(year, {})[parts[1]] = pages
+    for lineno, parts in _tsv_rows(path):
+        if len(parts) != 3 or not parts[1]:
+            raise MalformedLine(f"{path}:{lineno}: expected 'year<TAB>domain<TAB>pages'")
+        try:
+            year, pages = int(parts[0]), int(parts[2])
+        except ValueError:
+            raise MalformedLine(f"{path}:{lineno}: non-integer field") from None
+        if pages < 0:
+            raise MalformedLine(f"{path}:{lineno}: negative page count")
+        _add_once(per_year.setdefault(year, {}), parts[1], pages, path, lineno)
     return per_year
 
 
@@ -521,19 +521,11 @@ def _starts(*columns: np.ndarray) -> np.ndarray:
 
 def _by_source_time(source: np.ndarray, times: np.ndarray) -> np.ndarray:
     """The order of the records by (source, time)."""
-    # source << 33 | time >> 1 fits 64 bits for any int32 code and time
-    # below 2**34; records that share a key hold the times 2k and 2k+1 of
-    # one source, so each such run then sorts by the low bit of time
-    key = source.astype(np.uint64) << np.uint64(33) | (times >> 1).astype(np.uint64)
-    order = np.argsort(key)
-    key = key[order]
-    tied = np.flatnonzero(key[1:] == key[:-1])
-    if len(tied):
-        tied = np.union1d(tied, tied + 1)
-        run = np.cumsum(np.diff(key[tied], prepend=key[tied[0]]) != 0)
-        odd = times[order[tied]] & 1
-        order[tied] = order[tied][np.argsort(2 * run + odd)]
-    return order
+    # source * _TIME_LIMIT + time is exact below 2**64 // _TIME_LIMIT =
+    # 1,766,028,225 source codes; records with equal keys fall in one
+    # session, so their order does not matter
+    key = source.astype(np.uint64) * np.uint64(_TIME_LIMIT) + times.astype(np.uint64)
+    return np.argsort(key)
 
 
 def _reduce(

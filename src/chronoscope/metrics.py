@@ -21,6 +21,7 @@ from .errors import (
     LengthMismatch,
     MalformedLine,
     TooFewMembers,
+    is_utf8,
 )
 from .snapshot import YearSnapshot, group_sums
 
@@ -219,9 +220,14 @@ def _add_once(mapping: dict, domain: str, value, path, lineno: int) -> None:
 
 
 def _tsv_rows(path):
-    with open(path, encoding="utf-8") as fh:
+    """``(line number, tab-separated fields)`` of each line of a UTF-8 file
+    that is neither blank nor a ``#`` comment; a line that is not UTF-8 is a
+    MalformedLine."""
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.rstrip("\n")
+            if not is_utf8(line):
+                raise MalformedLine(f"{path}:{lineno}: invalid UTF-8")
             if not line or line.startswith("#"):
                 continue
             yield lineno, line.split("\t")

@@ -24,7 +24,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .errors import SnapshotFormatError
+from .errors import SnapshotFormatError, is_utf8
 
 _HEADER_PREFIX = "#snapshot v1 year="
 # edge weights and every sum of them must fit the int64 arrays
@@ -139,27 +139,43 @@ def write_snapshot(snapshot: YearSnapshot, path) -> None:
         )
 
 
+def _text_lines(path: Path, errors: str) -> tuple[str, list[str]]:
+    """A file's header line and its later lines, without the empty string
+    after a final line break, decoded as UTF-8 with ``errors``."""
+    with open(path, encoding="utf-8", errors=errors) as fh:
+        header = fh.readline().rstrip("\n")
+        lines = fh.read().split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    return header, lines
+
+
 def read_snapshot(path) -> YearSnapshot:
     """Read a snapshot file written by :func:`write_snapshot`.
 
     :class:`SnapshotFormatError` names ``path:line`` of the first bad line:
-    one without three tab-separated fields, else with a weight that is not an
-    integer, else whose edge :meth:`YearSnapshot.from_edges` would reject.
+    one that is not valid UTF-8, else without three tab-separated fields,
+    else with a weight that is not an integer, else whose edge
+    :meth:`YearSnapshot.from_edges` would reject.  Only a file that fails to
+    decode is read a second time, to find its first line that is not UTF-8.
     """
     path = Path(path)
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n")
-        if not header.startswith(_HEADER_PREFIX):
-            raise SnapshotFormatError(f"{path}: unsupported header {header!r}")
-        try:
-            year = int(header[len(_HEADER_PREFIX):])
-        except ValueError:
-            raise SnapshotFormatError(f"{path}: bad year in header {header!r}") from None
-        lines = fh.read().split("\n")
-    if lines[-1] == "":
-        lines.pop()
+    try:
+        header, lines = _text_lines(path, "strict")
+        end = len(lines)
+    except UnicodeDecodeError:
+        header, lines = _text_lines(path, "surrogateescape")
+        if not is_utf8(header):
+            raise SnapshotFormatError(f"{path}:1: invalid UTF-8") from None
+        end = next(i for i, line in enumerate(lines) if not is_utf8(line))
+    if not header.startswith(_HEADER_PREFIX):
+        raise SnapshotFormatError(f"{path}: unsupported header {header!r}")
+    try:
+        year = int(header[len(_HEADER_PREFIX):])
+    except ValueError:
+        raise SnapshotFormatError(f"{path}: bad year in header {header!r}") from None
     # each check reads only the lines before the failure found so far
-    failure, end = None, len(lines)
+    failure = None if end == len(lines) else (end, "invalid UTF-8")
     tabs = np.fromiter(map(str.count, lines, repeat("\t")), np.int64, end)
     if (wrong := np.flatnonzero(tabs != 2)).size:
         end = int(wrong[0])

@@ -160,10 +160,8 @@ def gen_gravity_graph(
     np.fill_diagonal(weights, 0.0)
     weights = np.rint(weights * (_MIN_WEIGHT / weights[off].min())).astype(np.int64)
     np.fill_diagonal(weights, 0)
-    edges = {
-        (nodes[i], nodes[j]): int(weights[i, j])
-        for i, j in zip(*np.nonzero(weights))
-    }
+    src, dst = np.nonzero(weights)
+    edges = dict(zip(_pairs(nodes, src, dst), weights[src, dst].tolist()))
     return YearSnapshot.from_edges(year, edges)
 
 
@@ -195,5 +193,10 @@ def gen_partitioned_graph(spec: SynthSpec, year: int = 2010) -> YearSnapshot:
     rng = default_rng(spec.seed)
     draw = rng.random((spec.n_nodes, spec.n_nodes)) < probs
     np.fill_diagonal(draw, False)
-    edges = {(nodes[i], nodes[j]): 1 for i, j in zip(*np.nonzero(draw))}
-    return YearSnapshot.from_edges(year, edges)
+    return YearSnapshot.from_edges(year, dict.fromkeys(_pairs(nodes, *np.nonzero(draw)), 1))
+
+
+def _pairs(nodes: list[str], src: np.ndarray, dst: np.ndarray):
+    """The ``(nodes[src[i]], nodes[dst[i]])`` pairs, without numpy scalars."""
+    name = nodes.__getitem__
+    return zip(map(name, src.tolist()), map(name, dst.tolist()))

@@ -361,6 +361,33 @@ def test_bad_year_writes_nothing_on_either_path(tmp_path, capsys, command):
 
 
 @pytest.mark.parametrize(
+    "command, name, kind",
+    [
+        ("stats", "snapshot_2010.tsv", "SnapshotFormatError"),
+        ("stats", "pages.tsv", "MalformedLine"),
+        ("stats", "my.policy", "PolicyFileError"),
+        ("centrality", "nodes.txt", "MalformedLine"),
+        ("correlate", "league.tsv", "MalformedLine"),
+        ("modularity", "groups.tsv", "MalformedLine"),
+        ("gravity", "geo.tsv", "MalformedLine"),
+    ],
+)
+def test_invalid_utf8_input_is_one_error_line(tmp_path, capsys, command, name, kind):
+    # line 2 of one input, after a \r\n break, starts with a Latin-1 byte
+    snaps = _snapshot_set(tmp_path)
+    policy = tmp_path / "my.policy"
+    policy.write_text("uk\nac.uk\nco.uk\n")
+    path = tmp_path / name
+    first, rest = path.read_bytes().split(b"\n", 1)
+    path.write_bytes(first + b"\r\n\xe9" + rest)
+    argv = [command, *snaps, *_options(tmp_path)[command], "--out-dir", tmp_path / "out"]
+    if name == "my.policy":
+        argv += ["--policy", policy]
+    assert run(*argv) == 1
+    assert capsys.readouterr().err == f"error: {kind}: {path}:2: invalid UTF-8\n"
+
+
+@pytest.mark.parametrize(
     "cores, files, floor, workers",
     [(1, 3, 1, 0), (2, 1, 1, 0), (2, 3, 1, 2), (3, 2, 1, 2), (5, 3, 1, 3), (2, 3, 1 << 30, 0)],
 )

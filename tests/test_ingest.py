@@ -147,6 +147,43 @@ def test_sessions_order_the_two_times_of_one_pair_of_seconds(tmp_path):
     assert set(dict(result.snapshots[2004].edges).values()) == {3}
 
 
+@pytest.mark.parametrize("year_select", [PER_PAIR_MAX, BEST_SESSION])
+def test_many_records_per_source_and_second(tmp_path, monkeypatch, year_select):
+    # a crawler stamps a page's out-links with one time: each source has
+    # hundreds of records at a few seconds of either parity, so most records
+    # share their (source, second) with others, and s0 also has the first
+    # and last accepted times.  base + 1001 stays in the first session only
+    # if base + 1 sorts after base.  The records are shuffled over three
+    # files cut into small ranges, read in small blocks.
+    rng = random.Random(1101)
+    base = utc(2006) + 10
+    seconds = [base, base + 1, base + 1001, base + 1002, base + 2600, base + 2601]
+    rows = []
+    for s in range(4):
+        times = seconds + ([0, ingest._TIME_LIMIT - 1] if s == 0 else [])
+        for _ in range(300):
+            rows.append(link(rng.choice(times), f"s{s}.ac.uk", f"t{rng.randrange(5)}.co.uk"))
+    rng.shuffle(rows)
+    paths = [tmp_path / f"links{k}.tsv" for k in range(3)]
+    ranges = []
+    for k, path in enumerate(paths):
+        write_links(path, rows[k::3])
+        data = path.read_bytes()
+        breaks = [i + 1 for i, byte in enumerate(data) if byte == ord("\n")]
+        bounds = [0, *breaks[49::50]]
+        ranges += [(path, a, b) for a, b in zip(bounds, bounds[1:])]
+        assert bounds[-1] == len(data)
+    data = b"".join(map(Path.read_bytes, paths))
+    best = year_select == BEST_SESSION
+    expected, summary, _ = brute_ingest(data, POLICY.registered_slds, 1000, best)
+    assert set(expected) == {1970, 2006, 2300}
+    monkeypatch.setattr(ingest, "_ranges", lambda paths, cores: ranges)
+    monkeypatch.setattr(ingest, "_BLOCK_BYTES", 1000)
+    result = ingest_links(paths, POLICY, 1000, year_select)
+    assert vars(result.summary) == summary
+    assert edges_by_year(result) == expected
+
+
 SOURCES = ["a.ac.uk", "b.co.uk"]
 TARGETS = ["c.ac.uk", "d.org.uk", "e.gov.uk"]
 
@@ -670,6 +707,24 @@ def test_read_node_pages_rejects_bad_rows(tmp_path):
     path.write_text("1996\tox.ac.uk\n", encoding="utf-8")
     with pytest.raises(MalformedLine):
         read_node_pages(path)
+
+
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        (
+            "2001\tox.ac.uk\t3\n2002\tox.ac.uk\t4\n2001\tox.ac.uk\t5\n",
+            "3: repeated domain 'ox.ac.uk'",
+        ),
+        ("2001\tox.ac.uk\t3\n2001\t\t4\n", "2: expected 'year<TAB>domain<TAB>pages'"),
+    ],
+)
+def test_read_node_pages_rejects_repeated_and_empty_domains(tmp_path, text, error):
+    path = tmp_path / "pages.tsv"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(MalformedLine) as err:
+        read_node_pages(path)
+    assert str(err.value) == f"{path}:{error}"
 
 
 def test_session_year_boundary(tmp_path):

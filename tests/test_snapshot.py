@@ -131,3 +131,20 @@ def test_first_bad_line_is_named(tmp_path_factory, edges, kind, at):
     path.write_text("#snapshot v1 year=2010\n" + "\n".join(lines) + "\n", encoding="utf-8")
     with pytest.raises(SnapshotFormatError, match=re.escape(f"{path}:{i + 2}: ")):
         read_snapshot(path)
+
+
+@pytest.mark.parametrize("utf8_line, other_line", [(2, 4), (4, 2), (1, 3)])
+def test_invalid_utf8_is_a_bad_line_in_file_order(tmp_path, utf8_line, other_line):
+    # of a line that is not UTF-8 and a line with a bad weight, the first
+    # one names the file's error; line 1 is the header
+    lines = ["#snapshot v1 year=2010"] + [f"n{i}.ac.uk\tn{i + 1}.ac.uk\t{i + 1}" for i in range(4)]
+    lines[other_line - 1] += "x"
+    data = "\r\n".join(lines).encode() + b"\n"
+    bad = data.split(b"\n")
+    bad[utf8_line - 1] = bad[utf8_line - 1].replace(b"n", b"\xe9", 1)
+    path = tmp_path / "snapshot_2010.tsv"
+    path.write_bytes(b"\n".join(bad))
+    first = min(utf8_line, other_line)
+    reason = "invalid UTF-8" if first == utf8_line else "bad weight"
+    with pytest.raises(SnapshotFormatError, match=re.escape(f"{path}:{first}: {reason}")):
+        read_snapshot(path)

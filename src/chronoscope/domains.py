@@ -9,7 +9,6 @@ country-code TLD is in scope and which second-level domains (``ac.uk``,
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -83,15 +82,16 @@ def load_policy(path, unknown_sld: str = REJECT) -> SuffixPolicy:
 
     Format: UTF-8 text, ``#`` starts a comment, blank lines ignored; the
     first non-comment line is the ccTLD and every following line one SLD.
+    ``\\n``, ``\\r\\n`` and a lone ``\\r`` end a line, as in every other input.
     """
     entries = []
-    text = Path(path).read_text(encoding="utf-8", errors="surrogateescape")
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        if not is_utf8(raw):
-            raise PolicyFileError(f"{path}:{lineno}: invalid UTF-8")
-        line = raw.split("#", 1)[0].strip().lower()
-        if line:
-            entries.append(line)
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            if not is_utf8(raw):
+                raise PolicyFileError(f"{path}:{lineno}: invalid UTF-8")
+            line = raw.split("#", 1)[0].strip().lower()
+            if line:
+                entries.append(line)
     if len(entries) < 2:
         raise PolicyFileError(f"{path}: need a ccTLD line and at least one SLD")
     return SuffixPolicy(entries[0], frozenset(entries[1:]), unknown_sld)

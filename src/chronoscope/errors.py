@@ -2,7 +2,9 @@
 
 Everything derives from :class:`ChronoscopeError` so callers (notably the
 CLI) can treat any data/validation problem uniformly.  The text readers
-share :func:`is_utf8` to name the line of an ``invalid UTF-8`` error.
+that decode line by line share :func:`is_utf8` to name the line of an
+``invalid UTF-8`` error; the byte-level readers use
+``bytefields.utf8_lines``.
 """
 
 

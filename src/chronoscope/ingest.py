@@ -12,20 +12,21 @@ year produced.
 Parsing.  Each input file is cut into byte ranges that end at a ``\\n`` (or
 at the end of the file), and one function parses a range.  It reads the
 range in blocks of a few MB, each ending at a line break, and scans a block's
-bytes with numpy instead of making Python objects per line:
+bytes with numpy through ``bytefields``, the byte-field layer that
+``snapshot.read_snapshot`` reads its files with too:
 
-- the tabs and line breaks give each line's fields; a line without exactly
-  two tabs is malformed, and so is a line that is not valid UTF-8 (one
-  decode per block finds out, then line by line only in a block that fails);
-- a time field of 1 to 18 ASCII digits is read with digit arithmetic, any
-  other text with ``int()``, one field at a time;
+- ``bytefields.lines`` gives each line's fields; a line without exactly two
+  tabs is malformed, and so is a line that is not valid UTF-8
+  (``bytefields.utf8_lines``: one decode per block, then line by line only
+  in a block that fails);
+- ``bytefields.integers`` reads the time fields as ``int()`` does: 1 to 18
+  ASCII digits with digit arithmetic, any other text with ``int()``, one
+  field at a time;
 - ``domains.authority_spans`` gives each URL's authority as a byte span;
-- each authority becomes a key of little-endian words plus its length (the
-  word count rounded up to a power of two), and the keys are hashed, grouped
-  per block and looked up in the range's table of resolved authorities of
-  that word count, each group verified word by word (a hash collision falls
-  back to an exact grouping).  Only authorities new to the range are decoded
-  and resolved to a third-level domain, once each.
+- the range's ``bytefields.Interner`` gives each distinct authority a code,
+  hashing word keys and verifying each hash group word by word, and decodes
+  the authorities new to the range in one batch; each is resolved to a
+  third-level domain once.
 
 The skip accounting then follows from masks over the block's lines: a
 malformed line first, then the source URL, then the target, then a self-link.
@@ -68,7 +69,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from . import parallel
+from . import bytefields, parallel
 from .domains import SuffixPolicy, authority_host, authority_spans, parse_host_key
 from .errors import (
     ChronoscopeError,
@@ -98,20 +99,10 @@ _TIME_LIMIT = int(_YEAR_BOUNDS[-1])
 # a range is read in blocks of this many bytes (plus a partial last line)
 _BLOCK_BYTES = 4 << 20
 
-# host codes of the skipped-URL kinds, and of an authority not yet resolved;
-# codes >= 0 index a vocabulary
-_MALFORMED_URL, _OUT_OF_SCOPE, _UNKNOWN_SLD, _UNSEEN = -1, -2, -3, -4
+# host codes of the skipped-URL kinds; codes >= 0 index a vocabulary
+_MALFORMED_URL, _OUT_OF_SCOPE, _UNKNOWN_SLD = -1, -2, -3
 # the reduction packs an int32 code into the low 31 bits of an int64 key
 _CODE_MASK = (1 << 31) - 1
-
-_TAB, _NEWLINE = 9, 10
-# the longest time field read with numpy digit arithmetic: 10**18 < 2**63
-_DIGITS = 18
-# authority keys take a power-of-two number of words
-_POWERS_OF_TWO = 1 << np.arange(63, dtype=np.int64)
-# _BYTE_MASKS[k] keeps the low k bytes of a little-endian word
-_BYTE_MASKS = np.array([(1 << 8 * k) - 1 for k in range(9)], np.uint64)
-_HASH_MULTIPLIER = np.uint64(0x9E3779B97F4A7C15)
 
 
 def years_of(times: np.ndarray) -> np.ndarray:
@@ -224,161 +215,9 @@ def _blocks(path, start: int, stop: int) -> Iterator[bytes]:
                 # end at the last line break; a final \r may start a \r\n
                 cut = max(block.rfind(b"\n"), block.rfind(b"\r", 0, -1)) + 1
                 block, carry = block[:cut], block[cut:]
-            if b"\r" in block:
-                block = block.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-            yield block
+            yield bytefields.universal_newlines(block)
             if last:
                 return
-
-
-def _utf8_lines(block: bytes, begins: np.ndarray, ends: np.ndarray) -> np.ndarray:
-    """Whether each line ``block[begins[i]:ends[i]]`` is valid UTF-8."""
-    valid = np.ones(len(begins), bool)
-    try:
-        block.decode("utf-8")
-    except UnicodeDecodeError:
-        for i, (begin, end) in enumerate(zip(begins.tolist(), ends.tolist())):
-            try:
-                block[begin:end].decode("utf-8")
-            except UnicodeDecodeError:
-                valid[i] = False
-    return valid
-
-
-def _times(block: bytes, data: np.ndarray, begins: np.ndarray, stops: np.ndarray):
-    """``int()`` of the time fields ``block[begins[i]:stops[i]]`` and whether
-    each is a time in ``[0, _TIME_LIMIT)``.
-
-    Fields of 1 to ``_DIGITS`` ASCII digits are read with numpy; any other
-    text (a sign, spaces, ``_``, other digits, longer runs) goes through
-    ``int()`` one field at a time.
-    """
-    size = stops - begins
-    value = np.full(len(size), -1, np.int64)
-    fast = np.flatnonzero((size >= 1) & (size <= _DIGITS))
-    if len(fast):
-        # right-aligned digit columns, the bytes before a field zeroed
-        width = int(size[fast].max())
-        columns = np.arange(width)
-        digits = data.take(stops[fast, None] - width + columns, mode="clip") - np.uint8(48)
-        digits *= columns >= width - size[fast, None]
-        numeric = (digits <= 9).all(axis=1)  # the uint8 difference wraps below '0'
-        fast = fast[numeric]
-        number = np.zeros(len(fast), np.int64)
-        for column in digits[numeric].T:
-            number = number * 10 + column
-        value[fast] = number
-    slow = np.ones(len(size), bool)
-    slow[fast] = False
-    for i in np.flatnonzero(slow).tolist():
-        try:
-            number = int(block[begins[i] : stops[i]].decode("utf-8"))
-        except ValueError:
-            continue
-        if 0 <= number < _TIME_LIMIT:
-            value[i] = number
-    return value, (value >= 0) & (value < _TIME_LIMIT)
-
-
-def _hash(words: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """A uint64 hash of each key row ``(words[i], lengths[i])``."""
-    h = lengths.astype(np.uint64)
-    for column in words.T:
-        h = (h ^ column) * _HASH_MULTIPLIER
-        h ^= h >> np.uint64(29)
-    return h
-
-
-class _AuthorityTable:
-    """A range's resolved authorities of one key width: hash-sorted key rows
-    (hash, ``width`` little-endian words, byte length) and their host codes."""
-
-    def __init__(self, width: int):
-        self.hashes = np.empty(0, np.uint64)
-        self.words = np.empty((0, width), np.uint64)
-        self.lengths = np.empty(0, np.int64)
-        self.codes = np.empty(0, np.int32)
-
-    def find(self, hashes, words, lengths) -> np.ndarray:
-        """The codes of the keys, ``_UNSEEN`` for a key not in the table."""
-        codes = np.full(len(hashes), _UNSEEN, np.int32)
-        # compare each key with the table entries of its hash in turn: one
-        # step unless hashes collide
-        at = np.searchsorted(self.hashes, hashes)
-        todo = np.flatnonzero(at < len(self.hashes))
-        at = at[todo]
-        while len(todo):
-            hit = self.hashes[at] == hashes[todo]
-            todo, at = todo[hit], at[hit]
-            same = (self.lengths[at] == lengths[todo]) & (self.words[at] == words[todo]).all(axis=1)
-            codes[todo[same]] = self.codes[at[same]]
-            at += 1
-            left = ~same & (at < len(self.hashes))
-            todo, at = todo[left], at[left]
-        return codes
-
-    def add(self, hashes, words, lengths, codes) -> None:
-        """Enter keys that the table does not hold, with their codes."""
-        order = np.argsort(hashes)
-        at = np.searchsorted(self.hashes, hashes[order])
-        self.hashes = np.insert(self.hashes, at, hashes[order])
-        self.words = np.insert(self.words, at, words[order], axis=0)
-        self.lengths = np.insert(self.lengths, at, lengths[order])
-        self.codes = np.insert(self.codes, at, codes[order])
-
-
-def _authority_codes(
-    block: bytes, lo: np.ndarray, hi: np.ndarray, tables: dict[int, _AuthorityTable], resolve
-) -> np.ndarray:
-    """Host codes of the authorities ``block[lo[i]:hi[i]]``; ``resolve`` sees
-    each distinct authority that ``tables`` do not yet hold, once.
-
-    Each authority is a key of little-endian words, read from any byte offset
-    with the bytes past its length masked off; the length stays part of the
-    key because NUL is valid UTF-8.  The word count is rounded up to a power
-    of two, so a key takes at most about twice its own bytes however long
-    other authorities are, and equal keys share a width and its table.
-    """
-    lengths = hi - lo
-    widths = _POWERS_OF_TWO[np.searchsorted(_POWERS_OF_TWO, -(-lengths // 8))]
-    padded = block + bytes(8 * int(widths.max(initial=1)))
-    loads = np.ndarray((len(padded) - 7,), "<u8", padded, strides=(1,))
-    codes = np.empty(len(lo), np.int32)
-    for width in np.unique(widths).tolist():
-        keys = np.flatnonzero(widths == width)
-        if width not in tables:
-            tables[width] = _AuthorityTable(width)
-        offsets = 8 * np.arange(width)
-        words = loads[lo[keys, None] + offsets]
-        words &= _BYTE_MASKS[np.clip(lengths[keys, None] - offsets, 0, 8)]
-        codes[keys] = _key_codes(block, lo[keys], lengths[keys], words, tables[width], resolve)
-    return codes
-
-
-def _key_codes(block: bytes, lo, lengths, words, table: _AuthorityTable, resolve) -> np.ndarray:
-    """Host codes of the keys ``(words[i], lengths[i])`` of the authorities at
-    ``block[lo[i]:]``."""
-    hashes = _hash(words, lengths)
-    order = np.argsort(hashes)
-    new = _new_groups(hashes[order])
-    first = order[new]  # one member per distinct hash
-    inverse = np.empty_like(order)
-    inverse[order] = np.cumsum(new) - 1
-    rep = first[inverse]
-    if not ((lengths[rep] == lengths) & (words[rep] == words).all(axis=1)).all():
-        # two authorities share a hash: group the keys exactly
-        rows = np.column_stack((lengths.astype(np.uint64), words))
-        _, first, inverse = np.unique(rows, axis=0, return_index=True, return_inverse=True)
-    codes = table.find(hashes[first], words[first], lengths[first])
-    unseen = np.flatnonzero(codes == _UNSEEN)
-    if len(unseen):
-        at = first[unseen]
-        codes[unseen] = [
-            resolve(block[a : a + n].decode("utf-8"))
-            for a, n in zip(lo[at].tolist(), lengths[at].tolist())
-        ]
-        table.add(hashes[at], words[at], lengths[at], codes[unseen])
-    return codes[inverse.reshape(-1)]
 
 
 def _third_level(authority: str, policy: SuffixPolicy) -> str:
@@ -409,12 +248,19 @@ def _parse_range(path, start: int, stop: int, policy: SuffixPolicy, strict: bool
             names.append(name)
         return code
 
-    tables: dict[int, _AuthorityTable] = {}  # by key width
+    # each distinct authority of the range is interned, and resolved once
+    interner, hosts = bytefields.Interner(), array("i")
+
+    def host_codes(block: bytes, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        codes, new = interner.intern(block, lo, hi)
+        hosts.extend(map(resolve, new))
+        return np.frombuffer(hosts, np.intc)[codes]
+
     summary = IngestSummary()
     times, sources, targets = array("q"), array("i"), array("i")
     error = None
     for block in _blocks(path, start, stop):
-        counts, records, problem = _parse_block(block, tables, resolve, policy, strict)
+        counts, records, problem = _parse_block(block, host_codes, policy, strict)
         if problem is not None:
             error = (summary.lines + problem[0], problem[1])
             break
@@ -432,26 +278,21 @@ def _parse_range(path, start: int, stop: int, policy: SuffixPolicy, strict: bool
     )
 
 
-def _parse_block(
-    block: bytes, tables: dict[int, _AuthorityTable], resolve, policy: SuffixPolicy, strict: bool
-):
+def _parse_block(block: bytes, host_codes, policy: SuffixPolicy, strict: bool):
     """The line accounting and records of one block, or in strict mode its
-    first problem as ``(line index in the block, exception)``."""
-    data = np.frombuffer(block, np.uint8)
-    ends = np.flatnonzero(data == _NEWLINE)
-    if block and block[-1] != _NEWLINE:
-        ends = np.append(ends, len(block))
-    begins = np.append(0, ends[:-1] + 1)[: len(ends)]
-    tabs = np.flatnonzero(data == _TAB)
-    first_tab = np.searchsorted(tabs, begins)
-    three_fields = np.searchsorted(tabs, ends) - first_tab == 2
-    utf8 = _utf8_lines(block, begins, ends)
+    first problem as ``(line index in the block, exception)``;
+    ``host_codes(block, lo, hi)`` gives the host codes of authority spans."""
+    lines = bytefields.lines(block)
+    begins, ends = lines.begins, lines.ends
+    three_fields = lines.tab_counts == 2
+    utf8 = bytefields.utf8_lines(block, begins, ends)
     line = np.flatnonzero(utf8 & three_fields)
-    tab1, tab2 = tabs[first_tab[line]], tabs[first_tab[line] + 1]
-    time, valid_time = _times(block, data, begins[line], tab1)
+    tab1, tab2 = lines.tab(line, 0), lines.tab(line, 1)
+    time, fits = bytefields.integers(block, lines.data, begins[line], tab1)
+    valid_time = fits & (time >= 0) & (time < _TIME_LIMIT)
     line, tab1, tab2, time = line[valid_time], tab1[valid_time], tab2[valid_time], time[valid_time]
-    lo, hi = authority_spans(data, np.append(tab1, tab2) + 1, np.append(tab2, ends[line]))
-    codes = _authority_codes(block, lo, hi, tables, resolve)
+    lo, hi = authority_spans(lines.data, np.append(tab1, tab2) + 1, np.append(tab2, ends[line]))
+    codes = host_codes(block, lo, hi)
     source, target = codes[: len(line)], codes[len(line) :]
     skipped_source = source < 0
     skipped_target = ~skipped_source & (target < 0)
@@ -466,7 +307,7 @@ def _parse_block(
         if len(problems):
             i = int(problems[0])
             if malformed[i]:
-                tab = int(tabs[first_tab[i]]) if three_fields[i] else -1
+                tab = int(lines.tab(i, 0)) if three_fields[i] else -1
                 return None, None, (i, _line_problem(block, int(begins[i]), tab, bool(utf8[i])))
             j = int(np.searchsorted(line, i))
             j += 0 if source[j] == _MALFORMED_URL else len(line)

@@ -12,19 +12,28 @@ Edges are emitted sorted by source then target, so writing the same snapshot
 twice produces byte-identical files.  Each edge joins two distinct non-empty
 names with a weight of at least 1, and each (source, target) pair occurs
 once: a file that repeats a pair is rejected, not read as its last line.
+These edge rules are one validator on the integer columns, which
+:meth:`YearSnapshot.from_edges` and :func:`read_snapshot` share.
+
+:func:`read_snapshot` reads a file's bytes once and scans them with numpy
+through :mod:`chronoscope.bytefields`, the byte-field layer that the link-log
+parse in :mod:`chronoscope.ingest` uses too: the line and tab structure, one
+UTF-8 decode of the whole file, weights read exactly as ``int()`` reads
+them, and one interning of both name columns, which decodes each distinct
+name once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
 from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Mapping
 
 import numpy as np
 
-from .errors import SnapshotFormatError, is_utf8
+from . import bytefields
+from .errors import SnapshotFormatError
 
 _HEADER_PREFIX = "#snapshot v1 year="
 # edge weights and every sum of them must fit the int64 arrays
@@ -58,8 +67,18 @@ class YearSnapshot:
     @classmethod
     def from_edges(cls, year: int, edges: Mapping[tuple[str, str], int]) -> "YearSnapshot":
         """The snapshot of ``(source, target) -> weight``; ValueError on a bad edge."""
-        sources, targets = map(itemgetter(0), edges), map(itemgetter(1), edges)
-        return _from_columns(year, list(sources), list(targets), list(edges.values()))
+        sources, targets = list(map(itemgetter(0), edges)), list(map(itemgetter(1), edges))
+        nodes = tuple(sorted(set(sources).union(targets)))
+        code = dict(zip(nodes, range(len(nodes))))
+        m = len(edges)
+        src = np.fromiter(map(code.__getitem__, sources), np.int64, m)
+        dst = np.fromiter(map(code.__getitem__, targets), np.int64, m)
+        try:
+            weight, heavy = np.fromiter(edges.values(), np.int64, m), False
+        except OverflowError:  # beyond int64: clipped, and always rejected
+            heavy = any(w > MAX_TOTAL_WEIGHT for w in edges.values())
+            weight = np.array([min(max(w, -1), MAX_TOTAL_WEIGHT) for w in edges.values()], np.int64)
+        return _checked(year, nodes, src, dst, weight, heavy)
 
     def __eq__(self, other):
         if not isinstance(other, YearSnapshot):
@@ -96,21 +115,18 @@ def group_sums(groups: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
     return sums
 
 
-def _from_columns(year: int, sources: list, targets: list, weights: list) -> YearSnapshot:
-    """The snapshot of edges ``sources[i] -> targets[i]`` of ``weights[i]``.
+def _checked(
+    year: int, nodes: tuple[str, ...], src: np.ndarray, dst: np.ndarray, weight: np.ndarray,
+    heavy: bool,
+) -> YearSnapshot:
+    """The snapshot of edges ``nodes[src[i]] -> nodes[dst[i]]`` of
+    ``weight[i]`` over the sorted ``nodes``: the one set of edge rules.
 
     Raises ValueError at the first edge with a weight below 1, equal or empty
-    endpoints, or a repeated pair, else if the weights exceed ``MAX_TOTAL_WEIGHT``.
+    endpoints, or a repeated pair, else if the weights sum to more than
+    ``MAX_TOTAL_WEIGHT``; ``heavy`` says that a weight beyond int64 was
+    clipped to it, so that the sum is too large.
     """
-    nodes = tuple(sorted(set(sources).union(targets)))
-    code = dict(zip(nodes, range(len(nodes))))
-    m = len(sources)
-    src = np.fromiter(map(code.__getitem__, sources), np.int64, m)
-    dst = np.fromiter(map(code.__getitem__, targets), np.int64, m)
-    try:
-        weight = np.fromiter(weights, np.int64, m)
-    except OverflowError:  # beyond int64: checked as Python ints, and always rejected
-        weight = np.array(weights, dtype=object)
     pair = src * len(nodes) + dst
     order = np.argsort(pair, kind="stable")  # a repeated pair keeps its input order
     pair, src, dst, weight = pair[order], src[order], dst[order], weight[order]
@@ -124,7 +140,8 @@ def _from_columns(year: int, sources: list, targets: list, weights: list) -> Yea
         reason = "invalid edge record" if invalid[first] else "duplicate edge record"
         raise _BadEdge(int(order[first]), reason)
     # exact for up to 2^31 edges: each half sums without wrapping
-    if (int((weight >> 32).sum()) << 32) + int((weight & 0xFFFFFFFF).sum()) > MAX_TOTAL_WEIGHT:
+    total = (int((weight >> 32).sum()) << 32) + int((weight & 0xFFFFFFFF).sum())
+    if heavy or total > MAX_TOTAL_WEIGHT:
         raise _BadEdge(None, f"edge weights sum to more than {MAX_TOTAL_WEIGHT}")
     return YearSnapshot(year, nodes, src, dst, weight)
 
@@ -139,61 +156,79 @@ def write_snapshot(snapshot: YearSnapshot, path) -> None:
         )
 
 
-def _text_lines(path: Path, errors: str) -> tuple[str, list[str]]:
-    """A file's header line and its later lines, without the empty string
-    after a final line break, decoded as UTF-8 with ``errors``."""
-    with open(path, encoding="utf-8", errors=errors) as fh:
-        header = fh.readline().rstrip("\n")
-        lines = fh.read().split("\n")
-    if lines[-1] == "":
-        lines.pop()
-    return header, lines
+def _interned(block: bytes, lo: np.ndarray, hi: np.ndarray) -> tuple[tuple[str, ...], np.ndarray]:
+    """The sorted distinct names ``block[lo[i]:hi[i]]``, and each one's index
+    into them."""
+    # codes follow first occurrence: a written file's sources come sorted,
+    # and the sort runs through them fast
+    codes, names = bytefields.Interner().intern(block, lo, hi)
+    order = sorted(range(len(names)), key=names.__getitem__)
+    rank = np.empty(len(names), np.int64)
+    rank[np.fromiter(order, np.intp, len(order))] = np.arange(len(names))
+    return tuple(map(names.__getitem__, order)), rank[codes]
 
 
 def read_snapshot(path) -> YearSnapshot:
     """Read a snapshot file written by :func:`write_snapshot`.
 
+    The file is read once and its bytes are scanned with numpy
+    (:mod:`chronoscope.bytefields`): ``\\r\\n`` and a lone ``\\r`` end a line as
+    ``\\n`` does, one decode checks the whole file for UTF-8, the weights are
+    read as ``int()`` reads them, and only the distinct names are decoded,
+    all in one batch.
+
     :class:`SnapshotFormatError` names ``path:line`` of the first bad line:
     one that is not valid UTF-8, else without three tab-separated fields,
     else with a weight that is not an integer, else whose edge
-    :meth:`YearSnapshot.from_edges` would reject.  Only a file that fails to
-    decode is read a second time, to find its first line that is not UTF-8.
+    :meth:`YearSnapshot.from_edges` would reject.  A header that is not
+    UTF-8 is ``path:1``; one without ``#snapshot v1 year=`` and an integer
+    year names ``path``, as a total weight beyond ``MAX_TOTAL_WEIGHT`` does
+    when no line is bad.  Each check runs on the whole file at once, and a
+    failure is located line by line only when its check fails.
     """
     path = Path(path)
-    try:
-        header, lines = _text_lines(path, "strict")
-        end = len(lines)
-    except UnicodeDecodeError:
-        header, lines = _text_lines(path, "surrogateescape")
-        if not is_utf8(header):
-            raise SnapshotFormatError(f"{path}:1: invalid UTF-8") from None
-        end = next(i for i, line in enumerate(lines) if not is_utf8(line))
+    block = bytefields.universal_newlines(path.read_bytes())
+    lines = bytefields.lines(block)
+    utf8 = bytefields.utf8_lines(block, lines.begins, lines.ends)
+    if not utf8[:1].all():
+        raise SnapshotFormatError(f"{path}:1: invalid UTF-8")
+    header = block[: lines.ends[0]].decode("utf-8") if len(lines.ends) else ""
     if not header.startswith(_HEADER_PREFIX):
         raise SnapshotFormatError(f"{path}: unsupported header {header!r}")
     try:
         year = int(header[len(_HEADER_PREFIX):])
     except ValueError:
         raise SnapshotFormatError(f"{path}: bad year in header {header!r}") from None
-    # each check reads only the lines before the failure found so far
-    failure = None if end == len(lines) else (end, "invalid UTF-8")
-    tabs = np.fromiter(map(str.count, lines, repeat("\t")), np.int64, end)
-    if (wrong := np.flatnonzero(tabs != 2)).size:
-        end = int(wrong[0])
+
+    # the edge lines, as indices into ``lines``; each check reads only the
+    # lines before the failure found so far
+    failure, end = None, len(utf8) - 1
+    if not utf8.all():
+        end = int(np.argmin(utf8)) - 1
+        failure = (end, "invalid UTF-8")
+    if not (three := lines.tab_counts[1 : end + 1] == 2).all():
+        end = int(np.argmin(three))
         failure = (end, "expected 3 fields")
-    fields = "\t".join(lines[:end]).split("\t") if end else []
-    texts = fields[2::3]
+    line = np.arange(1, end + 1)
+    tab1, tab2, stop = lines.tab(line, 0), lines.tab(line, 1), lines.ends[line]
+    weight, fits = bytefields.integers(block, lines.data, tab2 + 1, stop)
+    heavy = False  # a weight beyond int64
+    for i in np.flatnonzero(~fits).tolist():
+        text = block[tab2[i] + 1 : stop[i]].decode("utf-8")
+        try:
+            number = int(text)
+        except ValueError:
+            end, failure = i, (i, f"bad weight {text!r}")
+            break
+        heavy |= number > 0
+        weight[i] = MAX_TOTAL_WEIGHT if number > 0 else -1
+    nodes, codes = _interned(
+        block,
+        np.concatenate((lines.begins[line[:end]], tab1[:end] + 1)),
+        np.concatenate((tab1[:end], tab2[:end])),
+    )
     try:
-        weights = list(map(int, texts))
-    except ValueError:
-        for end, text in enumerate(texts):  # stops at the first that int() rejects
-            try:
-                int(text)
-            except ValueError:
-                break
-        failure = (end, f"bad weight {texts[end]!r}")
-        weights = list(map(int, texts[:end]))
-    try:
-        snapshot = _from_columns(year, fields[0 : 3 * end : 3], fields[1 : 3 * end : 3], weights)
+        snapshot = _checked(year, nodes, codes[:end], codes[end:], weight[:end], heavy)
     except _BadEdge as exc:
         if exc.index is not None or failure is None:
             failure = (exc.index, str(exc))

@@ -256,3 +256,59 @@ def brute_ingest(data, registered, gap_seconds, best_session=False):
             edges = snapshots.setdefault(year, {})
             edges.update(((source, target), count) for target, count in counts.items())
     return snapshots, dict(summary), first_error
+
+
+def plain_snapshot(data, path):
+    """Read snapshot file bytes line by line: ``(year, {(source, target):
+    weight})``, or raise ValueError with the reader's message.
+
+    The standard library's text layer splits the lines (universal newlines)
+    and marks undecodable bytes as surrogate escapes.  The first line is the
+    header ``#snapshot v1 year=<int>``.  The first later line that breaks a
+    rule names the error, with the first rule it breaks: valid UTF-8, three
+    tab-separated fields, a weight that ``int()`` reads, then an edge of two
+    distinct non-empty names with a weight of at least 1, then a pair not
+    seen on an earlier line.  Only a file without a bad line can fail on its
+    total weight, above 2**63 - 1.
+    """
+    text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors="surrogateescape")
+    lines = [line[:-1] if line.endswith("\n") else line for line in text]
+    header = lines[0] if lines else ""
+
+    def utf8(line):
+        return not any("\udc80" <= c <= "\udcff" for c in line)
+
+    if not utf8(header):
+        raise ValueError(f"{path}:1: invalid UTF-8")
+    prefix = "#snapshot v1 year="
+    if not header.startswith(prefix):
+        raise ValueError(f"{path}: unsupported header {header!r}")
+    try:
+        year = int(header[len(prefix):])
+    except ValueError:
+        raise ValueError(f"{path}: bad year in header {header!r}") from None
+    edges = {}
+    for number, line in enumerate(lines[1:], start=2):
+        fields = line.split("\t")
+        if not utf8(line):
+            reason = "invalid UTF-8"
+        elif len(fields) != 3:
+            reason = "expected 3 fields"
+        else:
+            source, target, weight = fields
+            try:
+                weight = int(weight)
+            except ValueError:
+                reason = f"bad weight {weight!r}"
+            else:
+                if weight < 1 or source == target or not source or not target:
+                    reason = "invalid edge record"
+                elif (source, target) in edges:
+                    reason = "duplicate edge record"
+                else:
+                    edges[(source, target)] = weight
+                    continue
+        raise ValueError(f"{path}:{number}: {reason}")
+    if sum(edges.values()) > 2**63 - 1:
+        raise ValueError(f"{path}: edge weights sum to more than {2**63 - 1}")
+    return year, edges

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -230,6 +232,18 @@ def test_load_policy(tmp_path):
     assert policy.cctld == "uk"
     assert policy.registered_slds == frozenset({"ac.uk", "co.uk"})
     assert policy.unknown_sld == REJECT
+
+
+@pytest.mark.parametrize("brk", ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"])
+def test_policy_lines_end_only_at_line_breaks(tmp_path, brk):
+    # \n, \r\n and a lone \r end a policy line, as in every other input;
+    # other characters that str.splitlines breaks at stay inside the line
+    path = tmp_path / "uk.policy"
+    path.write_bytes(f"uk\r\nac.uk{brk}co.uk\rgov.uk\n".encode())
+    assert load_policy(path).registered_slds == frozenset({f"ac.uk{brk}co.uk", "gov.uk"})
+    path.write_bytes(f"uk{brk}\nac.uk\n".encode() + b"\xff\n")
+    with pytest.raises(PolicyFileError, match=re.escape(f"{path}:3: invalid UTF-8")):
+        load_policy(path)
 
 
 def test_load_policy_requires_slds(tmp_path):

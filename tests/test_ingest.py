@@ -17,7 +17,7 @@ from chronoscope.errors import (
     MalformedUrl,
     SnapshotFormatError,
 )
-from chronoscope import ingest, parallel
+from chronoscope import bytefields, ingest, parallel
 from chronoscope.ingest import (
     BEST_SESSION,
     PER_PAIR_MAX,
@@ -373,7 +373,7 @@ def test_colliding_authority_hashes_change_nothing(tmp_path, monkeypatch, collid
             return ingest_links([path], POLICY), calls
 
     reference, reference_calls = run()
-    monkeypatch.setattr(ingest, "_hash", collide)
+    monkeypatch.setattr(bytefields, "_hash", collide)
     monkeypatch.setattr(ingest, "_BLOCK_BYTES", 2048)
     result, calls = run()
     assert result.snapshots == reference.snapshots

@@ -1,10 +1,14 @@
+import random
 import re
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from chronoscope import bytefields
 from chronoscope.errors import SnapshotFormatError
 from chronoscope.snapshot import MAX_TOTAL_WEIGHT, YearSnapshot, read_snapshot, write_snapshot
+from oracles import plain_snapshot
 
 pool = [f"n{i}.ac.uk" for i in range(8)]
 absent = ["gone.ac.uk", "zz.ac.uk"]  # never in a snapshot
@@ -148,3 +152,114 @@ def test_invalid_utf8_is_a_bad_line_in_file_order(tmp_path, utf8_line, other_lin
     reason = "invalid UTF-8" if first == utf8_line else "bad weight"
     with pytest.raises(SnapshotFormatError, match=re.escape(f"{path}:{first}: {reason}")):
         read_snapshot(path)
+
+
+# --- the byte-level reader against a plain line loop ---
+
+# names of 0 to 70 UTF-8 bytes, so that keys of several widths occur, with
+# NUL, multi-byte characters and the breaks that str.splitlines knows
+file_names = st.one_of(
+    st.text(
+        st.characters(blacklist_characters="\t\n\r", blacklist_categories=("Cs",)),
+        min_size=1,
+        max_size=8,
+    ),
+    st.sampled_from(["", "\x00", "a\x00", "é" * 35, "\x0b\x85\u2028", "n\x00\x00"]),
+    st.integers(min_value=1, max_value=70).map(lambda n: "n" * n),
+)
+ODD_WEIGHTS = [
+    "x", "0", "-0", "+3", "-4", " 7", "7 ", "1_000", "٣", "１２", "007", "", "1e3", "0x10",
+    "1__0", str(2**63 - 1), str(2**63), str(-(2**63) - 1), "1" * 19, "9" * 30,
+]
+BAD_ROWS = [
+    b"a\tb", b"", b"a\tb\t1\t2", b"\xff\tb\t1", b"a\t\xe9\t1", b"a\xc3\tb\t1", b"\xed\xa0\x80"
+]
+HEADERS = [b"#snapshot v1 year=2010"] * 12 + [
+    b"#snapshot v1 year= 1999 ", b"#snapshot v2 year=1", b"#snapshot v1 year=x", b"", b"\xff"
+]
+
+
+@st.composite
+def snapshot_files(draw):
+    """Bytes of a snapshot file: distinct pairs in any order; in some files
+    an edge or a line is broken, in a few there is only the header."""
+    rnd = draw(st.randoms(use_true_random=False))
+    pool = list(dict.fromkeys([*draw(st.lists(file_names, max_size=8)), "a", "b"]))
+    pairs = [(s, t) for s in pool for t in pool if s != t]
+    chosen = rnd.sample(pairs, rnd.randint(0, min(30, len(pairs))))
+    # now and then weights near or beyond int64
+    big = rnd.choice([2**62, 2**63 - 1, 2**63, 10**20]) if rnd.random() > 0.9 else None
+    rows = [f"{s}\t{t}\t{big or rnd.randint(1, 2**40)}".encode() for s, t in chosen]
+    for _ in range(rnd.choice([0, 0, 1, 2, 3])):
+        kind = rnd.randrange(4)
+        source, target = rnd.choice(pairs) if kind != 2 else (rnd.choice(pool),) * 2
+        weight = rnd.choice(ODD_WEIGHTS) if kind == 1 else rnd.randint(1, 99)
+        row = rnd.choice(BAD_ROWS) if kind == 0 else f"{source}\t{target}\t{weight}".encode()
+        rows.insert(rnd.randint(0, len(rows)), row)
+    breaks = [rnd.choice([b"\n", b"\r\n", b"\r"]) for _ in range(len(rows) + 1)]
+    data = rnd.choice(HEADERS) + b"".join(brk + row for brk, row in zip(breaks, rows))
+    return data + breaks[-1] if rnd.random() < 0.5 else data
+
+
+@settings(max_examples=600, deadline=None)
+@given(data=snapshot_files())
+def test_reader_matches_plain_line_loop(tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("diff") / "snapshot.tsv"
+    path.write_bytes(data)
+    try:
+        year, edges = plain_snapshot(data, path)
+    except ValueError as exc:
+        with pytest.raises(SnapshotFormatError) as err:
+            read_snapshot(path)
+        assert str(err.value) == str(exc)
+        return
+    snapshot = read_snapshot(path)
+    assert snapshot.year == year
+    assert snapshot.nodes == tuple(sorted({n for pair in edges for n in pair}))
+    assert list(snapshot.edges.items()) == sorted(edges.items())
+    assert all(a.dtype.name == "int64" for a in (snapshot.src, snapshot.dst, snapshot.weight))
+
+
+def _collision_files(directory):
+    """Snapshot files whose names share prefixes and lengths, valid and bad."""
+    rng = random.Random(3)
+    pool = sorted({p * n for p in ("a", "ab", "a\x00", "é") for n in (1, 3, 4, 9, 17)})
+    files = []
+    for k in range(6):
+        edges = {}
+        for _ in range(60):
+            s, t = rng.sample(pool, 2)
+            edges[(s, t)] = rng.randrange(1, 50)
+        lines = [f"{s}\t{t}\t{w}" for (s, t), w in edges.items()]
+        if k == 4:  # a repeated pair
+            lines.insert(30, lines[5])
+        if k == 5:  # an empty name
+            lines.insert(40, f"\t{pool[0]}\t3")
+        path = directory / f"snapshot_{k}.tsv"
+        path.write_text("#snapshot v1 year=2010\n" + "\n".join(lines) + "\n", encoding="utf-8")
+        files.append(path)
+    return files
+
+
+def _outcome(path):
+    try:
+        return read_snapshot(path)
+    except SnapshotFormatError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize(
+    "collide",
+    [
+        lambda words, lengths: np.zeros(len(lengths), np.uint64),
+        lambda words, lengths: lengths.astype(np.uint64),
+    ],
+    ids=["every-hash-equal", "hash-is-length"],
+)
+def test_colliding_name_hashes_change_nothing(tmp_path, monkeypatch, collide):
+    # with colliding hashes the interner groups each width's names exactly
+    files = _collision_files(tmp_path)
+    reference = [_outcome(path) for path in files]
+    assert [isinstance(r, str) for r in reference] == [False] * 4 + [True] * 2
+    monkeypatch.setattr(bytefields, "_hash", collide)
+    assert [_outcome(path) for path in files] == reference

@@ -10,7 +10,6 @@ for real crawl data.
 """
 
 from .domains import (
-    DomainKey,
     SuffixPolicy,
     default_policy,
     load_policy,
@@ -68,7 +67,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CentralityTable",
-    "DomainKey",
     "GeoPoint",
     "GravityFit",
     "LeagueCorrelation",

@@ -3,42 +3,39 @@
 URLs are reduced to third-level domains such as ``ox.ac.uk``: the unit every
 graph in this package aggregates to.  A :class:`SuffixPolicy` says which
 country-code TLD is in scope and which second-level domains (``ac.uk``,
-``co.uk``, ...) are registration suffixes beneath it.
+``co.uk``, ...) are registration suffixes beneath it.  The built-in policy
+is the shipped ``data/uk.policy``.  :func:`parse_host_key` is the one
+reducer from a hostname to its third-level name: ingest calls it once per
+distinct URL authority, and :func:`parse_domain_key` applies it to one URL.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import MalformedUrl, OutOfScopeTld, PolicyFileError, UnknownSld, is_utf8
 
-# Unknown-SLD handling modes.
-REJECT = "reject"
-TREAT_AS_2LEVEL = "treat-as-2-level"
-
 # Synthetic bucket used by the statistics paths for nodes whose suffix is not
 # in the registered set.
 OTHER_SLD = "other"
 
-#: SLDs shipped with the default .uk policy.
-DEFAULT_UK_SLDS = ("ac.uk", "co.uk", "gov.uk", "org.uk")
+_DEFAULT_POLICY = os.path.join(os.path.dirname(__file__), "data", "uk.policy")
 
 
 @dataclass(frozen=True)
 class SuffixPolicy:
     """Scope of the domain hierarchy: one ccTLD plus its registered SLDs.
 
-    ``unknown_sld`` controls what happens to hosts under the ccTLD whose
-    second-level domain is not registered: ``REJECT`` raises, while
-    ``TREAT_AS_2LEVEL`` makes the two-label registration itself the
-    aggregation unit.
+    A host under the ccTLD whose second-level domain is not registered
+    (``parliament.uk``, ``x.nhs.uk``) names no node; a wider scope comes from
+    registering more SLDs.
     """
 
     cctld: str
     registered_slds: frozenset[str]
-    unknown_sld: str = REJECT
 
     def __post_init__(self):
         cctld = self.cctld.lower()
@@ -52,32 +49,14 @@ class SuffixPolicy:
         for sld in slds:
             if not sld.endswith("." + cctld):
                 raise PolicyFileError(f"SLD {sld!r} is not under .{cctld}")
-        if self.unknown_sld not in (REJECT, TREAT_AS_2LEVEL):
-            raise PolicyFileError(
-                f"unknown_sld must be {REJECT!r} or {TREAT_AS_2LEVEL!r}"
-            )
 
 
-@dataclass(frozen=True)
-class DomainKey:
-    """A hostname reduced to its place in the TLD/SLD hierarchy.
-
-    ``third_level`` is the aggregation unit, e.g. ``ox.ac.uk``.  Under a
-    TREAT_AS_2LEVEL policy it may instead be a two-label registration, in
-    which case ``sld`` is the bare ccTLD.
-    """
-
-    tld: str
-    sld: str
-    third_level: str
+def default_policy() -> SuffixPolicy:
+    """The shipped .uk policy, ``data/uk.policy`` next to this module."""
+    return load_policy(_DEFAULT_POLICY)
 
 
-def default_policy(unknown_sld: str = REJECT) -> SuffixPolicy:
-    """The .uk policy with the four large registered SLDs."""
-    return SuffixPolicy("uk", frozenset(DEFAULT_UK_SLDS), unknown_sld)
-
-
-def load_policy(path, unknown_sld: str = REJECT) -> SuffixPolicy:
+def load_policy(path) -> SuffixPolicy:
     """Read a suffix policy file.
 
     Format: UTF-8 text, ``#`` starts a comment, blank lines ignored; the
@@ -94,16 +73,18 @@ def load_policy(path, unknown_sld: str = REJECT) -> SuffixPolicy:
                 entries.append(line)
     if len(entries) < 2:
         raise PolicyFileError(f"{path}: need a ccTLD line and at least one SLD")
-    return SuffixPolicy(entries[0], frozenset(entries[1:]), unknown_sld)
+    return SuffixPolicy(entries[0], frozenset(entries[1:]))
 
 
-def parse_host_key(host: str, policy: SuffixPolicy) -> DomainKey:
-    """Reduce a bare hostname to a :class:`DomainKey`.
+def parse_host_key(host: str, policy: SuffixPolicy) -> str:
+    """The third-level domain a bare hostname names, e.g. ``ox.ac.uk``.
 
     The hostname is lowercased, a trailing dot and exactly one leading
     ``www.`` label are stripped, and the third-level domain is taken from the
     tail of the label sequence, so deeper hosts (``mail.ox.ac.uk``) aggregate
-    with their institution.  Only ASCII hostnames are accepted.
+    with their institution.  Only ASCII hostnames are accepted.  Raises
+    MalformedUrl for an empty or malformed hostname, OutOfScopeTld outside
+    the policy's ccTLD and UnknownSld under an unregistered SLD.
     """
     host = host.lower().rstrip(".")
     if not host:
@@ -120,14 +101,11 @@ def parse_host_key(host: str, policy: SuffixPolicy) -> DomainKey:
     if len(labels) < 2:
         raise MalformedUrl(f"{host!r} is the bare ccTLD")
     sld = labels[-2] + "." + labels[-1]
-    if sld in policy.registered_slds:
-        if len(labels) < 3:
-            raise MalformedUrl(f"{host!r} has no label under {sld!r}")
-        third = labels[-3] + "." + sld
-        return DomainKey(policy.cctld, sld, third)
-    if policy.unknown_sld == TREAT_AS_2LEVEL:
-        return DomainKey(policy.cctld, policy.cctld, sld)
-    raise UnknownSld(f"{sld!r} is not a registered SLD")
+    if sld not in policy.registered_slds:
+        raise UnknownSld(f"{sld!r} is not a registered SLD")
+    if len(labels) < 3:
+        raise MalformedUrl(f"{host!r} has no label under {sld!r}")
+    return labels[-3] + "." + sld
 
 
 def authority_spans(
@@ -177,14 +155,15 @@ def authority_host(authority: str) -> str:
     return host.rpartition("@")[2].partition(":")[0]
 
 
-def parse_domain_key(url: str, policy: SuffixPolicy) -> DomainKey:
-    """Parse an absolute URL down to its third-level domain.
+def parse_domain_key(url: str, policy: SuffixPolicy) -> str:
+    """The third-level domain an absolute URL names.
 
     >>> parse_domain_key("http://www.ox.ac.uk/about", default_policy())
-    DomainKey(tld='uk', sld='ac.uk', third_level='ox.ac.uk')
+    'ox.ac.uk'
 
     Paths, queries, fragments, user info and ports are ignored; only the
-    hostname matters.  A URL without an authority raises MalformedUrl.
+    hostname matters, and it raises as in :func:`parse_host_key`.  A URL
+    without an authority raises MalformedUrl.
     """
     return parse_host_key(authority_host(url_authority(url)), policy)
 
@@ -192,9 +171,10 @@ def parse_domain_key(url: str, policy: SuffixPolicy) -> DomainKey:
 def sld_label(third_level: str, policy: SuffixPolicy) -> str:
     """SLD bucket for a third-level domain string in statistics paths.
 
-    This never fails: anything whose two-label tail is not a registered SLD,
-    including a two-label registration kept under ``TREAT_AS_2LEVEL``, lands
-    in the synthetic ``other`` bucket.
+    The bucket is the name's two-label tail, as :func:`parse_host_key` read
+    it.  This never fails: a name whose tail is not a registered SLD (one
+    from another policy, or ``example.com``) lands in the synthetic
+    ``other`` bucket.
     """
     parts = third_level.rsplit(".", 2)
     if len(parts) >= 2:

@@ -220,14 +220,6 @@ def _blocks(path, start: int, stop: int) -> Iterator[bytes]:
                 return
 
 
-def _third_level(authority: str, policy: SuffixPolicy) -> str:
-    """The third-level domain an authority names; raises as ``parse_host_key``."""
-    host = authority_host(authority)
-    if not host:
-        raise MalformedUrl("empty hostname")
-    return parse_host_key(host, policy).third_level
-
-
 def _parse_range(path, start: int, stop: int, policy: SuffixPolicy, strict: bool) -> _ParsedRange:
     """Parse bytes ``[start, stop)`` of a file."""
     names: list[str] = []
@@ -235,7 +227,7 @@ def _parse_range(path, start: int, stop: int, policy: SuffixPolicy, strict: bool
 
     def resolve(authority: str) -> int:
         try:
-            name = _third_level(authority, policy)
+            name = parse_host_key(authority_host(authority), policy)
         except MalformedUrl:
             return _MALFORMED_URL
         except OutOfScopeTld:
@@ -312,7 +304,7 @@ def _parse_block(block: bytes, host_codes, policy: SuffixPolicy, strict: bool):
             j = int(np.searchsorted(line, i))
             j += 0 if source[j] == _MALFORMED_URL else len(line)
             try:
-                _third_level(block[lo[j] : hi[j]].decode("utf-8"), policy)
+                parse_host_key(authority_host(block[lo[j] : hi[j]].decode("utf-8")), policy)
             except MalformedUrl as exc:
                 return None, None, (i, exc)
 

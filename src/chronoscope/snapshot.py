@@ -66,7 +66,12 @@ class YearSnapshot:
 
     @classmethod
     def from_edges(cls, year: int, edges: Mapping[tuple[str, str], int]) -> "YearSnapshot":
-        """The snapshot of ``(source, target) -> weight``; ValueError on a bad edge."""
+        """The snapshot of ``(source, target) -> weight``; ValueError on a bad
+        edge, and on a weight that is not a Python or numpy integer (a float,
+        a bool or a string is not cast)."""
+        if not all(map(_integer_type, set(map(type, edges.values())))):
+            weight = next(w for w in edges.values() if not _integer_type(type(w)))
+            raise ValueError(f"weight {weight!r} is not an integer")
         sources, targets = list(map(itemgetter(0), edges)), list(map(itemgetter(1), edges))
         nodes = tuple(sorted(set(sources).union(targets)))
         code = dict(zip(nodes, range(len(nodes))))
@@ -113,6 +118,11 @@ def group_sums(groups: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
     sums = np.zeros(size, values.dtype)
     np.add.at(sums, groups, values)
     return sums
+
+
+def _integer_type(kind: type) -> bool:
+    """Whether ``kind`` is a Python or numpy integer type; ``bool`` is not."""
+    return kind is not bool and issubclass(kind, (int, np.integer))
 
 
 def _checked(

@@ -6,9 +6,6 @@ from hypothesis import given, strategies as st
 
 from chronoscope.domains import (
     OTHER_SLD,
-    REJECT,
-    TREAT_AS_2LEVEL,
-    DomainKey,
     authority_spans,
     default_policy,
     load_policy,
@@ -31,13 +28,11 @@ POLICY = default_policy()
 
 
 def test_parse_university_url():
-    key = parse_domain_key("http://www.ox.ac.uk/about", POLICY)
-    assert key == DomainKey(tld="uk", sld="ac.uk", third_level="ox.ac.uk")
+    assert parse_domain_key("http://www.ox.ac.uk/about", POLICY) == "ox.ac.uk"
 
 
 def test_parse_government_url_ignores_query():
-    key = parse_domain_key("http://fco.gov.uk/x?y=1", POLICY)
-    assert key == DomainKey(tld="uk", sld="gov.uk", third_level="fco.gov.uk")
+    assert parse_domain_key("http://fco.gov.uk/x?y=1", POLICY) == "fco.gov.uk"
 
 
 def test_non_uk_host_rejected():
@@ -53,24 +48,21 @@ def test_classify_sld():
         ("http://nominet.org.uk/", "org.uk"),
         ("http://a.co.uk/", "co.uk"),
     ]:
-        assert sld_label(parse_domain_key(url, POLICY).third_level, POLICY) == sld
+        assert sld_label(parse_domain_key(url, POLICY), POLICY) == sld
 
 
 def test_deep_hosts_aggregate_to_third_level():
-    assert parse_domain_key("http://mail.stats.ox.ac.uk/x", POLICY).third_level == "ox.ac.uk"
+    assert parse_domain_key("http://mail.stats.ox.ac.uk/x", POLICY) == "ox.ac.uk"
 
 
 def test_port_and_fragment_ignored():
-    key = parse_domain_key("https://ox.ac.uk:8080/p#frag", POLICY)
-    assert key.third_level == "ox.ac.uk"
+    assert parse_domain_key("https://ox.ac.uk:8080/p#frag", POLICY) == "ox.ac.uk"
 
 
 def test_www_stripped_once():
-    assert parse_domain_key("http://www.ox.ac.uk/", POLICY) == parse_domain_key(
-        "http://ox.ac.uk/", POLICY
-    )
+    assert parse_domain_key("http://www.ox.ac.uk/", POLICY) == "ox.ac.uk"
     # only the first www. label is dropped
-    assert parse_domain_key("http://www.www.ac.uk/", POLICY).third_level == "www.ac.uk"
+    assert parse_domain_key("http://www.www.ac.uk/", POLICY) == "www.ac.uk"
 
 
 def test_missing_hostname():
@@ -82,7 +74,7 @@ def test_missing_hostname():
 def test_scheme_is_not_checked():
     # the authority is whatever follows "://", whatever precedes it
     for url in ("ht tp://ox.ac.uk/", "://ox.ac.uk/", "1http://ox.ac.uk/"):
-        assert parse_domain_key(url, POLICY).third_level == "ox.ac.uk"
+        assert parse_domain_key(url, POLICY) == "ox.ac.uk"
 
 
 def test_no_third_level_label():
@@ -100,15 +92,6 @@ def test_unknown_sld_rejected_by_default():
         parse_domain_key("http://parliament.uk/", POLICY)
 
 
-def test_unknown_sld_as_two_level_registration():
-    policy = default_policy(unknown_sld=TREAT_AS_2LEVEL)
-    key = parse_domain_key("http://parliament.uk/", policy)
-    assert key == DomainKey(tld="uk", sld="uk", third_level="parliament.uk")
-    assert sld_label(key.third_level, policy) == OTHER_SLD
-    # registered SLDs still take precedence
-    assert parse_domain_key("http://ox.ac.uk/", policy).sld == "ac.uk"
-
-
 def test_sld_label_buckets():
     assert sld_label("ox.ac.uk", POLICY) == "ac.uk"
     assert sld_label("parliament.uk", POLICY) == OTHER_SLD
@@ -123,9 +106,9 @@ third_label = label.filter(lambda s: s != "www")
 
 @given(third=third_label, sld=st.sampled_from(sorted(POLICY.registered_slds)))
 def test_parse_is_idempotent_on_canonical_form(third, sld):
-    key = parse_domain_key(f"http://{third}.{sld}/", POLICY)
-    again = parse_domain_key(f"http://{key.third_level}/page", POLICY)
-    assert again == key
+    name = parse_domain_key(f"http://{third}.{sld}/", POLICY)
+    assert name == f"{third}.{sld}"
+    assert parse_domain_key(f"http://{name}/page", POLICY) == name
 
 
 @given(
@@ -137,15 +120,15 @@ def test_parse_is_idempotent_on_canonical_form(third, sld):
     )
 )
 def test_case_invariance(host):
-    lower = parse_domain_key(f"http://{host}/", POLICY)
-    upper = parse_domain_key(f"http://{host.upper()}/", POLICY)
-    assert lower == upper
+    name = parse_domain_key(f"http://{host}/", POLICY)
+    assert parse_domain_key(f"http://{host.upper()}/", POLICY) == name
+    assert name == ".".join(host.split(".")[-3:])
 
 
 @given(third=third_label, sld=st.sampled_from(sorted(POLICY.registered_slds)))
 def test_url_and_host_parsers_agree(third, sld):
     host = f"{third}.{sld}"
-    assert parse_host_key(host, POLICY) == parse_domain_key(f"http://{host}/x", POLICY)
+    assert parse_host_key(host, POLICY) == parse_domain_key(f"http://{host}/x", POLICY) == host
 
 
 def outcome(parse):
@@ -221,8 +204,6 @@ def test_policy_invariants():
         SuffixPolicy("uk", frozenset())
     with pytest.raises(PolicyFileError):
         SuffixPolicy("uk", frozenset({"ac.fr"}))
-    with pytest.raises(PolicyFileError):
-        SuffixPolicy("uk", frozenset({"ac.uk"}), unknown_sld="explode")
 
 
 def test_load_policy(tmp_path):
@@ -231,7 +212,6 @@ def test_load_policy(tmp_path):
     policy = load_policy(path)
     assert policy.cctld == "uk"
     assert policy.registered_slds == frozenset({"ac.uk", "co.uk"})
-    assert policy.unknown_sld == REJECT
 
 
 @pytest.mark.parametrize("brk", ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"])
@@ -253,8 +233,7 @@ def test_load_policy_requires_slds(tmp_path):
         load_policy(path)
 
 
-def test_packaged_default_policy_matches_code():
-    from importlib.resources import files
-
-    shipped = load_policy(files("chronoscope").joinpath("data/uk.policy"))
-    assert shipped == default_policy()
+def test_default_policy_is_the_shipped_uk_policy():
+    # the one built-in policy: ccTLD uk and its four large registered SLDs
+    slds = frozenset({"ac.uk", "co.uk", "gov.uk", "org.uk"})
+    assert default_policy() == SuffixPolicy("uk", slds)

@@ -611,6 +611,18 @@ def test_ingest_rejects_times_from_2301_on(tmp_path):
         ingest_links([path], POLICY, strict=True)
 
 
+@pytest.mark.parametrize("url", ["http:///p", "http://user@:80/", "http://./"])
+def test_ingest_empty_hostname(tmp_path, url):
+    # no host, a host that is only user info and a port, and a lone dot
+    path = tmp_path / "links.tsv"
+    write_links(path, [(utc(2001), url, "http://cam.ac.uk/")])
+    with pytest.raises(MalformedUrl) as err:
+        ingest_links([path], POLICY, strict=True)
+    assert str(err.value) == f"{path}:1: empty hostname"
+    summary = ingest_links([path], POLICY).summary
+    assert (summary.malformed_urls, summary.skipped(), summary.records) == (1, 1, 0)
+
+
 def test_ingest_strict_keeps_scope_filters(tmp_path):
     base = utc(2001)
     path = tmp_path / "links.tsv"
@@ -651,7 +663,7 @@ def test_ingest_matches_single_line_parser(tmp_path):
     nodes, skips = set(), collections.Counter()
     for url in urls:
         try:
-            nodes.add(parse_domain_key(url, POLICY).third_level)
+            nodes.add(parse_domain_key(url, POLICY))
         except ChronoscopeError as exc:
             skips[type(exc).__name__] += 1
     assert skips == {"OutOfScopeTld": 2, "MalformedUrl": 3, "UnknownSld": 1}

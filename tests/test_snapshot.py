@@ -72,6 +72,26 @@ def test_view_matches_dict_loops(edges, pages, keep):
     assert all(a.dtype.name == "int64" for a in (induced.src, induced.dst, induced.weight))
 
 
+@pytest.mark.parametrize(
+    "weight", [1.5, 2.0, 0.9, np.float64(2.0), "3", b"3", True, np.bool_(True), None],
+    ids=repr,
+)
+def test_from_edges_rejects_weights_that_are_not_integers(weight):
+    # a weight is never cast: the file reader rejects the text 1.5 too
+    edges = {("a.ac.uk", "b.ac.uk"): 1, ("b.ac.uk", "a.ac.uk"): weight}
+    with pytest.raises(ValueError, match=re.escape(f"weight {weight!r} is not an integer")):
+        YearSnapshot.from_edges(2010, edges)
+
+
+def test_from_edges_takes_python_and_numpy_integers():
+    edges = {
+        ("a.ac.uk", "b.ac.uk"): np.uint8(3),
+        ("b.ac.uk", "a.ac.uk"): np.int32(2),
+        ("b.ac.uk", "c.ac.uk"): 2**40,
+    }
+    assert YearSnapshot.from_edges(2010, edges).weight.tolist() == [3, 2, 2**40]
+
+
 def test_total_weight_must_fit_int64(tmp_path):
     top = YearSnapshot.from_edges(2010, {("a.ac.uk", "b.ac.uk"): MAX_TOTAL_WEIGHT})
     assert [s.tolist() for s in top.strengths()] == [

@@ -156,16 +156,22 @@ def _hash(words: np.ndarray, lengths: np.ndarray) -> np.ndarray:
 
 class _KeyTable:
     """An interner's known keys of one width: hash-sorted hashes, words
-    (one row per word of the key), byte lengths and codes."""
+    (one row per word of the key), byte lengths and codes.  The last batch
+    of added keys waits unsorted until a later batch looks keys up, so a
+    one-batch interner never sorts its table."""
 
     def __init__(self, width: int):
         self.hashes = np.empty(0, np.uint64)
         self.words = np.empty((width, 0), np.uint64)
         self.lengths = np.empty(0, np.int64)
         self.codes = np.empty(0, np.int32)
+        self._added = None  # (hashes, words, lengths, codes) not yet sorted in
 
     def find(self, hashes, words, lengths) -> tuple[np.ndarray, np.ndarray]:
         """The codes of the keys, and whether the table holds each key."""
+        if self._added is not None:
+            self._sort_in(*self._added)
+            self._added = None
         codes = np.zeros(len(hashes), np.int32)
         found = np.zeros(len(hashes), bool)
         # compare each key with the table entries of its hash in turn: one
@@ -187,7 +193,12 @@ class _KeyTable:
         return codes, found
 
     def add(self, hashes, words, lengths, codes) -> None:
-        """Enter keys that the table does not hold, with their codes."""
+        """Enter keys that the table does not hold, with their codes; each
+        batch follows a ``find``, which sorts the one before it in."""
+        assert self._added is None
+        self._added = hashes, words, lengths, codes
+
+    def _sort_in(self, hashes, words, lengths, codes) -> None:
         order = np.argsort(hashes)
         if not len(self.hashes):
             self.hashes, self.words = hashes[order], words[:, order]

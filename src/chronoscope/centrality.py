@@ -19,6 +19,23 @@ The path measures run Dijkstra from a block of sources at once in numpy,
 then Brandes' accumulation over each source's tight edges, those with
 ``d[src] + length == d[dst]``.  Ties are still decided by that float ``==``
 (a known defect, ROADMAP item 1): exactly tied sums can differ in the last bit.
+
+Each Dijkstra step settles every row's nearest cells and relaxes their
+out-edges in one of two forms, chosen by density alone, with equal results:
+
+- on a graph with at least ``_DENSE_RELAX_DENSITY * n * n`` edges, each
+  settled node's row of a dense n x n length matrix (inf where there is no
+  edge) is added to its distance and min-ed into the row's tentative
+  distances, one settled node per row at a time;
+- otherwise each settled node's CSR edges are gathered, min-ed with the
+  tentative cells and scattered back, with ``np.minimum.at`` only for the
+  entries that a repeated cell overwrote.
+
+Settled cells hold NaN among the tentative distances, which ``np.minimum``
+keeps and ``np.fmin`` skips.  Brandes' successor order (a node adds its
+successors' shares farthest first, ties by node, descending) is one argsort
+of an int64 key per tight edge, tail first; the distance enters as the
+head's settle round, which within a row is equal exactly where distances are.
 """
 
 from __future__ import annotations
@@ -52,6 +69,9 @@ HITS_TOL = 1e-12
 HITS_MAX_ITER = 1000
 # cells (sources x nodes, or sources x edges) per block array: 512 KB of floats
 _BLOCK_CELLS = 1 << 16
+# at least this many edges per cell of the n x n grid: Dijkstra relaxes dense
+# rows of an n x n length matrix, at most 3x the bytes of the length column
+_DENSE_RELAX_DENSITY = 1 / 3
 
 
 @dataclass(frozen=True)
@@ -143,13 +163,17 @@ def _path_measures(
     betweenness, reach_in, dist_in, harmonic = np.zeros((4, n))
     degree = np.bincount(src, minlength=n)
     indptr = np.concatenate(([0], np.cumsum(degree)))
+    matrix = None
+    if len(src) >= _DENSE_RELAX_DENSITY * n * n:
+        matrix = np.full((n, n), np.inf)
+        matrix[src, dst] = length
     block = max(1, min(n, _BLOCK_CELLS // n))
     part = max(1, _BLOCK_CELLS // max(n, len(src)))  # rows x edges per tight mask
     for lo in range(0, n, block):
         sources = np.arange(lo, min(n, lo + block))
-        dist = _distances(indptr, degree, dst, length, sources)
+        dist, level = _distances(indptr, degree, dst, length, sources, matrix)
         delta = np.concatenate([
-            _dependencies(dist[i : i + part], sources[i : i + part], src, dst, length, degree)
+            _dependencies(dist[i : i + part], level[i : i + part], sources[i : i + part], src, dst, length, degree)
             for i in range(0, len(sources), part)
         ])
         for source, d, dependency in zip(sources, dist, delta):
@@ -165,38 +189,64 @@ def _path_measures(
     return betweenness, closeness, harmonic
 
 
-def _distances(indptr, degree, dst, length, sources) -> np.ndarray:
-    """Row r: distances from ``sources[r]``, by Dijkstra on all rows at once."""
+def _distances(indptr, degree, dst, length, sources, matrix) -> tuple[np.ndarray, np.ndarray]:
+    """Row r: distances from ``sources[r]``, by Dijkstra on all rows at once,
+    and each cell's settle round: it rises with the distance, and within a
+    row two rounds are equal exactly when the distances are.
+
+    With ``matrix``, the n x n edge lengths (inf where there is no edge),
+    each settled node relaxes its row of it; with None, its CSR edges.
+    """
     rows, n = len(sources), len(indptr) - 1
     dist = np.full((rows, n), np.inf)
-    tentative = np.full((rows, n), np.inf)  # inf again once settled
+    level = np.zeros((rows, n), np.intp)
+    tentative = np.full((rows, n), np.inf)  # NaN once settled: np.minimum keeps it
     tentative[np.arange(rows), sources] = 0.0
+    flat = tentative.ravel()
+    step, last = np.zeros(rows, np.intp), np.full(rows, -np.inf)
     # relax in batches of ~8k edges: small temporaries keep the malloc heap compact
     chunk = max(1, (_BLOCK_CELLS // 8) // max(1, int(degree.max(initial=0))))
-    while np.isfinite(low := tentative.min(axis=1)).any():
+    while np.isfinite(low := np.fmin.reduce(tentative, axis=1)).any():
         low[np.isinf(low)] = np.nan  # finished rows match nothing
+        step += low > last  # a row's round rises with its distance, not per step
+        last = low
         r, u = np.divmod(np.flatnonzero(tentative == low[:, None]), n)
         dist[r, u] = low[r]
-        tentative[r, u] = np.inf
-        for i in range(0, len(r), chunk):
-            ri, count = r[i : i + chunk], degree[u[i : i + chunk]]
-            first = indptr[u[i : i + chunk]] - np.cumsum(count) + count
-            edge = np.repeat(first, count) + np.arange(count.sum())
-            cell = np.repeat(ri * n, count) + dst[edge]
-            reach = np.repeat(low[ri], count) + length[edge]
-            settled = dist.ravel()[cell] < np.inf
-            np.minimum.at(tentative.ravel(), cell, np.where(settled, np.inf, reach))
-    return dist
+        level[r, u] = step[r]
+        tentative[r, u] = np.nan
+        if matrix is not None:
+            # a pass takes each row's k-th settled node, so its rows are unique
+            occurrence = np.arange(len(r)) - np.searchsorted(r, r)
+            passes = np.argsort(occurrence, kind="stable")
+            for pick in np.split(passes, np.cumsum(np.bincount(occurrence))[:-1]):
+                rk = r[pick]
+                tentative[rk] = np.minimum(tentative[rk], low[rk, None] + matrix[u[pick]])
+        else:
+            for i in range(0, len(r), chunk):
+                ri, count = r[i : i + chunk], degree[u[i : i + chunk]]
+                first = indptr[u[i : i + chunk]] - np.cumsum(count) + count
+                edge = np.repeat(first, count) + np.arange(count.sum())
+                cell = np.repeat(ri * n, count) + dst[edge]
+                reach = np.minimum(flat[cell], np.repeat(low[ri], count) + length[edge])
+                flat[cell] = reach
+                # where a cell repeats, the last write won: take the others' minimum too
+                lost = flat[cell] > reach
+                np.minimum.at(flat, cell[lost], reach[lost])
+    return dist, level
 
 
-def _dependencies(dist, sources, src, dst, length, degree) -> np.ndarray:
+def _dependencies(dist, level, sources, src, dst, length, degree) -> np.ndarray:
     """Row r: Brandes dependencies for ``sources[r]``; node v of row r is cell r * n + v."""
     rows, n = dist.shape
     from_dist = np.repeat(dist, degree, axis=1)
     tight = np.isfinite(from_dist) & (from_dist + length == np.take(dist, dst, axis=1))
     row, edge = np.divmod(np.flatnonzero(tight), len(dst))
     tail, head = row * n + src[edge], row * n + dst[edge]
-    order = np.lexsort((-head, -dist.ravel()[head]))
+    # each tail's successors farthest first, then by node, descending, as one
+    # unique key per edge; np.bincount adds a bin's entries in array order,
+    # and sorting by tail first keeps that order within every tail and head
+    assert rows * n**3 < 1 << 63, "successor key overflows int64"
+    order = np.argsort(tail * (n * n) - (level.ravel()[head] * n + dst[edge]))
     tail, head = tail[order], head[order]
     start = np.arange(rows) * n + sources
     sigma = np.zeros(dist.size)

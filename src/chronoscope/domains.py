@@ -31,7 +31,8 @@ class SuffixPolicy:
 
     A host under the ccTLD whose second-level domain is not registered
     (``parliament.uk``, ``x.nhs.uk``) names no node; a wider scope comes from
-    registering more SLDs.
+    registering more SLDs.  Each SLD is one non-empty label under the ccTLD
+    (``nhs.uk``, not ``nhs.x.uk`` or ``.uk``): any other could never match.
     """
 
     cctld: str
@@ -47,8 +48,10 @@ class SuffixPolicy:
         if not slds:
             raise PolicyFileError("policy needs at least one registered SLD")
         for sld in slds:
-            if not sld.endswith("." + cctld):
-                raise PolicyFileError(f"SLD {sld!r} is not under .{cctld}")
+            # parse_host_key matches a host's last two labels only
+            label, _, tld = sld.partition(".")
+            if not label or tld != cctld:
+                raise PolicyFileError(f"SLD {sld!r} is not one label under .{cctld}")
 
 
 def default_policy() -> SuffixPolicy:

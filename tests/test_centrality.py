@@ -1,9 +1,13 @@
+import hashlib
 import math
 import random
 from collections import defaultdict
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+from chronoscope import centrality
 from chronoscope.centrality import (
     MEASURES,
     CentralityTable,
@@ -291,3 +295,77 @@ def test_unreachable_component_is_not_on_any_path():
             assert math.isfinite(table.values[name][node])
     # a -> c, plus half of y -> c (y-a-b-c ties y-z-x-c at three hops)
     assert table.values["betweenness"]["b.ac.uk"] == 1.5
+
+
+# --- the two Dijkstra relax forms ---
+
+@st.composite
+def kernel_graphs(draw):
+    """A digraph drawn from a seed: density on both sides of the dense-relax
+    threshold, small weights that tie exactly or wide ones, and optionally
+    a cut that the upper node half never crosses back."""
+    n = draw(st.integers(1, 40))
+    density = draw(st.sampled_from([0.05, 0.15, 0.3, 0.4, 0.7, 1.0]))
+    max_weight = draw(st.sampled_from([1, 4, 10**6]))
+    cut = draw(st.booleans())
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    nodes = [f"n{i:02d}.ac.uk" for i in range(n)]
+    edges = {
+        (u, v): rng.randint(1, max_weight)
+        for i, u in enumerate(nodes)
+        for j, v in enumerate(nodes)
+        if i != j and not (cut and j < n // 2 <= i) and rng.random() < density
+    }
+    return nodes, edges, max_weight
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(graph=kernel_graphs())
+def test_dense_and_csr_relax_agree_bitwise(monkeypatch, graph):
+    nodes, edges, max_weight = graph
+    # the path measures alone: HITS may give up on these graphs (ROADMAP item 2)
+    g = snap(edges).induced(nodes)
+    columns = []
+    for density in (0.0, math.inf):  # dense rows always, never
+        monkeypatch.setattr(centrality, "_DENSE_RELAX_DENSITY", density)
+        columns.append(centrality._path_measures(g.src, g.dst, 1.0 / g.weight, len(nodes)))
+    for dense, csr in zip(*columns):
+        assert dense.tobytes() == csr.tobytes()
+    # lengths 1/3 tie exactly but not in floats (ROADMAP item 1), so the
+    # float-== oracle checks unit and wide weights only
+    if len(nodes) <= 7 and max_weight != 4:
+        expected = brute_betweenness(nodes, edges)
+        assert columns[0][0] == pytest.approx([expected[v] for v in g.nodes], abs=1e-9)
+
+
+def _digest(table):
+    columns = (
+        np.array([table.values[name][v] for v in table.nodes], "<f8")
+        for name in ("betweenness", "closeness", "harmonic")
+    )
+    return hashlib.sha256(b"".join(c.tobytes() for c in columns)).hexdigest()
+
+
+def test_path_measures_are_byte_identical_to_recorded_digests():
+    # the relax and the successor order may change; the floats may not
+    rng = random.Random(14)
+    nodes = [f"n{i:03d}.ac.uk" for i in range(90)]
+    complete = {(u, v): rng.randint(1, 9) for u in nodes for v in nodes if u != v}
+    nodes = [f"n{i:03d}.ac.uk" for i in range(400)]
+    sparse = {(u, v): 1 for u in nodes for v in nodes if u != v and rng.random() < 0.008}
+    # lengths of 2**-56 to 2**-54 vanish when added to a distance of 1 or
+    # more, so nodes settled in different Dijkstra steps tie: the successor
+    # order must still treat them as one distance
+    rng = random.Random(542)
+    nodes = [f"n{i:02d}.ac.uk" for i in range(13)]
+    absorbed = {
+        (u, v): rng.choice((1, 2, 3)) if rng.random() < 0.6 else rng.randint(2**54, 2**56)
+        for u in nodes
+        for v in nodes
+        if u != v and rng.random() < 0.3
+    }
+    assert [_digest(suite(edges)) for edges in (complete, sparse, absorbed)] == [
+        "785b3b0b26968ea7238ce568c6ffc73362dd2dac235b89ed048875c0dc2c0ec6",
+        "ab082bb1f97a5fc529efda6e5e3e0611e603a2737ee711cc2b8ad6b5fd9f51fe",
+        "4e646fdac2f29f0184744ea0f3ee87f0389547115d50db7024dc401be9c3a574",
+    ]

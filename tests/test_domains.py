@@ -202,8 +202,9 @@ def test_authority_spans_cut_each_field_by_the_partition_rule(urls, separator):
 def test_policy_invariants():
     with pytest.raises(PolicyFileError):
         SuffixPolicy("uk", frozenset())
-    with pytest.raises(PolicyFileError):
-        SuffixPolicy("uk", frozenset({"ac.fr"}))
+    for sld in ("ac.fr", "nhs.x.uk", ".uk", "a..uk", "uk"):
+        with pytest.raises(PolicyFileError, match=re.escape(f"SLD {sld!r} is not one label under .uk")):
+            SuffixPolicy("uk", frozenset({"ac.uk", sld}))
 
 
 def test_load_policy(tmp_path):
@@ -219,10 +220,19 @@ def test_policy_lines_end_only_at_line_breaks(tmp_path, brk):
     # \n, \r\n and a lone \r end a policy line, as in every other input;
     # other characters that str.splitlines breaks at stay inside the line
     path = tmp_path / "uk.policy"
-    path.write_bytes(f"uk\r\nac.uk{brk}co.uk\rgov.uk\n".encode())
-    assert load_policy(path).registered_slds == frozenset({f"ac.uk{brk}co.uk", "gov.uk"})
+    path.write_bytes(f"uk\r\nac{brk}co.uk\rgov.uk\n".encode())
+    assert load_policy(path).registered_slds == frozenset({f"ac{brk}co.uk", "gov.uk"})
     path.write_bytes(f"uk{brk}\nac.uk\n".encode() + b"\xff\n")
     with pytest.raises(PolicyFileError, match=re.escape(f"{path}:3: invalid UTF-8")):
+        load_policy(path)
+
+
+def test_load_policy_rejects_slds_that_cannot_match(tmp_path):
+    # parse_host_key matches a host's last two labels, so an SLD of more
+    # labels, or with an empty label, could never match a host
+    path = tmp_path / "bad.policy"
+    path.write_text("uk\nnhs.x.uk\n.uk\nac.uk\n", encoding="utf-8")
+    with pytest.raises(PolicyFileError, match=r"is not one label under \.uk"):
         load_policy(path)
 
 

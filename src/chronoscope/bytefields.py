@@ -1,9 +1,9 @@
-"""Byte-level fields of UTF-8 text: the layer under the link-log parse and
-the snapshot reader.
+"""Byte-level fields of UTF-8 text: the package's one text layer.
 
-Both readers hold a block of bytes whose lines end at ``\\n`` and whose
-fields are separated by tabs, and both scan it with numpy instead of making
-a Python object per line or field:
+Every input the package reads is UTF-8 text whose lines end at ``\\n``,
+``\\r\\n`` or a lone ``\\r`` and whose fields are separated by tabs.  The
+link-log parse and the snapshot reader scan a block of such bytes with numpy
+instead of making a Python object per line or field:
 
 - :func:`universal_newlines` turns every line break into ``\\n``;
 - :func:`lines` gives each line's span and its tabs;
@@ -28,13 +28,20 @@ different keys share a group, the batch is grouped exactly instead.  Each
 group is then looked up in the width's table of known keys, sorted by hash,
 walking the entries of its hash until one matches, so a collision costs time
 but never a wrong code.
+
+Small files are read a line at a time through :func:`text_lines`, side
+inputs through :class:`Rows`, and every CSV artifact is written by
+:func:`write_csv`.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
+import csv
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
+
+from .errors import MalformedLine
 
 TAB, NEWLINE = 9, 10
 # the longest field read with numpy digit arithmetic: 10**18 < 2**63
@@ -283,3 +290,65 @@ def _tab_ended(words: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     rows[np.arange(len(lengths)), lengths] = TAB
     inside = np.arange(rows.shape[1])[:, None] <= lengths  # built across, read along rows
     return rows[inside.T]
+
+
+# --- small text files ---
+
+def text_lines(path, error: type[Exception]) -> Iterator[tuple[int, str]]:
+    """``(line number, text)`` of each line of a UTF-8 file, counted from 1
+    and without its line break; the first line that is not valid UTF-8
+    raises ``error("path:line: invalid UTF-8")`` when the lines reach it."""
+    with open(path, "rb") as fh:
+        block = universal_newlines(fh.read())
+    found = lines(block)
+    valid = utf8_lines(block, found.begins, found.ends)
+    for lineno, (begin, end, ok) in enumerate(
+        zip(found.begins.tolist(), found.ends.tolist(), valid.tolist()), start=1
+    ):
+        if not ok:
+            raise error(f"{path}:{lineno}: invalid UTF-8")
+        yield lineno, block[begin:end].decode("utf-8")
+
+
+class Rows:
+    """The rows of a side-input file: the tab-separated fields of each line
+    that is neither blank nor a ``#`` comment.  A row has exactly the fields
+    that ``form`` names (such as ``"domain<TAB>rank"``), none empty; a line
+    that breaks this or is not UTF-8 raises MalformedLine with ``path:line``,
+    as :meth:`error` and :meth:`record` do for the line reached."""
+
+    def __init__(self, path, form: str):
+        self.path, self.form = path, form
+        self.lineno = 0
+
+    def __iter__(self) -> Iterator[list[str]]:
+        width = self.form.count("<TAB>") + 1
+        for lineno, line in text_lines(self.path, MalformedLine):
+            self.lineno = lineno
+            if not line or line.startswith("#"):
+                continue
+            fields = line.split("\t")
+            if len(fields) != width or not all(fields):
+                raise self.error(f"expected {self.form!r}")
+            yield fields
+
+    def error(self, reason: str) -> MalformedLine:
+        """A MalformedLine that names the current line."""
+        return MalformedLine(f"{self.path}:{self.lineno}: {reason}")
+
+    def record(self, mapping: dict, domain: str, value) -> None:
+        """``mapping[domain] = value``; a domain already in ``mapping`` is a
+        MalformedLine."""
+        if domain in mapping:
+            raise self.error(f"repeated domain {domain!r}")
+        mapping[domain] = value
+
+
+def write_csv(path, header: Sequence, rows: Iterable[Sequence]) -> None:
+    """Write a CSV artifact: ``header``, then ``rows``, in UTF-8 with ``\\n``
+    line ends; each field is ``str()`` of its value, quoted only where the
+    csv module's minimal quoting needs it."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)

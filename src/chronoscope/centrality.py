@@ -40,12 +40,12 @@ head's settle round, which within a row is equal exactly where distances are.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 import numpy as np
 
+from .bytefields import write_csv
 from .errors import ConvergenceFailure, EmptyFilter
 from .snapshot import YearSnapshot
 
@@ -176,17 +176,23 @@ def _path_measures(
             _dependencies(dist[i : i + part], level[i : i + part], sources[i : i + part], src, dst, length, degree)
             for i in range(0, len(sources), part)
         ])
-        for source, d, dependency in zip(sources, dist, delta):
-            reached = np.isfinite(d)
-            reached[source] = False
-            reach_in += reached
-            dist_in += np.where(reached, d, 0.0)
-            harmonic += np.divide(1.0, d, out=np.zeros(n), where=reached & (d > 0))
-            betweenness += np.where(reached, dependency, 0.0)
+        reached = np.isfinite(dist)
+        reached[np.arange(len(sources)), sources] = False
+        _add_rows(reach_in, reached)
+        _add_rows(dist_in, np.where(reached, dist, 0.0))
+        _add_rows(harmonic, np.divide(1.0, dist, out=np.zeros_like(dist), where=reached & (dist > 0)))
+        _add_rows(betweenness, np.where(reached, delta, 0.0))
     closeness = np.zeros(n)
     ok = dist_in > 0  # never for n == 1
     closeness[ok] = (reach_in[ok] / (n - 1)) * (reach_in[ok] / dist_in[ok])
     return betweenness, closeness, harmonic
+
+
+def _add_rows(total: np.ndarray, rows: np.ndarray) -> None:
+    """Add the rows to ``total`` in order, bitwise as a loop of ``+=`` would
+    (with one column numpy would sum pairwise, but a block has at most as
+    many rows as columns)."""
+    total[:] = np.add.reduce(np.vstack((total, rows)), axis=0)
 
 
 def _distances(indptr, degree, dst, length, sources, matrix) -> tuple[np.ndarray, np.ndarray]:
@@ -269,12 +275,6 @@ def _dependencies(dist, level, sources, src, dst, length, degree) -> np.ndarray:
 
 def write_centrality(table: CentralityTable, path) -> None:
     """Emit ``centrality_<year>.csv``: node plus the ten measure columns."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["node", *MEASURES])
-        for node in table.nodes:
-            row = [node]
-            for name in MEASURES:
-                value = table.values[name][node]
-                row.append(int(value) if name.endswith("degree") else repr(value))
-            writer.writerow(row)
+    columns = [(table.values[name], int if name.endswith("degree") else repr) for name in MEASURES]
+    rows = ([node, *(form(values[node]) for values, form in columns)] for node in table.nodes)
+    write_csv(path, ["node", *MEASURES], rows)

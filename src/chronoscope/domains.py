@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MalformedUrl, OutOfScopeTld, PolicyFileError, UnknownSld, is_utf8
+from .bytefields import text_lines
+from .errors import MalformedUrl, OutOfScopeTld, PolicyFileError, UnknownSld
 
 # Synthetic bucket used by the statistics paths for nodes whose suffix is not
 # in the registered set.
@@ -67,13 +68,9 @@ def load_policy(path) -> SuffixPolicy:
     ``\\n``, ``\\r\\n`` and a lone ``\\r`` end a line, as in every other input.
     """
     entries = []
-    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            if not is_utf8(raw):
-                raise PolicyFileError(f"{path}:{lineno}: invalid UTF-8")
-            line = raw.split("#", 1)[0].strip().lower()
-            if line:
-                entries.append(line)
+    for _, line in text_lines(path, PolicyFileError):
+        if entry := line.split("#", 1)[0].strip().lower():
+            entries.append(entry)
     if len(entries) < 2:
         raise PolicyFileError(f"{path}: need a ccTLD line and at least one SLD")
     return SuffixPolicy(entries[0], frozenset(entries[1:]))

@@ -1,10 +1,7 @@
 """Exception types raised across the package.
 
 Everything derives from :class:`ChronoscopeError` so callers (notably the
-CLI) can treat any data/validation problem uniformly.  The text readers
-that decode line by line share :func:`is_utf8` to name the line of an
-``invalid UTF-8`` error; the byte-level readers use
-``bytefields.utf8_lines``.
+CLI) can treat any data/validation problem uniformly.
 """
 
 
@@ -24,18 +21,19 @@ class OutOfScopeTld(ChronoscopeError):
 
 
 class UnknownSld(ChronoscopeError):
-    """Second-level domain is not registered in the policy and the policy
-    rejects unknown SLDs."""
+    """Second-level domain is not registered in the policy."""
 
 
 class PolicyFileError(ChronoscopeError):
     """Suffix policy file is empty or malformed."""
 
 
-# --- link-log ingestion ---
+# --- input lines ---
 
 class MalformedLine(ChronoscopeError):
-    """Link-log line has the wrong field count or a non-integer timestamp."""
+    """A line of a link log or of a side input (partition, ranking, node
+    list, geo points, node pages) is not valid UTF-8, has the wrong fields,
+    or has a field that does not parse or repeats an earlier line's."""
 
 
 class SnapshotFormatError(ChronoscopeError):
@@ -95,14 +93,3 @@ class DegenerateDesign(ChronoscopeError):
 class InvalidSpec(ChronoscopeError):
     """Generator parameters are missing or out of range."""
 
-
-# --- text input ---
-
-def is_utf8(text: str) -> bool:
-    """Whether ``text``, decoded with ``errors="surrogateescape"``, came from
-    valid UTF-8: only undecodable bytes turn into lone surrogates."""
-    try:
-        text.encode("utf-8")
-    except UnicodeEncodeError:
-        return False
-    return True

@@ -21,14 +21,13 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
+from .bytefields import Rows, write_csv
 from .errors import (
     DegenerateDesign,
     InsufficientData,
-    MalformedLine,
     MissingCoordinates,
     NonPositiveValue,
 )
-from .metrics import _add_once, _tsv_rows
 from .snapshot import YearSnapshot, group_sums
 
 EARTH_RADIUS_KM = 6371.0088
@@ -256,15 +255,13 @@ def fit_gravity_exponent(series: DistanceSeries) -> GravityFit:
 def read_geo_points(path) -> dict[str, GeoPoint]:
     """Read ``third_level_domain<TAB>lat_degrees<TAB>lon_degrees`` lines, one per
     domain."""
-    geo: dict[str, GeoPoint] = {}
-    for lineno, parts in _tsv_rows(path):
-        if len(parts) != 3:
-            raise MalformedLine(f"{path}:{lineno}: expected 3 fields")
+    rows, geo = Rows(path, "domain<TAB>lat<TAB>lon"), {}
+    for domain, lat, lon in rows:
         try:
-            point = GeoPoint(float(parts[1]), float(parts[2]))
+            point = GeoPoint(float(lat), float(lon))
         except ValueError as exc:
-            raise MalformedLine(f"{path}:{lineno}: {exc}") from None
-        _add_once(geo, parts[0], point, path, lineno)
+            raise rows.error(str(exc)) from None
+        rows.record(geo, domain, point)
     return geo
 
 
@@ -312,24 +309,11 @@ def export_geo_links(pairs: PairTable, geo: Mapping[str, GeoPoint], path) -> Non
 
 def write_gravity_series(series: DistanceSeries, path) -> None:
     """Emit ``gravity_series_<year>.csv``: mean_d_km,mean_sigma."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["mean_d_km", "mean_sigma"])
-        for d, s in zip(series.distance_km.tolist(), series.sigma.tolist()):
-            writer.writerow([repr(d), repr(s)])
+    rows = zip(map(repr, series.distance_km.tolist()), map(repr, series.sigma.tolist()))
+    write_csv(path, ["mean_d_km", "mean_sigma"], rows)
 
 
 def write_gravity_fit(fit: GravityFit, path) -> None:
     """Emit ``gravity_fit_<year>.csv``: a,std_error,n_points,window,d_min."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["a", "std_error", "n_points", "window", "d_min"])
-        writer.writerow(
-            [
-                repr(fit.exponent),
-                repr(fit.std_error),
-                fit.n_points,
-                fit.window,
-                repr(fit.d_min_km),
-            ]
-        )
+    row = [repr(fit.exponent), repr(fit.std_error), fit.n_points, fit.window, repr(fit.d_min_km)]
+    write_csv(path, ["a", "std_error", "n_points", "window", "d_min"], [row])

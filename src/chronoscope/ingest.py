@@ -78,7 +78,6 @@ from .errors import (
     OutOfScopeTld,
     UnknownSld,
 )
-from .metrics import _add_once, _tsv_rows
 from .snapshot import YearSnapshot
 
 PER_PAIR_MAX = "per-pair-max"
@@ -167,17 +166,15 @@ class _ParsedRange:
 def read_node_pages(path) -> dict[int, dict[str, int]]:
     """Read ``year<TAB>third_level_domain<TAB>page_count`` lines, one per
     (year, domain)."""
-    per_year: dict[int, dict[str, int]] = {}
-    for lineno, parts in _tsv_rows(path):
-        if len(parts) != 3 or not parts[1]:
-            raise MalformedLine(f"{path}:{lineno}: expected 'year<TAB>domain<TAB>pages'")
+    rows, per_year = bytefields.Rows(path, "year<TAB>domain<TAB>pages"), {}
+    for year, domain, pages in rows:
         try:
-            year, pages = int(parts[0]), int(parts[2])
+            year, pages = int(year), int(pages)
         except ValueError:
-            raise MalformedLine(f"{path}:{lineno}: non-integer field") from None
+            raise rows.error("non-integer field") from None
         if pages < 0:
-            raise MalformedLine(f"{path}:{lineno}: negative page count")
-        _add_once(per_year.setdefault(year, {}), parts[1], pages, path, lineno)
+            raise rows.error("negative page count")
+        rows.record(per_year.setdefault(year, {}), domain, pages)
     return per_year
 
 

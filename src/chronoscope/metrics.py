@@ -6,22 +6,20 @@ league-table ranks, institutional affiliations, and membership lists.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from .bytefields import Rows, write_csv
 from .centrality import MEASURES, CentralityTable
 from .errors import (
     DegenerateInput,
     EmptyGraph,
     InsufficientOverlap,
     LengthMismatch,
-    MalformedLine,
     TooFewMembers,
-    is_utf8,
 )
 from .snapshot import YearSnapshot, group_sums
 
@@ -178,84 +176,43 @@ def group_internal_density(snapshot: YearSnapshot, members: Iterable[str]) -> fl
 
 def read_partition(path) -> dict[str, str]:
     """Read ``third_level_domain<TAB>group_label`` lines, one per domain."""
-    mapping: dict[str, str] = {}
-    for lineno, parts in _tsv_rows(path):
-        if len(parts) != 2 or not parts[0] or not parts[1]:
-            raise MalformedLine(f"{path}:{lineno}: expected 'domain<TAB>group'")
-        _add_once(mapping, parts[0], parts[1], path, lineno)
+    rows, mapping = Rows(path, "domain<TAB>group"), {}
+    for domain, group in rows:
+        rows.record(mapping, domain, group)
     return mapping
 
 
 def read_ranking(path) -> RankingTable:
     """Read ``third_level_domain<TAB>rank_integer`` lines (1 = best), one per domain."""
-    ranks: dict[str, int] = {}
-    for lineno, parts in _tsv_rows(path):
-        if len(parts) != 2:
-            raise MalformedLine(f"{path}:{lineno}: expected 'domain<TAB>rank'")
+    rows, ranks = Rows(path, "domain<TAB>rank"), {}
+    for domain, text in rows:
         try:
-            rank = int(parts[1])
+            rank = int(text)
         except ValueError:
-            raise MalformedLine(f"{path}:{lineno}: bad rank {parts[1]!r}") from None
+            raise rows.error(f"bad rank {text!r}") from None
         if rank < 1:
-            raise MalformedLine(f"{path}:{lineno}: ranks start at 1")
-        _add_once(ranks, parts[0], rank, path, lineno)
+            raise rows.error("ranks start at 1")
+        rows.record(ranks, domain, rank)
     return RankingTable(ranks)
 
 
 def read_node_list(path) -> list[str]:
     """Read a node-filter file: one third-level domain per line."""
-    nodes = []
-    for lineno, parts in _tsv_rows(path):
-        if len(parts) != 1 or not parts[0]:
-            raise MalformedLine(f"{path}:{lineno}: expected one domain per line")
-        nodes.append(parts[0])
-    return nodes
-
-
-def _add_once(mapping: dict, domain: str, value, path, lineno: int) -> None:
-    """``mapping[domain] = value``; a domain already read is a MalformedLine."""
-    if domain in mapping:
-        raise MalformedLine(f"{path}:{lineno}: repeated domain {domain!r}")
-    mapping[domain] = value
-
-
-def _tsv_rows(path):
-    """``(line number, tab-separated fields)`` of each line of a UTF-8 file
-    that is neither blank nor a ``#`` comment; a line that is not UTF-8 is a
-    MalformedLine."""
-    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not is_utf8(line):
-                raise MalformedLine(f"{path}:{lineno}: invalid UTF-8")
-            if not line or line.startswith("#"):
-                continue
-            yield lineno, line.split("\t")
+    return [domain for domain, in Rows(path, "domain")]
 
 
 # --- output files ---
 
 def write_correlations(result: LeagueCorrelation, path) -> None:
     """Emit ``correlations_<year>.csv``: measure,rho,n_overlap."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["measure", "rho", "n_overlap"])
-        for name in MEASURES:
-            writer.writerow([name, repr(result.rho[name]), result.n_overlap])
+    rows = ([name, repr(result.rho[name]), result.n_overlap] for name in MEASURES)
+    write_csv(path, ["measure", "rho", "n_overlap"], rows)
 
 
 def write_modularity(result: ModularityResult, path) -> None:
     """Emit ``modularity_<year>.csv``; q is repeated on each group row."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["group", "internal_weight", "expected_weight", "q"])
-        for group in sorted(result.groups):
-            weights = result.groups[group]
-            writer.writerow(
-                [
-                    group,
-                    weights.internal_weight,
-                    repr(weights.expected_weight),
-                    repr(result.q),
-                ]
-            )
+    rows = (
+        [group, weights.internal_weight, repr(weights.expected_weight), repr(result.q)]
+        for group, weights in sorted(result.groups.items())
+    )
+    write_csv(path, ["group", "internal_weight", "expected_weight", "q"], rows)

@@ -11,12 +11,12 @@ arrays by SLD; the statistics are read off that grouping.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 import numpy as np
 
+from .bytefields import write_csv
 from .domains import SuffixPolicy, sld_label
 from .errors import UnknownSld
 from .snapshot import YearSnapshot, group_sums
@@ -129,26 +129,22 @@ def inter_sld_flows(cells: SldCells, include_self: bool = False) -> SldFlowMatri
 
 def write_sld_series(rows: Iterable[SldYearStats], path) -> None:
     """Emit ``sld_series.csv``: year,sld,node_count,share."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["year", "sld", "node_count", "share"])
-        for stats in sorted(rows, key=lambda s: s.year):
-            for sld in sorted(stats.counts):
-                writer.writerow(
-                    [stats.year, sld, stats.counts[sld], repr(stats.shares[sld])]
-                )
+    lines = (
+        [stats.year, sld, stats.counts[sld], repr(stats.shares[sld])]
+        for stats in sorted(rows, key=lambda s: s.year)
+        for sld in sorted(stats.counts)
+    )
+    write_csv(path, ["year", "sld", "node_count", "share"], lines)
 
 
 def write_links_per_node(
     per_year: Mapping[int, Mapping[str, float]], path
 ) -> None:
     """Emit ``links_per_node.csv``: year,sld,links_per_node."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["year", "sld", "links_per_node"])
-        for year in sorted(per_year):
-            for sld in sorted(per_year[year]):
-                writer.writerow([year, sld, repr(per_year[year][sld])])
+    rows = (
+        [year, sld, repr(shares[sld])] for year, shares in sorted(per_year.items()) for sld in sorted(shares)
+    )
+    write_csv(path, ["year", "sld", "links_per_node"], rows)
 
 
 def write_flows(matrix: SldFlowMatrix, path) -> None:
@@ -158,12 +154,8 @@ def write_flows(matrix: SldFlowMatrix, path) -> None:
     excluded) keep their normalized value and leave the absolute field
     empty.
     """
-    cells = sorted(set(matrix.absolute) | set(matrix.normalized))
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["source_sld", "target_sld", "absolute", "normalized"])
-        for cell in cells:
-            absolute = matrix.absolute.get(cell, "")
-            writer.writerow(
-                [cell[0], cell[1], absolute, repr(matrix.normalized[cell])]
-            )
+    rows = (
+        [*cell, matrix.absolute.get(cell, ""), repr(matrix.normalized[cell])]
+        for cell in sorted(set(matrix.absolute) | set(matrix.normalized))
+    )
+    write_csv(path, ["source_sld", "target_sld", "absolute", "normalized"], rows)

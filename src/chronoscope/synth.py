@@ -19,6 +19,7 @@ the multiplicative lognormal noise and rounds to integer weights.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -37,7 +38,7 @@ from .gravity import (
     haversine_km,
     pair_table,
 )
-from .snapshot import YearSnapshot
+from .snapshot import MAX_TOTAL_WEIGHT, YearSnapshot
 
 # target for the smallest generated weight; keeps integer rounding noise
 # under one percent per edge
@@ -88,6 +89,9 @@ def synthetic_geo(n_nodes: int, seed: int) -> dict[str, GeoPoint]:
     }
 
 
+# a steep kernel or wide noise overflows or underflows; the weights that
+# result fail the int64 check, which names the problem once
+@np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore")
 def gen_gravity_graph(
     spec: SynthSpec,
     geo: Mapping[str, GeoPoint],
@@ -101,10 +105,10 @@ def gen_gravity_graph(
     """
     if spec.n_nodes < 2:
         raise InvalidSpec("need at least two nodes")
-    if spec.planted_exponent is None or spec.planted_exponent < 0:
-        raise InvalidSpec("planted_exponent must be a non-negative number")
-    if spec.noise_scale < 0:
-        raise InvalidSpec("noise_scale must be non-negative")
+    if spec.planted_exponent is None or not 0 <= spec.planted_exponent < math.inf:
+        raise InvalidSpec("planted_exponent must be a finite non-negative number")
+    if not 0 <= spec.noise_scale < math.inf:
+        raise InvalidSpec("noise_scale must be a finite non-negative number")
     if len(geo) < spec.n_nodes:
         raise InvalidSpec(f"geo covers {len(geo)} nodes, need {spec.n_nodes}")
     nodes = sorted(geo)[: spec.n_nodes]
@@ -158,11 +162,18 @@ def gen_gravity_graph(
             rng.normal(0.0, spec.noise_scale, weights.shape)
         )
     np.fill_diagonal(weights, 0.0)
-    weights = np.rint(weights * (_MIN_WEIGHT / weights[off].min())).astype(np.int64)
+    # the smallest weight scales to _MIN_WEIGHT; each weight and the total
+    # must fit the snapshot's int64
+    smallest, largest = float(weights[off].min()), float(weights[off].max())
+    if not (smallest > 0 and largest * (_MIN_WEIGHT / smallest) < 2.0**63):
+        raise InvalidSpec("the planted weights cannot be scaled into int64")
+    weights = np.rint(weights * (_MIN_WEIGHT / smallest)).astype(np.int64)
     np.fill_diagonal(weights, 0)
     src, dst = np.nonzero(weights)
-    edges = dict(zip(_pairs(nodes, src, dst), weights[src, dst].tolist()))
-    return YearSnapshot.from_edges(year, edges)
+    values = weights[src, dst].tolist()
+    if sum(values) > MAX_TOTAL_WEIGHT:
+        raise InvalidSpec("the planted weights cannot be scaled into int64")
+    return YearSnapshot.from_edges(year, dict(zip(_pairs(nodes, src, dst), values)))
 
 
 def gen_partitioned_graph(spec: SynthSpec, year: int = 2010) -> YearSnapshot:

@@ -258,6 +258,27 @@ def brute_ingest(data, registered, gap_seconds, best_session=False):
     return snapshots, dict(summary), first_error
 
 
+def plain_rows(data):
+    """The rows of a tab-separated side-input file's bytes, by hand:
+    ``bytes.splitlines`` ends a line at ``\\n``, ``\\r\\n`` or a lone
+    ``\\r``, and each line is decoded strictly.
+
+    Returns ``(rows, bad)``.  ``bad`` is the number (from 1) of the first
+    line that is not valid UTF-8, or None.  ``rows`` holds ``(line number,
+    fields split at tabs)`` of each line before it that is neither empty
+    nor starts with ``#``.
+    """
+    rows = []
+    for number, raw in enumerate(data.splitlines(), start=1):
+        try:
+            line = raw.decode("utf-8")
+        except UnicodeDecodeError:
+            return rows, number
+        if line and not line.startswith("#"):
+            rows.append((number, line.split("\t")))
+    return rows, None
+
+
 def plain_snapshot(data, path):
     """Read snapshot file bytes line by line: ``(year, {(source, target):
     weight})``, or raise ValueError with the reader's message.

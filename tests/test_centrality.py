@@ -369,3 +369,33 @@ def test_path_measures_are_byte_identical_to_recorded_digests():
         "ab082bb1f97a5fc529efda6e5e3e0611e603a2737ee711cc2b8ad6b5fd9f51fe",
         "4e646fdac2f29f0184744ea0f3ee87f0389547115d50db7024dc401be9c3a574",
     ]
+
+
+def _loop_add(total, rows):
+    for row in rows:
+        total += row
+
+
+def test_block_sums_equal_the_per_source_loop(monkeypatch):
+    # each block's rows are added with one reduction; the sums must be
+    # bitwise those of adding one source's row at a time
+    rng = np.random.default_rng(15)
+    for _ in range(200):
+        n = int(rng.integers(2, 60))
+        total = rng.standard_normal(n) * 10.0 ** rng.uniform(-8, 8, n)
+        k = int(rng.integers(1, n + 1))  # a block has at most n rows
+        rows = rng.standard_normal((k, n)) * 10.0 ** rng.uniform(-8, 8, (1, n))
+        expected, got = total.copy(), total.copy()
+        _loop_add(expected, rows)
+        centrality._add_rows(got, rows)
+        assert got.tobytes() == expected.tobytes()
+    # a dense graph, and a sparse one whose sources span two blocks
+    graphs = random_digraph(random.Random(15), 40, 0.7), random_digraph(random.Random(16), 300, 0.01, 1)
+    for nodes, edges in graphs:
+        g = snap(edges).induced(nodes)
+        args = g.src, g.dst, 1.0 / g.weight, len(g.nodes)
+        blocked = centrality._path_measures(*args)
+        monkeypatch.setattr(centrality, "_add_rows", _loop_add)
+        looped = centrality._path_measures(*args)
+        monkeypatch.undo()
+        assert [c.tobytes() for c in blocked] == [c.tobytes() for c in looped]

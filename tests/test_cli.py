@@ -483,3 +483,23 @@ def test_cli_import_loads_no_sparse_graph_or_linalg():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert done.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize(
+    "option, value",
+    [
+        ("--planted-a", "nan"),
+        ("--planted-a", "inf"),
+        ("--planted-a", "200"),
+        ("--noise-scale", "inf"),
+        ("--noise-scale", "1000"),
+        ("--noise-scale", "nan"),
+    ],
+)
+def test_synth_gravity_rejects_unusable_parameters(tmp_path, capsys, option, value):
+    out = tmp_path / "out"
+    code = run("synth", "--mode", "gravity", "--n-nodes", 40, option, value, "--out-dir", out)
+    err = capsys.readouterr().err
+    assert code == 1
+    assert len(err.splitlines()) == 1 and err.startswith("error: InvalidSpec: ")
+    assert not (out / "snapshot_2010.tsv").exists()

@@ -54,7 +54,6 @@ from .gravity import (
     write_geo_points,
 )
 from .synth import (
-    SynthSpec,
     equal_groups,
     gen_gravity_graph,
     gen_partitioned_graph,
@@ -78,7 +77,6 @@ __all__ = [
     "SldFlowMatrix",
     "SldYearStats",
     "SuffixPolicy",
-    "SynthSpec",
     "YearSnapshot",
     "centrality_suite",
     "default_policy",

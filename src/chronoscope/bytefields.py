@@ -29,9 +29,9 @@ group is then looked up in the width's table of known keys, sorted by hash,
 walking the entries of its hash until one matches, so a collision costs time
 but never a wrong code.
 
-Small files are read a line at a time through :func:`text_lines`, side
-inputs through :class:`Rows`, and every CSV artifact is written by
-:func:`write_csv`.
+Small files are read a line at a time through :func:`text_lines`.  Side
+inputs are read through :class:`Rows` and written by :func:`write_rows`,
+and every CSV artifact is written by :func:`write_csv`.
 """
 
 from __future__ import annotations
@@ -342,6 +342,14 @@ class Rows:
         if domain in mapping:
             raise self.error(f"repeated domain {domain!r}")
         mapping[domain] = value
+
+
+def write_rows(path, rows: Iterable[Sequence]) -> None:
+    """Write side-input rows as :class:`Rows` reads them: each field as
+    ``str()`` of its value, tab-separated, one ``\\n``-ended line per row,
+    in UTF-8; no field may be empty or hold a tab or line break."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.writelines("\t".join(map(str, row)) + "\n" for row in rows)
 
 
 def write_csv(path, header: Sequence, rows: Iterable[Sequence]) -> None:

@@ -17,8 +17,10 @@ Pagerank and HITS are numpy power iterations over the snapshot's
 
 The path measures run Dijkstra from a block of sources at once in numpy,
 then Brandes' accumulation over each source's tight edges, those with
-``d[src] + length == d[dst]``.  Ties are still decided by that float ``==``
-(a known defect, ROADMAP item 1): exactly tied sums can differ in the last bit.
+``d[src] + length == d[dst]``.  Ties are still decided by that float ``==``,
+a known defect that the strict xfail
+``bench/test_bench.py::test_cli_betweenness_splits_exact_ties`` pins: exactly
+tied sums can differ in the last bit.
 
 Each Dijkstra step settles every row's nearest cells and relaxes their
 out-edges in one of two forms, chosen by density alone, with equal results:

@@ -31,6 +31,7 @@ from . import gravity as gravity_mod
 from . import metrics as metrics_mod
 from . import parallel
 from . import sldstats as sldstats_mod
+from .bytefields import write_rows
 from .domains import default_policy, load_policy
 from .errors import ChronoscopeError
 from .export import write_graphml
@@ -42,13 +43,7 @@ from .ingest import (
     read_node_pages,
 )
 from .snapshot import read_snapshot, write_snapshot
-from .synth import (
-    SynthSpec,
-    equal_groups,
-    gen_gravity_graph,
-    gen_partitioned_graph,
-    synthetic_geo,
-)
+from .synth import equal_groups, gen_gravity_graph, gen_partitioned_graph, synthetic_geo
 
 OUT_DIR_ENV = "CHRONOSCOPE_OUT"
 
@@ -189,7 +184,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--mode", choices=["gravity", "partition"], required=True)
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--n-nodes", type=int, default=200)
+    p.add_argument("--n-nodes", type=_positive_int, default=200)
     p.add_argument("--planted-a", type=float, default=0.28)
     p.add_argument("--noise-scale", type=float, default=0.0)
     p.add_argument("--p-intra", type=float, default=0.2)
@@ -385,32 +380,16 @@ def _cmd_synth(args) -> None:
     out = _out_dir(args)
     year = args.year if args.year is not None else 2010
     if args.mode == "gravity":
-        spec = SynthSpec(
-            seed=args.seed,
-            n_nodes=args.n_nodes,
-            planted_exponent=args.planted_a,
-            noise_scale=args.noise_scale,
-        )
         geo = synthetic_geo(args.n_nodes, args.seed)
-        snap = gen_gravity_graph(spec, geo, year=year)
-        geo_path = out / f"geo_{year}.tsv"
-        gravity_mod.write_geo_points(geo, geo_path)
-        _note(geo_path)
+        snap = gen_gravity_graph(geo, args.planted_a, args.noise_scale, seed=args.seed, year=year)
+        side_path = out / f"geo_{year}.tsv"
+        gravity_mod.write_geo_points(geo, side_path)
     else:
         groups = equal_groups(args.n_nodes, args.n_groups)
-        spec = SynthSpec(
-            seed=args.seed,
-            n_nodes=args.n_nodes,
-            groups=groups,
-            p_intra=args.p_intra,
-            p_inter=args.p_inter,
-        )
-        snap = gen_partitioned_graph(spec, year=year)
-        part_path = out / f"partition_{year}.tsv"
-        with open(part_path, "w", encoding="utf-8", newline="\n") as fh:
-            for node in sorted(groups):
-                fh.write(f"{node}\t{groups[node]}\n")
-        _note(part_path)
+        snap = gen_partitioned_graph(groups, args.p_intra, args.p_inter, seed=args.seed, year=year)
+        side_path = out / f"partition_{year}.tsv"
+        write_rows(side_path, sorted(groups.items()))
+    _note(side_path)
     snap_path = out / f"snapshot_{year}.tsv"
     write_snapshot(snap, snap_path)
     _note(snap_path)

@@ -21,7 +21,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .bytefields import Rows, write_csv
+from .bytefields import Rows, write_csv, write_rows
 from .errors import (
     DegenerateDesign,
     InsufficientData,
@@ -218,7 +218,12 @@ class GravityFit:
 
 
 def fit_gravity_exponent(series: DistanceSeries) -> GravityFit:
-    """Ordinary least squares of ln(sigma) on ln(distance)."""
+    """Ordinary least squares of ln(sigma) on ln(distance).
+
+    Each sum of products is ``np.add.reduce`` of the products, numpy's own
+    pairwise order, so the result does not depend on how many threads BLAS
+    would split a dot product over.
+    """
     d = series.distance_km
     s = series.sigma
     if len(d) < 3:
@@ -230,13 +235,13 @@ def fit_gravity_exponent(series: DistanceSeries) -> GravityFit:
     xm = x.mean()
     ym = y.mean()
     dx = x - xm
-    sxx = float(dx @ dx)
+    sxx = float(np.add.reduce(dx * dx))
     if sxx == 0.0:
         raise DegenerateDesign("all distances equal; slope undefined")
-    slope = float(dx @ (y - ym)) / sxx
+    slope = float(np.add.reduce(dx * (y - ym))) / sxx
     intercept = ym - slope * xm
     residuals = y - (intercept + slope * x)
-    rss = float(residuals @ residuals)
+    rss = float(np.add.reduce(residuals * residuals))
     dof = len(x) - 2
     std_error = math.sqrt(rss / dof / sxx)
     return GravityFit(
@@ -266,10 +271,9 @@ def read_geo_points(path) -> dict[str, GeoPoint]:
 
 
 def write_geo_points(geo: Mapping[str, GeoPoint], path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for node in sorted(geo):
-            point = geo[node]
-            fh.write(f"{node}\t{point.latitude!r}\t{point.longitude!r}\n")
+    """Write the lines that :func:`read_geo_points` reads, in domain order."""
+    rows = ((node, repr(geo[node].latitude), repr(geo[node].longitude)) for node in sorted(geo))
+    write_rows(path, rows)
 
 
 def export_geo_links(pairs: PairTable, geo: Mapping[str, GeoPoint], path) -> None:

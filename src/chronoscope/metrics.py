@@ -50,11 +50,12 @@ def spearman_rank_correlation(xs: Sequence[float], ys: Sequence[float]) -> float
     ry = fractional_ranks(ys)
     dx = rx - rx.mean()
     dy = ry - ry.mean()
-    sx = float(dx @ dx)
-    sy = float(dy @ dy)
+    # sums of products in numpy's pairwise order, not a threaded BLAS dot
+    sx = float(np.add.reduce(dx * dx))
+    sy = float(np.add.reduce(dy * dy))
     if sx == 0.0 or sy == 0.0:
         raise DegenerateInput("constant input has no rank ordering")
-    return float(dx @ dy) / math.sqrt(sx * sy)
+    return float(np.add.reduce(dx * dy)) / math.sqrt(sx * sy)
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,8 @@ twice produces byte-identical files.  Each edge joins two distinct non-empty
 names with a weight of at least 1, and each (source, target) pair occurs
 once: a file that repeats a pair is rejected, not read as its last line.
 These edge rules are one validator on the integer columns, which
-:meth:`YearSnapshot.from_edges` and :func:`read_snapshot` share.
+:meth:`YearSnapshot.from_edges`, :meth:`YearSnapshot.from_columns` and
+:func:`read_snapshot` share.
 
 :func:`read_snapshot` reads a file's bytes once and scans them with numpy
 through :mod:`chronoscope.bytefields`, the byte-field layer that the link-log
@@ -26,9 +27,9 @@ name once.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import itemgetter
+from operator import eq, itemgetter
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -54,8 +55,8 @@ class YearSnapshot:
 
     ``src`` and ``dst`` index into the sorted ``nodes``; edges are in
     (src, dst) order, which is also the order of the node names.  Only
-    :meth:`induced` keeps nodes without edges.  :meth:`from_edges` checks
-    the edges; the plain constructor trusts them.
+    :meth:`induced` keeps nodes without edges.  :meth:`from_edges` and
+    :meth:`from_columns` check the edges; the plain constructor trusts them.
     """
 
     year: int
@@ -84,6 +85,33 @@ class YearSnapshot:
             heavy = any(w > MAX_TOTAL_WEIGHT for w in edges.values())
             weight = np.array([min(max(w, -1), MAX_TOTAL_WEIGHT) for w in edges.values()], np.int64)
         return _checked(year, nodes, src, dst, weight, heavy)
+
+    @classmethod
+    def from_columns(
+        cls, year: int, names: Sequence[str], src: np.ndarray, dst: np.ndarray, weight: np.ndarray
+    ) -> "YearSnapshot":
+        """The snapshot of edges ``names[src[i]] -> names[dst[i]]`` of
+        ``weight[i]``, from integer arrays: ``names`` in any order, those
+        without edges dropped; ValueError on a bad edge as in
+        :meth:`from_edges`, on an index outside ``names``, on a name that
+        two used indices share and on weights that are not signed integers."""
+        src, dst, weight = np.asarray(src), np.asarray(dst), np.asarray(weight)
+        if weight.dtype.kind != "i":
+            raise ValueError(f"weights of dtype {weight.dtype} are not signed integers")
+        if not len(src) == len(dst) == len(weight):
+            raise ValueError("the columns differ in length")
+        codes = np.concatenate((src, dst))
+        if len(codes) and not 0 <= codes.min() <= codes.max() < len(names):
+            raise ValueError("a name index is out of range")
+        used = np.zeros(len(names), bool)
+        used[codes] = True
+        order = sorted(np.flatnonzero(used).tolist(), key=names.__getitem__)
+        nodes = tuple(map(names.__getitem__, order))
+        if any(map(eq, nodes[1:], nodes[:-1])):
+            raise ValueError("two name indices share a name")
+        rank = np.zeros(len(names), np.int64)
+        rank[order] = np.arange(len(order))
+        return _checked(year, nodes, rank[src], rank[dst], weight.astype(np.int64), False)
 
     def __eq__(self, other):
         if not isinstance(other, YearSnapshot):

@@ -2,9 +2,11 @@
 
 Two generators stand in for the non-distributable crawl corpus at desk
 scale: a distance-decay graph whose normalized strengths follow d^-a, and a
-group-structured graph with chosen intra/inter link probabilities.  Both are
-pure functions of their spec (PCG64 streams seeded from ``spec.seed``), so
-the same spec reproduces the same snapshot bit for bit.
+group-structured graph with chosen intra/inter link probabilities.  Each
+takes only its own mode's inputs, draws its edges as arrays from a PCG64
+stream seeded from ``seed``, so the same inputs reproduce the same snapshot
+bit for bit, and builds the snapshot straight from those arrays with
+:meth:`YearSnapshot.from_columns`.
 
 The distance-decay generator calibrates itself: an uncorrected kernel
 ``w = d^-a`` does not yield normalized strengths with exponent a, because
@@ -20,7 +22,6 @@ the multiplicative lognormal noise and rounds to integer weights.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
@@ -38,7 +39,7 @@ from .gravity import (
     haversine_km,
     pair_table,
 )
-from .snapshot import MAX_TOTAL_WEIGHT, YearSnapshot
+from .snapshot import YearSnapshot
 
 # target for the smallest generated weight; keeps integer rounding noise
 # under one percent per edge
@@ -46,23 +47,6 @@ _MIN_WEIGHT = 64.0
 
 _CALIBRATION_TOL = 2e-4
 _CALIBRATION_STEPS = 8
-
-
-@dataclass(frozen=True)
-class SynthSpec:
-    """Parameters for the synthetic generators.
-
-    ``planted_exponent`` and ``noise_scale`` drive the distance-decay mode;
-    ``groups`` with ``p_intra``/``p_inter`` drive the partitioned mode.
-    """
-
-    seed: int
-    n_nodes: int
-    planted_exponent: float | None = None
-    noise_scale: float = 0.0
-    groups: Mapping[str, str] | None = None
-    p_intra: float | None = None
-    p_inter: float | None = None
 
 
 def node_names(n_nodes: int) -> list[str]:
@@ -93,29 +77,31 @@ def synthetic_geo(n_nodes: int, seed: int) -> dict[str, GeoPoint]:
 # result fail the int64 check, which names the problem once
 @np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore")
 def gen_gravity_graph(
-    spec: SynthSpec,
     geo: Mapping[str, GeoPoint],
+    planted_exponent: float,
+    noise_scale: float = 0.0,
+    *,
+    seed: int,
     year: int = 2010,
 ) -> YearSnapshot:
-    """Generate a snapshot whose normalized strengths decay as d^-a.
+    """Generate a snapshot over the nodes of ``geo`` whose normalized
+    strengths decay as d^-a, with a = ``planted_exponent``.
 
-    ``geo`` must supply coordinates for at least ``spec.n_nodes`` nodes (the
-    first n in sorted order are used).  The construction inverts the default
-    analysis: window ``DEFAULT_WINDOW`` and pairs from ``DEFAULT_D_MIN_KM`` on.
+    Every ordered pair of distinct nodes is linked.  The construction
+    inverts the default analysis: window ``DEFAULT_WINDOW`` and pairs from
+    ``DEFAULT_D_MIN_KM`` on.
     """
-    if spec.n_nodes < 2:
+    if len(geo) < 2:
         raise InvalidSpec("need at least two nodes")
-    if spec.planted_exponent is None or not 0 <= spec.planted_exponent < math.inf:
+    if not 0 <= planted_exponent < math.inf:
         raise InvalidSpec("planted_exponent must be a finite non-negative number")
-    if not 0 <= spec.noise_scale < math.inf:
+    if not 0 <= noise_scale < math.inf:
         raise InvalidSpec("noise_scale must be a finite non-negative number")
-    if len(geo) < spec.n_nodes:
-        raise InvalidSpec(f"geo covers {len(geo)} nodes, need {spec.n_nodes}")
-    nodes = sorted(geo)[: spec.n_nodes]
+    nodes = sorted(geo)
     lat = np.array([geo[v].latitude for v in nodes])
     lon = np.array([geo[v].longitude for v in nodes])
     distances = haversine_km(lat[:, None], lon[:, None], lat[None, :], lon[None, :])
-    off = ~np.eye(spec.n_nodes, dtype=bool)
+    off = ~np.eye(len(nodes), dtype=bool)
     if np.any(distances[off] == 0.0):
         raise InvalidSpec("coincident coordinates make the decay undefined")
     np.fill_diagonal(distances, 1.0)  # placeholder; diagonal never used
@@ -128,7 +114,7 @@ def gen_gravity_graph(
         d_min_km = 0.0
     window = min(DEFAULT_WINDOW, max(1, np.count_nonzero(pair_km >= d_min_km) - 2))
 
-    target = spec.planted_exponent
+    target = planted_exponent
 
     def realized(g: float) -> float:
         kernel = distances**(-g)
@@ -155,59 +141,50 @@ def gen_gravity_graph(
             g_cur + (target - f_cur) * (g_cur - g_prev) / (f_cur - f_prev),
         )
 
-    rng = default_rng(spec.seed)
+    rng = default_rng(seed)
     weights = distances**(-g_cur)
-    if spec.noise_scale > 0:
-        weights = weights * np.exp(
-            rng.normal(0.0, spec.noise_scale, weights.shape)
-        )
-    np.fill_diagonal(weights, 0.0)
+    if noise_scale > 0:
+        weights = weights * np.exp(rng.normal(0.0, noise_scale, weights.shape))
+    weights = weights[off]
     # the smallest weight scales to _MIN_WEIGHT; each weight and the total
     # must fit the snapshot's int64
-    smallest, largest = float(weights[off].min()), float(weights[off].max())
+    smallest, largest = float(weights.min()), float(weights.max())
     if not (smallest > 0 and largest * (_MIN_WEIGHT / smallest) < 2.0**63):
         raise InvalidSpec("the planted weights cannot be scaled into int64")
     weights = np.rint(weights * (_MIN_WEIGHT / smallest)).astype(np.int64)
-    np.fill_diagonal(weights, 0)
-    src, dst = np.nonzero(weights)
-    values = weights[src, dst].tolist()
-    if sum(values) > MAX_TOTAL_WEIGHT:
-        raise InvalidSpec("the planted weights cannot be scaled into int64")
-    return YearSnapshot.from_edges(year, dict(zip(_pairs(nodes, src, dst), values)))
+    try:
+        return YearSnapshot.from_columns(year, nodes, rows, cols, weights)
+    except ValueError:  # the weights sum to more than int64 holds
+        raise InvalidSpec("the planted weights cannot be scaled into int64") from None
 
 
-def gen_partitioned_graph(spec: SynthSpec, year: int = 2010) -> YearSnapshot:
-    """Directed unit-weight edges with group-dependent probabilities.
+def gen_partitioned_graph(
+    groups: Mapping[str, str],
+    p_intra: float,
+    p_inter: float,
+    *,
+    seed: int,
+    year: int = 2010,
+) -> YearSnapshot:
+    """Directed unit-weight edges over the nodes of ``groups`` (node ->
+    group label), with group-dependent probabilities.
 
-    Every ordered pair draws independently: probability ``p_intra`` inside a
-    group, ``p_inter`` across groups.  Equal probabilities are allowed (the
-    null case where the partition carries no signal).
+    Every ordered pair draws independently, in the mapping's order:
+    probability ``p_intra`` inside a group, ``p_inter`` across groups.
+    Equal probabilities are allowed (the null case where the partition
+    carries no signal).
     """
-    if spec.n_nodes < 2:
+    if len(groups) < 2:
         raise InvalidSpec("need at least two nodes")
-    if spec.groups is None:
-        raise InvalidSpec("partitioned mode needs a groups mapping")
-    if spec.p_intra is None or spec.p_inter is None:
-        raise InvalidSpec("partitioned mode needs p_intra and p_inter")
-    for name, p in (("p_intra", spec.p_intra), ("p_inter", spec.p_inter)):
+    for name, p in (("p_intra", p_intra), ("p_inter", p_inter)):
         if not 0.0 <= p <= 1.0:
             raise InvalidSpec(f"{name}={p} outside [0, 1]")
-    if spec.p_intra < spec.p_inter:
+    if p_intra < p_inter:
         raise InvalidSpec("p_intra must be at least p_inter")
-    nodes = node_names(spec.n_nodes)
-    missing = [v for v in nodes if v not in spec.groups]
-    if missing:
-        raise InvalidSpec(f"groups mapping misses {missing[:5]}")
-    labels = np.array([spec.groups[v] for v in nodes])
+    labels = np.array(list(groups.values()))
     same = labels[:, None] == labels[None, :]
-    probs = np.where(same, spec.p_intra, spec.p_inter)
-    rng = default_rng(spec.seed)
-    draw = rng.random((spec.n_nodes, spec.n_nodes)) < probs
+    probs = np.where(same, p_intra, p_inter)
+    draw = default_rng(seed).random(probs.shape) < probs
     np.fill_diagonal(draw, False)
-    return YearSnapshot.from_edges(year, dict.fromkeys(_pairs(nodes, *np.nonzero(draw)), 1))
-
-
-def _pairs(nodes: list[str], src: np.ndarray, dst: np.ndarray):
-    """The ``(nodes[src[i]], nodes[dst[i]])`` pairs, without numpy scalars."""
-    name = nodes.__getitem__
-    return zip(map(name, src.tolist()), map(name, dst.tolist()))
+    src, dst = np.nonzero(draw)
+    return YearSnapshot.from_columns(year, list(groups), src, dst, np.ones(len(src), np.int64))

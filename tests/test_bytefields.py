@@ -6,9 +6,9 @@ import io
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chronoscope.bytefields import Rows, write_csv
+from chronoscope.bytefields import Rows, write_csv, write_rows
 from chronoscope.errors import MalformedLine
-from chronoscope.gravity import GeoPoint, read_geo_points
+from chronoscope.gravity import GeoPoint, read_geo_points, write_geo_points
 from chronoscope.ingest import read_node_pages
 from chronoscope.metrics import read_node_list, read_partition, read_ranking
 from oracles import plain_rows
@@ -168,3 +168,23 @@ def test_write_csv_quotes_only_where_needed(tmp_path):
         ["a,b", "1", "0.5"],
         ['say "hi"', "", "0.1"],
     ]
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    domains=_domains(),
+    labels=st.lists(st.text("ag0é#", min_size=1, max_size=3), min_size=8, max_size=8),
+    points=st.lists(st.tuples(st.floats(-90, 90), st.floats(-180, 180)), min_size=8, max_size=8),
+)
+def test_side_input_writers_round_trip(tmp_path_factory, domains, labels, points):
+    # write_geo_points and synth's partition file share write_rows
+    directory = tmp_path_factory.mktemp("rows")
+    geo = {d: GeoPoint(*point) for d, point in zip(domains, points)}
+    write_geo_points(geo, directory / "geo.tsv")
+    assert read_geo_points(directory / "geo.tsv") == geo
+    partition = dict(zip(domains, labels))
+    write_rows(directory / "partition.tsv", sorted(partition.items()))
+    assert read_partition(directory / "partition.tsv") == partition
+    assert (directory / "partition.tsv").read_text(encoding="utf-8") == "".join(
+        f"{d}\t{g}\n" for d, g in sorted(partition.items())
+    )

@@ -323,7 +323,8 @@ def kernel_graphs(draw):
 @given(graph=kernel_graphs())
 def test_dense_and_csr_relax_agree_bitwise(monkeypatch, graph):
     nodes, edges, max_weight = graph
-    # the path measures alone: HITS may give up on these graphs (ROADMAP item 2)
+    # the path measures alone: HITS may give up on these graphs, as the strict
+    # xfail bench/test_bench.py::test_cli_hits_on_two_near_equal_stars pins
     g = snap(edges).induced(nodes)
     columns = []
     for density in (0.0, math.inf):  # dense rows always, never
@@ -331,8 +332,9 @@ def test_dense_and_csr_relax_agree_bitwise(monkeypatch, graph):
         columns.append(centrality._path_measures(g.src, g.dst, 1.0 / g.weight, len(nodes)))
     for dense, csr in zip(*columns):
         assert dense.tobytes() == csr.tobytes()
-    # lengths 1/3 tie exactly but not in floats (ROADMAP item 1), so the
-    # float-== oracle checks unit and wide weights only
+    # lengths 1/3 tie exactly but not in floats (the strict xfail
+    # bench/test_bench.py::test_cli_betweenness_splits_exact_ties pins this),
+    # so the float-== oracle checks unit and wide weights only
     if len(nodes) <= 7 and max_weight != 4:
         expected = brute_betweenness(nodes, edges)
         assert columns[0][0] == pytest.approx([expected[v] for v in g.nodes], abs=1e-9)

@@ -1,5 +1,6 @@
 import concurrent.futures
 import datetime
+import hashlib
 import os
 import subprocess
 import sys
@@ -20,6 +21,13 @@ def utc(year, month=1, day=1):
 
 def run(*argv):
     return main([str(a) for a in argv])
+
+
+def _child_env(**extra):
+    """This environment, with the package importable in a child process."""
+    src = str(Path(chronoscope.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return dict(os.environ, PYTHONPATH=path, **extra)
 
 
 @pytest.fixture()
@@ -471,16 +479,12 @@ def test_cli_import_loads_no_sparse_graph_or_linalg():
     # the runtime needs numpy alone: importing scipy costs every command about
     # 0.2 s of start-up and 14 MB of resident memory; parallel.fork_map
     # imports multiprocessing and concurrent.futures only when it starts workers
-    src = str(Path(chronoscope.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p
-    ))
     code = (
         "import sys, chronoscope.cli; print(sorted(m for m in sys.modules"
         " if m.split('.')[0] in ('scipy', 'multiprocessing', 'concurrent')))"
     )
     done = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", code], env=_child_env(), capture_output=True, text=True, check=True
     )
     assert done.stdout.strip() == "[]"
 
@@ -494,6 +498,8 @@ def test_cli_import_loads_no_sparse_graph_or_linalg():
         ("--noise-scale", "inf"),
         ("--noise-scale", "1000"),
         ("--noise-scale", "nan"),
+        # each weight fits int64 but their total does not
+        ("--noise-scale", "5.4"),
     ],
 )
 def test_synth_gravity_rejects_unusable_parameters(tmp_path, capsys, option, value):
@@ -503,3 +509,103 @@ def test_synth_gravity_rejects_unusable_parameters(tmp_path, capsys, option, val
     assert code == 1
     assert len(err.splitlines()) == 1 and err.startswith("error: InvalidSpec: ")
     assert not (out / "snapshot_2010.tsv").exists()
+
+
+@pytest.mark.parametrize("mode", ["gravity", "partition"])
+@pytest.mark.parametrize("n_nodes", ["-1", "0", "ten"])
+def test_synth_rejects_non_positive_node_count(tmp_path, capsys, mode, n_nodes):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as excinfo:
+        run("synth", "--mode", mode, "--n-nodes", n_nodes, "--out-dir", out)
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert "--n-nodes" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+# sha256 of each synth artifact, which a seed must reproduce bit for bit;
+# above 1000 nodes the generated names leave sorted order (u1000.ac.uk sorts
+# before u101.ac.uk), and zero probabilities give a snapshot without edges
+SYNTH_DIGESTS = [
+    (
+        ["--mode", "gravity", "--seed", "3", "--n-nodes", "40", "--noise-scale", "0.3"],
+        {
+            "geo_2010.tsv": "55f62ea6414ce464bbe5b31995d615523bed61d18d1df7d0ba99ce9bac7cc7c6",
+            "snapshot_2010.tsv": "1523fb500b3b028ebca7ad6bd3866606d78d09b4181322fb24fa6ceb0259bffd",
+        },
+    ),
+    (
+        ["--mode", "partition", "--seed", "4", "--n-nodes", "1100", "--n-groups", "9",
+         "--p-intra", "0.02", "--p-inter", "0.001"],
+        {
+            "partition_2010.tsv": "21d6588bdbb920db6d80fe1aec3bb3457a4f3ccb77b2cad600715b63e3f3ab0b",
+            "snapshot_2010.tsv": "13e1e87a93802b0c055754e1530bd85616823971b3f90023da0e9ee708489a01",
+        },
+    ),
+    (
+        ["--mode", "partition", "--seed", "2", "--n-nodes", "30", "--p-intra", "0",
+         "--p-inter", "0"],
+        {
+            "partition_2010.tsv": "d5faaa838f64da9eb650cab8415a25d2a762df7426855ee2316322eb867d9374",
+            "snapshot_2010.tsv": "59c18abbdd260eecf99ebe78ef21339883261c873a19f316e19136b31f7646f1",
+        },
+    ),
+]
+
+
+@pytest.mark.parametrize("options, digests", SYNTH_DIGESTS, ids=["gravity", "partition", "empty"])
+def test_synth_artifacts_keep_their_digests(tmp_path, options, digests):
+    assert run("synth", *options, "--out-dir", tmp_path) == 0
+    written = {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in tmp_path.iterdir()}
+    assert written == digests
+
+
+def test_gravity_artifacts_do_not_depend_on_blas_threads(tmp_path):
+    # 250 nodes give 62,250 pairs: a threaded BLAS dot would split its sums
+    # of products over the threads and move the fit's last bits
+    outs = {threads: tmp_path / f"threads_{threads}" for threads in ("1", "2")}
+    for threads, out in outs.items():
+        for argv in (
+            ["synth", "--mode", "gravity", "--seed", "77", "--n-nodes", "250",
+             "--noise-scale", "0.5", "--out-dir", str(out)],
+            ["gravity", str(out / "snapshot_2010.tsv"), "--geo", str(out / "geo_2010.tsv"),
+             "--out-dir", str(out)],
+        ):
+            subprocess.run(
+                [sys.executable, "-m", "chronoscope.cli", *argv],
+                env=_child_env(OPENBLAS_NUM_THREADS=threads), capture_output=True, check=True,
+            )
+    names = sorted(path.name for path in outs["1"].iterdir())
+    assert len(names) == 5
+    for name in names:
+        assert (outs["2"] / name).read_bytes() == (outs["1"] / name).read_bytes(), name
+
+
+def test_spearman_does_not_depend_on_blas_threads():
+    # centred fractional ranks are multiples of 1/2, so their sums of products
+    # are exact in any order below about 476k values; above, each order
+    # rounds its own way
+    code = (
+        "import numpy as np; from chronoscope.metrics import spearman_rank_correlation as rho;"
+        " rng = np.random.default_rng(1); x = rng.normal(size=1_000_000);"
+        " print(repr(rho(x, x + rng.normal(size=x.size))))"
+    )
+    printed = {
+        subprocess.run(
+            [sys.executable, "-c", code], env=_child_env(OPENBLAS_NUM_THREADS=threads),
+            capture_output=True, text=True, check=True,
+        ).stdout
+        for threads in ("1", "2")
+    }
+    assert len(printed) == 1
+
+
+def test_runtime_smoke_needs_no_dev_module():
+    # the smoke run that CI makes after installing the package alone, here
+    # with the dev-only modules made unimportable
+    smoke = Path(__file__).with_name("runtime_smoke.py")
+    done = subprocess.run(
+        [sys.executable, str(smoke), "--block"], env=_child_env(), capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "runtime smoke: ok\n"

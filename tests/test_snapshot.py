@@ -107,6 +107,55 @@ def test_total_weight_must_fit_int64(tmp_path):
         read_snapshot(path)
 
 
+def _raised(make):
+    """The snapshot ``make()`` returns, or the message of its ValueError."""
+    try:
+        return make()
+    except ValueError as exc:
+        return str(exc)
+
+
+@given(
+    edges=st.dictionaries(
+        st.tuples(st.sampled_from(["", *pool]), st.sampled_from(["", *pool])),
+        st.one_of(st.integers(-1, 3), st.integers(1, 2**62)),
+        max_size=20,
+    ),
+    unused=st.sets(st.sampled_from(absent)),
+    rnd=st.randoms(use_true_random=False),
+)
+def test_from_columns_matches_from_edges(edges, unused, rnd):
+    # valid and bad edges alike: weights below 1, self-loops, the empty name
+    # and totals beyond int64 fail the same check at the same edge
+    names = sorted({n for pair in edges for n in pair} | unused)
+    rnd.shuffle(names)
+    code = {name: i for i, name in enumerate(names)}
+    src = np.array([code[s] for s, _ in edges], np.int64)
+    dst = np.array([code[t] for _, t in edges], np.int64)
+    weight = np.array(list(edges.values()), np.int64)
+    got = _raised(lambda: YearSnapshot.from_columns(2010, names, src, dst, weight))
+    assert got == _raised(lambda: YearSnapshot.from_edges(2010, edges))
+    if isinstance(got, YearSnapshot):
+        assert all(a.dtype.name == "int64" for a in (got.src, got.dst, got.weight))
+
+
+@pytest.mark.parametrize(
+    "names, src, dst, weight, reason",
+    [
+        (["a", "b"], [0, 0], [1, 1], [1, 2], "duplicate edge record"),
+        (["a", "b"], [0], [2], [1], "a name index is out of range"),
+        (["a", "b"], [-1], [0], [1], "a name index is out of range"),
+        (["a", "b", "a"], [0], [2], [1], "two name indices share a name"),
+        (["a", "b"], [0], [1], np.array([1.0]), "weights of dtype float64 are not signed integers"),
+        (["a", "b"], [0], [1], np.array([1], np.uint64), "weights of dtype uint64 are not signed integers"),
+        (["a", "b"], [0, 1], [1], [1, 1], "the columns differ in length"),
+    ],
+)
+def test_from_columns_rejects_what_a_mapping_cannot_hold(names, src, dst, weight, reason):
+    with pytest.raises(ValueError, match=f"^{re.escape(reason)}$"):
+        YearSnapshot.from_columns(2010, names, src, dst, weight)
+
+
 @given(edges=edge_dicts(names))
 def test_round_trip_keeps_arrays_and_bytes(tmp_path_factory, edges):
     snapshot = YearSnapshot.from_edges(1999, edges)

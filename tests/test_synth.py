@@ -9,7 +9,6 @@ from chronoscope.gravity import (
 )
 from chronoscope.metrics import modularity
 from chronoscope.synth import (
-    SynthSpec,
     equal_groups,
     gen_gravity_graph,
     gen_partitioned_graph,
@@ -28,69 +27,46 @@ def fitted_exponent(snapshot, geo, window=500):
 # --- distance-decay generator ---
 
 def test_gravity_noiseless_recovery():
-    spec = SynthSpec(seed=3, n_nodes=120, planted_exponent=0.5, noise_scale=0.0)
-    geo = synthetic_geo(spec.n_nodes, spec.seed)
-    snap = gen_gravity_graph(spec, geo)
+    geo = synthetic_geo(120, 3)
+    snap = gen_gravity_graph(geo, 0.5, 0.0, seed=3)
     assert abs(fitted_exponent(snap, geo) - 0.5) <= 0.01
 
 
 def test_gravity_noisy_recovery():
-    spec = SynthSpec(seed=8, n_nodes=120, planted_exponent=0.28, noise_scale=0.3)
-    geo = synthetic_geo(spec.n_nodes, spec.seed)
-    snap = gen_gravity_graph(spec, geo)
+    geo = synthetic_geo(120, 8)
+    snap = gen_gravity_graph(geo, 0.28, 0.3, seed=8)
     assert abs(fitted_exponent(snap, geo) - 0.28) <= 0.05
 
 
 def test_gravity_deterministic():
-    spec = SynthSpec(seed=5, n_nodes=40, planted_exponent=1.0, noise_scale=0.2)
-    geo = synthetic_geo(spec.n_nodes, spec.seed)
-    assert gen_gravity_graph(spec, geo) == gen_gravity_graph(spec, geo)
+    geo = synthetic_geo(40, 5)
+    assert gen_gravity_graph(geo, 1.0, 0.2, seed=5) == gen_gravity_graph(geo, 1.0, 0.2, seed=5)
 
 
 def test_gravity_weights_are_positive_integers():
-    spec = SynthSpec(seed=5, n_nodes=25, planted_exponent=0.5, noise_scale=0.4)
-    geo = synthetic_geo(spec.n_nodes, spec.seed)
-    snap = gen_gravity_graph(spec, geo)
+    geo = synthetic_geo(25, 5)
+    snap = gen_gravity_graph(geo, 0.5, 0.4, seed=5)
     assert all(isinstance(w, int) and w >= 1 for w in snap.edges.values())
     assert all(src != tgt for src, tgt in snap.edges)
-
-
-def test_gravity_accepts_larger_geo():
-    spec = SynthSpec(seed=5, n_nodes=10, planted_exponent=0.5)
-    geo = synthetic_geo(30, 5)
-    snap = gen_gravity_graph(spec, geo)
-    assert snap.nodes == tuple(sorted(geo)[:10])
 
 
 def test_gravity_spec_validation():
     geo = synthetic_geo(10, 1)
     with pytest.raises(InvalidSpec):
-        gen_gravity_graph(SynthSpec(seed=1, n_nodes=10), geo)  # no exponent
+        gen_gravity_graph(geo, -0.5, seed=1)
     with pytest.raises(InvalidSpec):
-        gen_gravity_graph(
-            SynthSpec(seed=1, n_nodes=10, planted_exponent=-0.5), geo
-        )
+        gen_gravity_graph(geo, 0.5, -1, seed=1)
     with pytest.raises(InvalidSpec):
-        gen_gravity_graph(
-            SynthSpec(seed=1, n_nodes=10, planted_exponent=0.5, noise_scale=-1), geo
-        )
-    with pytest.raises(InvalidSpec):
-        gen_gravity_graph(
-            SynthSpec(seed=1, n_nodes=20, planted_exponent=0.5), synthetic_geo(5, 1)
-        )
-    with pytest.raises(InvalidSpec):
-        gen_gravity_graph(SynthSpec(seed=1, n_nodes=1, planted_exponent=0.5), geo)
+        gen_gravity_graph(synthetic_geo(1, 1), 0.5, seed=1)
 
 
 def test_gravity_rejects_coincident_points():
     geo = {"a.ac.uk": GeoPoint(51.0, 0.0), "b.ac.uk": GeoPoint(51.0, 0.0)}
     with pytest.raises(InvalidSpec):
-        gen_gravity_graph(SynthSpec(seed=1, n_nodes=2, planted_exponent=0.5), geo)
+        gen_gravity_graph(geo, 0.5, seed=1)
     # two distinct points: both pairs share one distance, so no slope exists
     with pytest.raises(InvalidSpec):
-        gen_gravity_graph(
-            SynthSpec(seed=1, n_nodes=2, planted_exponent=0.5), synthetic_geo(2, 1)
-        )
+        gen_gravity_graph(synthetic_geo(2, 1), 0.5, seed=1)
 
 
 def test_synthetic_geo_deterministic_and_bounded():
@@ -108,8 +84,7 @@ def test_synthetic_geo_deterministic_and_bounded():
 
 def test_partitioned_separated_groups_match_oracle():
     groups = equal_groups(10, 2)
-    spec = SynthSpec(seed=2, n_nodes=10, groups=groups, p_intra=1.0, p_inter=0.0)
-    snap = gen_partitioned_graph(spec)
+    snap = gen_partitioned_graph(groups, 1.0, 0.0, seed=2)
     # complete inside each group, empty across
     for (src, tgt) in snap.edges:
         assert groups[src] == groups[tgt]
@@ -121,36 +96,24 @@ def test_partitioned_separated_groups_match_oracle():
 
 def test_partitioned_null_probabilities_allowed():
     groups = equal_groups(60, 5)
-    spec = SynthSpec(seed=4, n_nodes=60, groups=groups, p_intra=0.2, p_inter=0.2)
-    snap = gen_partitioned_graph(spec)
+    snap = gen_partitioned_graph(groups, 0.2, 0.2, seed=4)
     q = modularity(snap, groups).q
     assert abs(q) < 0.1  # no planted signal to find
 
 
 def test_partitioned_deterministic():
     groups = equal_groups(20, 3)
-    spec = SynthSpec(seed=11, n_nodes=20, groups=groups, p_intra=0.6, p_inter=0.1)
-    assert gen_partitioned_graph(spec) == gen_partitioned_graph(spec)
-    other = SynthSpec(seed=12, n_nodes=20, groups=groups, p_intra=0.6, p_inter=0.1)
-    assert gen_partitioned_graph(spec) != gen_partitioned_graph(other)
+    one = gen_partitioned_graph(groups, 0.6, 0.1, seed=11)
+    assert one == gen_partitioned_graph(groups, 0.6, 0.1, seed=11)
+    assert one != gen_partitioned_graph(groups, 0.6, 0.1, seed=12)
 
 
 def test_partitioned_spec_validation():
     groups = equal_groups(10, 2)
     with pytest.raises(InvalidSpec):
-        gen_partitioned_graph(SynthSpec(seed=1, n_nodes=10, groups=groups))
+        gen_partitioned_graph(groups, 0.2, 0.5, seed=1)
     with pytest.raises(InvalidSpec):
-        gen_partitioned_graph(
-            SynthSpec(seed=1, n_nodes=10, groups=groups, p_intra=0.2, p_inter=0.5)
-        )
-    with pytest.raises(InvalidSpec):
-        gen_partitioned_graph(
-            SynthSpec(seed=1, n_nodes=10, groups=groups, p_intra=1.5, p_inter=0.1)
-        )
-    with pytest.raises(InvalidSpec):
-        gen_partitioned_graph(
-            SynthSpec(seed=1, n_nodes=12, groups=groups, p_intra=0.5, p_inter=0.1)
-        )
+        gen_partitioned_graph(groups, 1.5, 0.1, seed=1)
 
 
 def test_equal_groups_round_robin():

@@ -183,13 +183,13 @@ def _build_parser() -> argparse.ArgumentParser:
         "synth", parents=[common], help="synthetic snapshots with planted structure"
     )
     p.add_argument("--mode", choices=["gravity", "partition"], required=True)
-    p.add_argument("--seed", type=int, default=1)
+    p.add_argument("--seed", type=_non_negative_int, default=1)
     p.add_argument("--n-nodes", type=_positive_int, default=200)
     p.add_argument("--planted-a", type=float, default=0.28)
     p.add_argument("--noise-scale", type=float, default=0.0)
     p.add_argument("--p-intra", type=float, default=0.2)
     p.add_argument("--p-inter", type=float, default=0.05)
-    p.add_argument("--n-groups", type=int, default=5)
+    p.add_argument("--n-groups", type=_positive_int, default=5)
     p.set_defaults(run=_cmd_synth)
 
     p = sub.add_parser(
@@ -203,12 +203,20 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _positive_int(text: str) -> int:
+    return _int_from(text, 1, "a positive integer")
+
+
+def _non_negative_int(text: str) -> int:
+    return _int_from(text, 0, "a non-negative integer")
+
+
+def _int_from(text: str, least: int, kind: str) -> int:
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    if value < least:
+        raise argparse.ArgumentTypeError(f"must be {kind}, got {value}")
     return value
 
 
@@ -311,7 +319,7 @@ def _cmd_centrality(args) -> None:
 def _cmd_correlate(args) -> None:
     out = _out_dir(args)
     ranking = metrics_mod.read_ranking(args.ranking)
-    nodes = _node_filter(args, fallback=sorted(ranking.ranks))
+    nodes = _node_filter(args, fallback=sorted(ranking))
 
     def compute(snap):
         table = centrality_mod.centrality_suite(snap, nodes)

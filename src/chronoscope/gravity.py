@@ -204,8 +204,9 @@ class GravityFit:
 
     ``exponent`` is the decay exponent a in ``sigma ~ d^-a`` (the negated
     slope); ``std_error`` is the classical OLS standard error of the slope.
-    ``d_min_km``/``d_max_km`` record the distance range of the fitted
-    points.
+    ``d_min_km`` is the series' distance floor, the least distance a pair
+    could have to be windowed, and ``d_max_km`` the largest windowed mean
+    distance, the fit's rightmost point.
     """
 
     exponent: float

@@ -165,15 +165,10 @@ class _ParsedRange:
 
 def read_node_pages(path) -> dict[int, dict[str, int]]:
     """Read ``year<TAB>third_level_domain<TAB>page_count`` lines, one per
-    (year, domain)."""
+    (year, domain); the year and the count are ASCII digits."""
     rows, per_year = bytefields.Rows(path, "year<TAB>domain<TAB>pages"), {}
     for year, domain, pages in rows:
-        try:
-            year, pages = int(year), int(pages)
-        except ValueError:
-            raise rows.error("non-integer field") from None
-        if pages < 0:
-            raise rows.error("negative page count")
+        year, pages = (rows.integer(text, "non-integer field") for text in (year, pages))
         rows.record(per_year.setdefault(year, {}), domain, pages)
     return per_year
 

@@ -59,13 +59,6 @@ def spearman_rank_correlation(xs: Sequence[float], ys: Sequence[float]) -> float
 
 
 @dataclass(frozen=True)
-class RankingTable:
-    """External integer ranking of nodes, 1 = best; ties allowed."""
-
-    ranks: Mapping[str, int]
-
-
-@dataclass(frozen=True)
 class LeagueCorrelation:
     """Per-measure Spearman coefficients against a league ranking."""
 
@@ -77,20 +70,21 @@ class LeagueCorrelation:
 
 
 def rank_centrality_vs_league(
-    table: CentralityTable, ranking: RankingTable
+    table: CentralityTable, ranking: Mapping[str, int]
 ) -> LeagueCorrelation:
     """Correlate every centrality measure against league rank.
 
+    ``ranking`` maps nodes to integer league ranks; ties are allowed.
     Nodes missing from either side are dropped and counted.  The sign
     convention makes "more central goes with better-ranked" positive: nodes
     are ranked most-central-first and correlated against the league rank,
     where 1 is best.  A measure that is constant on the overlap (common for
     betweenness on sparse graphs) gets ``nan``.
     """
-    common = sorted(set(table.nodes) & set(ranking.ranks))
+    common = sorted(set(table.nodes) & set(ranking))
     if len(common) < 2:
         raise InsufficientOverlap(f"only {len(common)} nodes on both sides")
-    league = [ranking.ranks[node] for node in common]
+    league = [ranking[node] for node in common]
     rho: dict[str, float] = {}
     for name in MEASURES:
         values = table.values[name]
@@ -103,7 +97,7 @@ def rank_centrality_vs_league(
         table.year,
         len(common),
         len(table.nodes) - len(common),
-        len(ranking.ranks) - len(common),
+        len(ranking) - len(common),
         rho,
     )
 
@@ -183,18 +177,16 @@ def read_partition(path) -> dict[str, str]:
     return mapping
 
 
-def read_ranking(path) -> RankingTable:
-    """Read ``third_level_domain<TAB>rank_integer`` lines (1 = best), one per domain."""
+def read_ranking(path) -> dict[str, int]:
+    """Read ``third_level_domain<TAB>rank`` lines, one per domain: ranks of
+    ASCII digits, 1 = best."""
     rows, ranks = Rows(path, "domain<TAB>rank"), {}
     for domain, text in rows:
-        try:
-            rank = int(text)
-        except ValueError:
-            raise rows.error(f"bad rank {text!r}") from None
+        rank = rows.integer(text, f"bad rank {text!r}")
         if rank < 1:
             raise rows.error("ranks start at 1")
         rows.record(ranks, domain, rank)
-    return RankingTable(ranks)
+    return ranks
 
 
 def read_node_list(path) -> list[str]:

@@ -13,8 +13,7 @@ twice produces byte-identical files.  Each edge joins two distinct non-empty
 names with a weight of at least 1, and each (source, target) pair occurs
 once: a file that repeats a pair is rejected, not read as its last line.
 These edge rules are one validator on the integer columns, which
-:meth:`YearSnapshot.from_edges`, :meth:`YearSnapshot.from_columns` and
-:func:`read_snapshot` share.
+:meth:`YearSnapshot.from_columns` and :func:`read_snapshot` share.
 
 :func:`read_snapshot` reads a file's bytes once and scans them with numpy
 through :mod:`chronoscope.bytefields`, the byte-field layer that the link-log
@@ -27,9 +26,9 @@ name once.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import eq, itemgetter
+from operator import eq
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -55,8 +54,8 @@ class YearSnapshot:
 
     ``src`` and ``dst`` index into the sorted ``nodes``; edges are in
     (src, dst) order, which is also the order of the node names.  Only
-    :meth:`induced` keeps nodes without edges.  :meth:`from_edges` and
-    :meth:`from_columns` check the edges; the plain constructor trusts them.
+    :meth:`induced` keeps nodes without edges.  :meth:`from_columns` checks
+    the edges; the plain constructor trusts them.
     """
 
     year: int
@@ -66,35 +65,15 @@ class YearSnapshot:
     weight: np.ndarray
 
     @classmethod
-    def from_edges(cls, year: int, edges: Mapping[tuple[str, str], int]) -> "YearSnapshot":
-        """The snapshot of ``(source, target) -> weight``; ValueError on a bad
-        edge, and on a weight that is not a Python or numpy integer (a float,
-        a bool or a string is not cast)."""
-        if not all(map(_integer_type, set(map(type, edges.values())))):
-            weight = next(w for w in edges.values() if not _integer_type(type(w)))
-            raise ValueError(f"weight {weight!r} is not an integer")
-        sources, targets = list(map(itemgetter(0), edges)), list(map(itemgetter(1), edges))
-        nodes = tuple(sorted(set(sources).union(targets)))
-        code = dict(zip(nodes, range(len(nodes))))
-        m = len(edges)
-        src = np.fromiter(map(code.__getitem__, sources), np.int64, m)
-        dst = np.fromiter(map(code.__getitem__, targets), np.int64, m)
-        try:
-            weight, heavy = np.fromiter(edges.values(), np.int64, m), False
-        except OverflowError:  # beyond int64: clipped, and always rejected
-            heavy = any(w > MAX_TOTAL_WEIGHT for w in edges.values())
-            weight = np.array([min(max(w, -1), MAX_TOTAL_WEIGHT) for w in edges.values()], np.int64)
-        return _checked(year, nodes, src, dst, weight, heavy)
-
-    @classmethod
     def from_columns(
         cls, year: int, names: Sequence[str], src: np.ndarray, dst: np.ndarray, weight: np.ndarray
     ) -> "YearSnapshot":
         """The snapshot of edges ``names[src[i]] -> names[dst[i]]`` of
         ``weight[i]``, from integer arrays: ``names`` in any order, those
-        without edges dropped; ValueError on a bad edge as in
-        :meth:`from_edges`, on an index outside ``names``, on a name that
-        two used indices share and on weights that are not signed integers."""
+        without edges dropped.  ValueError on a bad edge (the module's edge
+        rules, then a total beyond ``MAX_TOTAL_WEIGHT``), on an index outside
+        ``names``, on a name that two used indices share and on weights that
+        are not signed integers."""
         src, dst, weight = np.asarray(src), np.asarray(dst), np.asarray(weight)
         if weight.dtype.kind != "i":
             raise ValueError(f"weights of dtype {weight.dtype} are not signed integers")
@@ -146,11 +125,6 @@ def group_sums(groups: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
     sums = np.zeros(size, values.dtype)
     np.add.at(sums, groups, values)
     return sums
-
-
-def _integer_type(kind: type) -> bool:
-    """Whether ``kind`` is a Python or numpy integer type; ``bool`` is not."""
-    return kind is not bool and issubclass(kind, (int, np.integer))
 
 
 def _checked(
@@ -218,7 +192,7 @@ def read_snapshot(path) -> YearSnapshot:
     :class:`SnapshotFormatError` names ``path:line`` of the first bad line:
     one that is not valid UTF-8, else without three tab-separated fields,
     else with a weight that is not an integer, else whose edge
-    :meth:`YearSnapshot.from_edges` would reject.  A header that is not
+    :meth:`YearSnapshot.from_columns` would reject.  A header that is not
     UTF-8 is ``path:1``; one without ``#snapshot v1 year=`` and an integer
     year names ``path``, as a total weight beyond ``MAX_TOTAL_WEIGHT`` does
     when no line is bad.  Each check runs on the whole file at once, and a

@@ -6,9 +6,12 @@ Runs ``synth`` in both modes, then ``stats``, ``centrality``, ``modularity``,
     python -m pip install -e .          # numpy only, no [dev] extra
     python tests/runtime_smoke.py
 
-It fails when a command fails, or when the run imported a module that only
-the ``dev`` extra installs.  ``--block`` first makes those modules
-unimportable, so that the run also fails where they are installed:
+It fails when a command fails, when the run imported a module that only
+the ``dev`` extra installs, or when it imported one of the standard-library
+stacks that no command needs (``xml.sax.saxutils`` alone loads
+``urllib.request``, ``http``, ``ssl`` and ``email``).  ``--block`` first
+makes the dev-only modules unimportable, so that the run also fails where
+they are installed:
 
     PYTHONPATH=src python tests/runtime_smoke.py --block
 """
@@ -20,6 +23,13 @@ import tempfile
 from pathlib import Path
 
 DEV_ONLY = ("scipy", "networkx", "hypothesis", "pytest")
+UNNEEDED_STDLIB = ("xml", "urllib.request", "http", "ssl", "email")
+
+
+def imported(packages) -> list[str]:
+    """Those of ``packages`` that are loaded, themselves or a submodule."""
+    loaded = [name for name, module in sys.modules.items() if module is not None]
+    return [p for p in packages if any(n == p or n.startswith(p + ".") for n in loaded)]
 
 
 def main(argv: list[str]) -> int:
@@ -47,10 +57,7 @@ def main(argv: list[str]) -> int:
             if chronoscope(command) != 0:
                 print(f"runtime smoke: {command[0]} failed", file=sys.stderr)
                 return 1
-    loaded = sorted(
-        {name.split(".")[0] for name, module in sys.modules.items() if module is not None}
-        & set(DEV_ONLY)
-    )
+    loaded = imported(DEV_ONLY + UNNEEDED_STDLIB)
     if loaded:
         print(f"runtime smoke: imported {loaded}", file=sys.stderr)
         return 1

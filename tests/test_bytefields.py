@@ -80,7 +80,7 @@ READERS = {
         lambda rows: {d: g for d, g in rows},
     ),
     "ranking": (
-        lambda path: read_ranking(path).ranks,
+        read_ranking,
         lambda d: st.tuples(st.just(d), _numbers(1, 10**6)),
         lambda rows: {d: int(r) for d, r in rows},
     ),
@@ -156,6 +156,25 @@ def test_every_reader_rejects_an_empty_domain(tmp_path, read, text, error):
     with pytest.raises(MalformedLine) as err:
         read(path)
     assert str(err.value) == f"{path}:{error}"
+
+
+@pytest.mark.parametrize("number", [" 1_0", "+5", "-3", "\u0663", " 7", "1" * 19])
+@pytest.mark.parametrize(
+    "read, row, reason",
+    [
+        (read_ranking, "ox.ac.uk\t{}", "bad rank {!r}"),
+        (read_node_pages, "2001\tox.ac.uk\t{}", "non-integer field"),
+        (read_node_pages, "{}\tox.ac.uk\t4", "non-integer field"),
+    ],
+)
+def test_side_input_integers_are_ascii_digits(tmp_path, read, row, reason, number):
+    # int() reads every one of these; a side input takes 1 to 18 ASCII
+    # digits alone, the fields that bytefields.integers reads with numpy
+    path = tmp_path / "input.tsv"
+    path.write_text("# header\n" + row.format(number) + "\n", encoding="utf-8")
+    with pytest.raises(MalformedLine) as err:
+        read(path)
+    assert str(err.value) == f"{path}:2: " + reason.format(number)
 
 
 def test_write_csv_quotes_only_where_needed(tmp_path):

@@ -15,12 +15,12 @@ from chronoscope.centrality import (
     write_centrality,
 )
 from chronoscope.errors import EmptyFilter
-from chronoscope.snapshot import YearSnapshot
+from graphs import snapshot_of
 from oracles import brute_betweenness, eig_authority, solve_pagerank
 
 
 def snap(edges, year=2010):
-    return YearSnapshot.from_edges(year, edges)
+    return snapshot_of(year, edges)
 
 
 def suite(edges, nodes=None):

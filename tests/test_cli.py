@@ -478,10 +478,14 @@ def test_custom_policy_file(tmp_path, capsys):
 def test_cli_import_loads_no_sparse_graph_or_linalg():
     # the runtime needs numpy alone: importing scipy costs every command about
     # 0.2 s of start-up and 14 MB of resident memory; parallel.fork_map
-    # imports multiprocessing and concurrent.futures only when it starts workers
+    # imports multiprocessing and concurrent.futures only when it starts
+    # workers; xml.sax.saxutils would load urllib.request, http, ssl and email
+    unneeded = (
+        "scipy", "multiprocessing", "concurrent", "xml", "urllib.request", "http", "ssl", "email"
+    )
     code = (
         "import sys, chronoscope.cli; print(sorted(m for m in sys.modules"
-        " if m.split('.')[0] in ('scipy', 'multiprocessing', 'concurrent')))"
+        f" if any(m == p or m.startswith(p + '.') for p in {unneeded!r})))"
     )
     done = subprocess.run(
         [sys.executable, "-c", code], env=_child_env(), capture_output=True, text=True, check=True
@@ -520,6 +524,23 @@ def test_synth_rejects_non_positive_node_count(tmp_path, capsys, mode, n_nodes):
     assert excinfo.value.code == 2
     err = capsys.readouterr().err
     assert "--n-nodes" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("mode", ["gravity", "partition"])
+@pytest.mark.parametrize(
+    "option, value", [("--seed", "-1"), ("--seed", "ten"), ("--n-groups", "0"), ("--n-groups", "-2")]
+)
+def test_synth_rejects_bad_seed_and_group_count(tmp_path, capsys, mode, option, value):
+    # a usage error, before numpy sees a negative seed or equal_groups a
+    # group count below 1
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as excinfo:
+        run("synth", "--mode", mode, option, value, "--out-dir", out)
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: chronoscope synth")
+    assert option in err and "Traceback" not in err
     assert not out.exists()
 
 

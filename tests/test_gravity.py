@@ -28,7 +28,7 @@ from chronoscope.gravity import (
     symmetrize_pairs,
     write_geo_points,
 )
-from chronoscope.snapshot import YearSnapshot
+from graphs import snapshot_of
 from oracles import sphere_distance_km
 
 OXFORD = GeoPoint(51.7548, -1.2544)
@@ -123,7 +123,7 @@ def geo_for(nodes, seed=0):
 
 
 def test_two_node_sigma():
-    snap = YearSnapshot.from_edges(2010, {("a.ac.uk", "b.ac.uk"): 4})
+    snap = snapshot_of(2010, {("a.ac.uk", "b.ac.uk"): 4})
     geo = geo_for(["a.ac.uk", "b.ac.uk"])
     result = normalized_strengths(snap, ["a.ac.uk", "b.ac.uk"], geo)
     assert len(result.pairs) == 1
@@ -136,7 +136,7 @@ def test_two_node_sigma():
 
 def test_unlinked_pairs_excluded():
     nodes = ["a.ac.uk", "b.ac.uk", "c.ac.uk"]
-    snap = YearSnapshot.from_edges(2010, {("a.ac.uk", "b.ac.uk"): 1})
+    snap = snapshot_of(2010, {("a.ac.uk", "b.ac.uk"): 1})
     result = normalized_strengths(snap, nodes, geo_for(nodes))
     assert len(result.pairs) == 1
     assert result.excluded_pairs == 6 - 1
@@ -151,7 +151,7 @@ def test_sigma_matches_first_principles_recompute():
         for v in nodes
         if u != v and rng.random() < 0.7
     }
-    snap = YearSnapshot.from_edges(2010, edges)
+    snap = snapshot_of(2010, edges)
     geo = geo_for(nodes, seed=9)
     result = normalized_strengths(snap, nodes, geo)
     assert len(result.pairs) == len(edges)
@@ -165,15 +165,13 @@ def test_sigma_matches_first_principles_recompute():
 
 def test_strengths_use_induced_subgraph_only():
     nodes = ["a.ac.uk", "b.ac.uk"]
-    snap = YearSnapshot.from_edges(
-        2010, {("a.ac.uk", "b.ac.uk"): 4, ("a.ac.uk", "x.co.uk"): 1000}
-    )
+    snap = snapshot_of(2010, {("a.ac.uk", "b.ac.uk"): 4, ("a.ac.uk", "x.co.uk"): 1000})
     result = normalized_strengths(snap, nodes, geo_for(nodes))
     assert rows(result.pairs)[0].normalized_strength == pytest.approx(0.25)
 
 
 def test_missing_coordinates():
-    snap = YearSnapshot.from_edges(2010, {("a.ac.uk", "b.ac.uk"): 1})
+    snap = snapshot_of(2010, {("a.ac.uk", "b.ac.uk"): 1})
     with pytest.raises(MissingCoordinates):
         normalized_strengths(snap, ["a.ac.uk", "b.ac.uk"], {"a.ac.uk": OXFORD})
 
@@ -336,9 +334,9 @@ def test_weight_scaling_leaves_exponent_fixed():
         )
         return fit_gravity_exponent(series)
 
-    base = fitted(YearSnapshot.from_edges(2010, edges))
+    base = fitted(snapshot_of(2010, edges))
     for c in (2, 10, 1000):
-        scaled = fitted(YearSnapshot.from_edges(2010, {k: w * c for k, w in edges.items()}))
+        scaled = fitted(snapshot_of(2010, {k: w * c for k, w in edges.items()}))
         assert abs(scaled.exponent - base.exponent) < 1e-9
         assert scaled.intercept - base.intercept == pytest.approx(
             -math.log(c), abs=1e-9

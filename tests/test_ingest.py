@@ -26,7 +26,8 @@ from chronoscope.ingest import (
     read_node_pages,
     years_of,
 )
-from chronoscope.snapshot import YearSnapshot, read_snapshot, write_snapshot
+from chronoscope.snapshot import read_snapshot, write_snapshot
+from graphs import snapshot_of
 from oracles import brute_ingest, partition_authority
 from pools import RecordingPool
 
@@ -445,7 +446,7 @@ def test_select_takes_per_pair_maximum(tmp_path):
 
 def test_select_empty(tmp_path):
     result = ingest_rows(tmp_path, [link(utc(2004))], years=[1999])
-    assert result.snapshots == {1999: YearSnapshot.from_edges(1999, {})}
+    assert result.snapshots == {1999: snapshot_of(1999, {})}
 
 
 def test_select_retains_all_pairs(tmp_path):
@@ -515,20 +516,20 @@ def test_select_best_session_mode(tmp_path):
 # --- snapshot persistence ---
 
 def test_snapshot_roundtrip_identity(tmp_path):
-    snap = YearSnapshot.from_edges(2010, {("ox.ac.uk", "cam.ac.uk"): 2, ("a.co.uk", "b.org.uk"): 9})
+    snap = snapshot_of(2010, {("ox.ac.uk", "cam.ac.uk"): 2, ("a.co.uk", "b.org.uk"): 9})
     write_snapshot(snap, tmp_path / "s.tsv")
     assert read_snapshot(tmp_path / "s.tsv") == snap
 
 
 def test_snapshot_roundtrip_empty(tmp_path):
     path = tmp_path / "empty.tsv"
-    write_snapshot(YearSnapshot.from_edges(1996, {}), path)
-    assert read_snapshot(path) == YearSnapshot.from_edges(1996, {})
+    write_snapshot(snapshot_of(1996, {}), path)
+    assert read_snapshot(path) == snapshot_of(1996, {})
     assert path.read_text(encoding="utf-8") == "#snapshot v1 year=1996\n"
 
 
 def test_snapshot_writes_are_deterministic(tmp_path):
-    snap = YearSnapshot.from_edges(2001, {("b.ac.uk", "a.ac.uk"): 1, ("a.ac.uk", "b.ac.uk"): 3})
+    snap = snapshot_of(2001, {("b.ac.uk", "a.ac.uk"): 1, ("a.ac.uk", "b.ac.uk"): 3})
     write_snapshot(snap, tmp_path / "one.tsv")
     write_snapshot(snap, tmp_path / "two.tsv")
     assert (tmp_path / "one.tsv").read_bytes() == (tmp_path / "two.tsv").read_bytes()
@@ -552,9 +553,9 @@ def test_read_snapshot_rejects_bad_records(tmp_path):
 
 def test_snapshot_rejects_self_loops_and_bad_weights():
     with pytest.raises(ValueError):
-        YearSnapshot.from_edges(2000, {("a.ac.uk", "a.ac.uk"): 1})
+        snapshot_of(2000, {("a.ac.uk", "a.ac.uk"): 1})
     with pytest.raises(ValueError):
-        YearSnapshot.from_edges(2000, {("a.ac.uk", "b.ac.uk"): 0})
+        snapshot_of(2000, {("a.ac.uk", "b.ac.uk"): 0})
 
 
 # --- end-to-end ingestion ---

@@ -18,7 +18,6 @@ from chronoscope.errors import (
 )
 from chronoscope.metrics import (
     UNAFFILIATED,
-    RankingTable,
     group_internal_density,
     modularity,
     rank_centrality_vs_league,
@@ -29,12 +28,12 @@ from chronoscope.metrics import (
     write_correlations,
     write_modularity,
 )
-from chronoscope.snapshot import YearSnapshot
+from graphs import snapshot_of
 from oracles import brute_modularity
 
 
 def snap(edges, year=2010):
-    return YearSnapshot.from_edges(year, edges)
+    return snapshot_of(year, edges)
 
 
 # --- Spearman ---
@@ -105,7 +104,7 @@ def test_league_all_measures_perfect_on_aligned_table():
         for name in MEASURES
     }
     table = CentralityTable(2010, nodes, values)
-    ranking = RankingTable({node: i + 1 for i, node in enumerate(nodes)})
+    ranking = {node: i + 1 for i, node in enumerate(nodes)}
     result = rank_centrality_vs_league(table, ranking)
     assert result.n_overlap == 6
     for name in MEASURES:
@@ -115,7 +114,7 @@ def test_league_all_measures_perfect_on_aligned_table():
 def test_league_insufficient_overlap():
     table = table_from({("a.ac.uk", "b.ac.uk"): 1}, ["a.ac.uk", "b.ac.uk"])
     with pytest.raises(InsufficientOverlap):
-        rank_centrality_vs_league(table, RankingTable({"a.ac.uk": 1, "zz.ac.uk": 2}))
+        rank_centrality_vs_league(table, {"a.ac.uk": 1, "zz.ac.uk": 2})
 
 
 def test_league_planted_in_strength_coupling():
@@ -134,7 +133,7 @@ def test_league_planted_in_strength_coupling():
         }
     edges = {(feeder, node): s for node, s in strengths.items()}
     table = centrality_suite(snap(edges), nodes + [feeder])
-    result = rank_centrality_vs_league(table, RankingTable(ranks))
+    result = rank_centrality_vs_league(table, ranks)
     assert result.dropped_from_table == 1  # the feeder has no rank
 
     order = sorted(nodes, key=lambda v: -strengths[v])
@@ -147,7 +146,7 @@ def test_league_planted_in_strength_coupling():
 
 def test_league_constant_measure_yields_nan():
     table = table_from({("a.ac.uk", "b.ac.uk"): 1}, ["a.ac.uk", "b.ac.uk", "c.ac.uk"])
-    ranking = RankingTable({"a.ac.uk": 1, "b.ac.uk": 2, "c.ac.uk": 3})
+    ranking = {"a.ac.uk": 1, "b.ac.uk": 2, "c.ac.uk": 3}
     result = rank_centrality_vs_league(table, ranking)
     assert math.isnan(result.rho["betweenness"])
 
@@ -327,8 +326,7 @@ def test_read_partition_and_ranking(tmp_path):
 
     rank = tmp_path / "league.tsv"
     rank.write_text("ox.ac.uk\t1\ncam.ac.uk\t2\n")
-    table = read_ranking(rank)
-    assert table.ranks == {"ox.ac.uk": 1, "cam.ac.uk": 2}
+    assert read_ranking(rank) == {"ox.ac.uk": 1, "cam.ac.uk": 2}
 
     with pytest.raises(MalformedLine):
         read_ranking(part)
@@ -359,9 +357,7 @@ def test_write_outputs(tmp_path):
         snap({("a.ac.uk", "b.ac.uk"): 2, ("b.ac.uk", "a.ac.uk"): 1}),
         ["a.ac.uk", "b.ac.uk"],
     )
-    result = rank_centrality_vs_league(
-        table, RankingTable({"a.ac.uk": 2, "b.ac.uk": 1})
-    )
+    result = rank_centrality_vs_league(table, {"a.ac.uk": 2, "b.ac.uk": 1})
     path = tmp_path / "correlations_2010.csv"
     write_correlations(result, path)
     lines = path.read_text().splitlines()

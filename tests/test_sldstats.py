@@ -13,7 +13,7 @@ from chronoscope.sldstats import (
     write_flows,
     write_sld_series,
 )
-from chronoscope.snapshot import YearSnapshot
+from graphs import snapshot_of
 from oracles import brute_sld_stats
 
 POLICY = default_policy()
@@ -21,7 +21,7 @@ POLICY = default_policy()
 
 def snap(edges, year=2010, node_pages=()):
     """SLD cells of the edges, plus page-only nodes as ``stats --node-pages`` adds them."""
-    view = YearSnapshot.from_edges(year, edges)
+    view = snapshot_of(year, edges)
     return sld_cells(view.induced({*view.nodes, *node_pages}), POLICY)
 
 
@@ -179,7 +179,7 @@ hosts = st.sampled_from(
     pages=st.sets(hosts, max_size=3),
 )
 def test_stats_match_bruteforce_oracle(edges, pages):
-    view = YearSnapshot.from_edges(2010, edges)
+    view = snapshot_of(2010, edges)
     view = view.induced({*view.nodes, *pages})
     nodes = {n for pair in edges for n in pair} | pages
     for policy in (POLICY, SuffixPolicy("uk", frozenset({"ac.uk", "net.uk"}))):

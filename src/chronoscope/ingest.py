@@ -31,30 +31,39 @@ bytes with numpy through ``bytefields``, the byte-field layer that
 The skip accounting then follows from masks over the block's lines: a
 malformed line first, then the source URL, then the target, then a self-link.
 A range returns its line accounting, its own vocabulary of third-level
-domains, and its records as int64 times with int32 source and target codes
-into that vocabulary.  The ranges, about one per usable core, run through
-``parallel.fork_map``: in ``fork`` workers when there is more than one usable
-core and at least ``parallel.MIN_WORKER_BYTES`` of input per worker, else one
-after another in this process.
+domains and its records as one sorted run (see the reduction).  The ranges,
+about one per usable core, run through ``parallel.fork_map``: in ``fork``
+workers when there is more than one usable core and at least
+``parallel.MIN_WORKER_BYTES`` of input per worker, else one after another in
+this process.
 
 In strict mode a range stops at its first structural problem, and the first
 one in file order is raised with ``path:line``, the line counted within its
 own file: a range's line numbers continue from the file's earlier ranges.
 
-Reduction.  The ranges' vocabularies merge into one sorted vocabulary, so a
-code's order is its name's order.  Each sort below is one numpy sort of
-64-bit keys that hold two columns exactly.  The records are sorted by
-(source, time) through the key ``source * _TIME_LIMIT + time``, exact for
-source codes below ``2**64 // _TIME_LIMIT`` (1,766,028,225, more names than
-fit in memory); the later keys put a session or group id above a 31-bit
-target code.  A session starts where the source changes or the time steps
-by more than ``gap_seconds``, and it belongs to the UTC year of its start.  A
-sort by (session, target) counts each session's links per target.  Sessions
-run in (source, start) order, so the (source, year) groups of sessions get
-dense ids in that order, and a sort by (group, target) with a maximum per run
-gives each pair's largest count; ``best-session`` first keeps each group's
-session with the largest total.  Each year's snapshot is its groups' pairs,
-already in (source, target) order.  No step depends on how the records are
+Reduction.  Each range sorts its own records, so that the O(N log N) sort
+runs in the workers, and the parent merges the sorted runs (Knuth, TAOCP
+vol. 3, 5.4).  A range sorts its vocabulary by name and its records by the
+key ``source * _TIME_LIMIT + time``, exact for source codes below
+``2**64 // _TIME_LIMIT`` (1,766,028,225, more names than fit in memory), and
+returns one ascending uint64 key and one int32 target code per record.  The
+parent merges the vocabularies into one sorted vocabulary, so a code's order
+is its name's order.  It takes the runs out of the list one at a time, each
+freed once it is copied: their codes map into one preallocated key and
+target column, and since the map is monotone every run stays sorted.  One
+stable sort, numpy's timsort, finds the R runs and merges them in
+O(N log R) time; one run needs no merge.  A
+session starts where the source changes or the time steps by more than
+``gap_seconds``, and it belongs to the UTC year of its start.  The later
+keys put a session or group id above a 31-bit target code, and each is one
+numpy sort.  A sort by (session, target) counts each session's links per
+target.  Sessions run in (source, start) order, so the (source, year) groups
+of sessions get dense ids in that order, and a sort by (group, target) with
+a maximum per run gives each pair's largest count; ``best-session`` first
+keeps each group's session with the largest total.  Each year's snapshot is
+its groups' pairs, already in (source, target) order.  Each stage frees the
+per-record and per-pair arrays that it no longer needs before the next stage
+allocates, so the parent's peak is about that of the merge.  No step depends on how the records are
 split over files or ranges, so the result is independent of sharding.
 """
 
@@ -94,6 +103,7 @@ _YEAR_BOUNDS = np.array(
 # ingest rejects times from 2301-01-01 on as malformed: such values are
 # usually millisecond timestamps, not far-future years
 _TIME_LIMIT = int(_YEAR_BOUNDS[-1])
+_KEY_STEP = np.uint64(_TIME_LIMIT)  # one source code's step in a uint64 record key
 
 # a range is read in blocks of this many bytes (plus a partial last line)
 _BLOCK_BYTES = 4 << 20
@@ -151,14 +161,15 @@ class IngestResult:
 
 @dataclass
 class _ParsedRange:
-    """One byte range's line accounting (no sessions yet), vocabulary, and
-    records, whose codes index ``names``; ``error`` is its first strict-mode
-    problem as ``(line index in the range, exception)``."""
+    """One byte range's line accounting (no sessions yet), its vocabulary in
+    name order, and its records as one sorted run: ascending uint64 ``keys``
+    ``source * _TIME_LIMIT + time`` and the int32 ``targets`` in key order,
+    both codes indexing ``names``; ``error`` is its first strict-mode problem
+    as ``(line index in the range, exception)``."""
 
     summary: IngestSummary
     names: list[str]
-    times: np.ndarray
-    sources: np.ndarray
+    keys: np.ndarray
     targets: np.ndarray
     error: tuple[int, ChronoscopeError] | None
 
@@ -241,7 +252,7 @@ def _parse_range(path, start: int, stop: int, policy: SuffixPolicy, strict: bool
         return np.frombuffer(hosts, np.intc)[codes]
 
     summary = IngestSummary()
-    times, sources, targets = array("q"), array("i"), array("i")
+    columns = array("q"), array("i"), array("i")  # times, sources, targets
     error = None
     for block in _blocks(path, start, stop):
         counts, records, problem = _parse_block(block, host_codes, policy, strict)
@@ -250,16 +261,28 @@ def _parse_range(path, start: int, stop: int, policy: SuffixPolicy, strict: bool
             break
         for f in fields(IngestSummary):
             setattr(summary, f.name, getattr(summary, f.name) + getattr(counts, f.name))
-        for column, values in zip((times, sources, targets), records):
+        for column, values in zip(columns, records):
             column.frombytes(values.tobytes())
-    return _ParsedRange(
-        summary,
-        names,
-        np.frombuffer(times, np.int64),
-        np.frombuffer(sources, np.intc),
-        np.frombuffer(targets, np.intc),
-        error,
-    )
+    del interner, hosts
+
+    # the run: names in order, so a code's order is its name's, and the
+    # records in key order, each column freed once the next one is built;
+    # records with equal keys fall in one session, so their order does not
+    # matter
+    order = sorted(range(len(names)), key=names.__getitem__)
+    rank = np.empty(len(names), np.uint64)
+    rank[order] = np.arange(len(names), dtype=np.uint64)
+    times, sources, targets = columns
+    del columns
+    keys = rank[np.frombuffer(sources, np.intc)]
+    del sources
+    keys *= _KEY_STEP
+    keys += np.frombuffer(times, np.uint64)  # times are non-negative
+    del times
+    by_key = np.argsort(keys)
+    keys = keys[by_key]
+    targets = rank.astype(np.int32)[np.frombuffer(targets, np.intc)][by_key]
+    return _ParsedRange(summary, [names[i] for i in order], keys, targets, error)
 
 
 def _parse_block(block: bytes, host_codes, policy: SuffixPolicy, strict: bool):
@@ -287,9 +310,10 @@ def _parse_block(block: bytes, host_codes, policy: SuffixPolicy, strict: bool):
         malformed = np.ones(len(begins), bool)
         malformed[line] = False
         bad_url = (source == _MALFORMED_URL) | (skipped_target & (target == _MALFORMED_URL))
-        problems = np.union1d(np.flatnonzero(malformed), line[bad_url])
-        if len(problems):
-            i = int(problems[0])
+        problems = malformed.copy()
+        problems[line[bad_url]] = True
+        if problems.any():
+            i = int(problems.argmax())
             if malformed[i]:
                 tab = int(lines.tab(i, 0)) if three_fields[i] else -1
                 return None, None, (i, _line_problem(block, int(begins[i]), tab, bool(utf8[i])))
@@ -344,54 +368,75 @@ def _starts(*columns: np.ndarray) -> np.ndarray:
     return np.flatnonzero(_new_groups(*columns))
 
 
-def _by_source_time(source: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """The order of the records by (source, time)."""
-    # source * _TIME_LIMIT + time is exact below 2**64 // _TIME_LIMIT =
-    # 1,766,028,225 source codes; records with equal keys fall in one
-    # session, so their order does not matter
-    key = source.astype(np.uint64) * np.uint64(_TIME_LIMIT) + times.astype(np.uint64)
-    return np.argsort(key)
+def _merged(runs: list[_ParsedRange]) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """All names in order, and every record's key and target over them in
+    key order, taking the runs out of ``runs`` one at a time."""
+    if len(runs) == 1:  # its names are all the names
+        run = runs.pop()
+        return run.names, run.keys, run.targets
+    names = sorted(set().union(*(run.names for run in runs)))
+    code_of = {name: code for code, name in enumerate(names)}
+    size = sum(len(run.keys) for run in runs)
+    keys, targets = np.empty(size, np.uint64), np.empty(size, np.int32)
+    end = 0
+    while runs:
+        run = runs.pop(0)
+        remap = np.array([code_of[name] for name in run.names], np.int64)
+        at = slice(end, end + len(run.keys))
+        # a run's sources are runs of equal codes, and the remap is monotone,
+        # so shifting each source's keys keeps the run sorted
+        bounds = np.searchsorted(run.keys, np.arange(len(remap) + 1, dtype=np.uint64) * _KEY_STEP)
+        shift = (remap - np.arange(len(remap))).astype(np.uint64) * _KEY_STEP
+        np.add(run.keys, np.repeat(shift, np.diff(bounds)), out=keys[at])
+        targets[at] = remap[run.targets]
+        end = at.stop
+        del run
+    # a stable sort is a timsort, which merges the sorted runs
+    targets = targets[np.argsort(keys, kind="stable")]
+    keys.sort(kind="stable")
+    return names, keys, targets
 
 
 def _reduce(
-    parsed: list[_ParsedRange],
+    runs: list[_ParsedRange],
     gap_seconds: int,
     year_select: str,
     wanted: set[int] | None,
 ) -> IngestResult:
-    """Sessions, yearly selection and snapshots from the parsed ranges."""
+    """Sessions, yearly selection and snapshots from the ranges' sorted runs,
+    which it takes out of ``runs``."""
     summary = IngestSummary(
-        **{f.name: sum(getattr(p.summary, f.name) for p in parsed) for f in fields(IngestSummary)}
+        **{f.name: sum(getattr(r.summary, f.name) for r in runs) for f in fields(IngestSummary)}
     )
-    names = sorted(set().union(*(p.names for p in parsed)))
-    code_of = {name: code for code, name in enumerate(names)}
-    times, source, target = ([np.empty(0, dtype)] for dtype in (np.int64, np.int32, np.int32))
-    for p in parsed:
-        remap = np.array([code_of[name] for name in p.names], np.int32)
-        times.append(p.times)
-        source.append(remap[p.sources])
-        target.append(remap[p.targets])
-    times, source, target = map(np.concatenate, (times, source, target))
+    names, keys, target = _merged(runs)
 
-    order = _by_source_time(source, times)
-    times, source, target = times[order], source[order], target[order]
-    del order
-    new = np.ones(len(times), bool)
-    new[1:] = (source[1:] != source[:-1]) | (np.diff(times) > gap_seconds)
+    # a session starts at a new source, and where the time steps by more
+    # than gap_seconds; within one source a key step is the time step
+    # (a source without records starts at the sentinel past the end)
+    new = np.ones(len(keys) + 1, bool)
+    np.greater(np.diff(keys), gap_seconds, out=new[1:-1])
+    new[np.searchsorted(keys, np.arange(len(names), dtype=np.uint64) * _KEY_STEP)] = True
+    new = new[:-1]
     starts = np.flatnonzero(new)
     summary.sessions = len(starts)
-    session_source, session_year = source[starts], years_of(times[starts])
-    session_size = np.diff(np.append(starts, len(times)))
-    del times, source
+    session_source, start_time = (a.astype(np.int64) for a in np.divmod(keys[starts], _KEY_STEP))
+    session_year = years_of(start_time)
+    session_size = np.diff(np.append(starts, len(keys)))
+    del keys, starts, start_time
 
     # per (session, target) link counts: session << 31 | target is exact
     # below 2**32 sessions, and sorts in place
-    key = (np.cumsum(new) - 1) << 31 | target
-    del new, target  # the last per-record columns
+    key = np.cumsum(new, dtype=np.int64)
+    del new
+    key -= 1
+    key <<= 31
+    key |= target
+    del target  # the last per-record columns
     key.sort()
     at = _starts(key)
     pair_count = np.diff(np.append(at, len(key)))
     key = key[at]
+    del at
     pair_session, pair_target = key >> 31, key & _CODE_MASK
     del key
 
@@ -410,19 +455,25 @@ def _reduce(
         best[ties[_starts(group[ties])]] = True
         keep &= best[pair_session]
     pair_group = group[pair_session]
+    del pair_session, group, session_source, session_year, session_size
     if wanted is not None:
         keep &= np.isin(group_year[pair_group], sorted(wanted))
     # the largest count of each (group, target)
     key = pair_group[keep] << 31 | pair_target[keep]
+    pair_count = pair_count[keep]
+    del pair_group, pair_target, keep
     order = np.argsort(key)
     key = key[order]
     at = _starts(key)
-    weight = np.maximum.reduceat(pair_count[keep][order], at)
+    weight = np.maximum.reduceat(pair_count[order], at)
+    del order, pair_count
     group_of, target = key[at] >> 31, key[at] & _CODE_MASK
+    del key, at
     source, year = group_source[group_of], group_year[group_of]
+    del group_of
 
     snapshots = {}
-    for snap_year in np.unique(year).tolist():
+    for snap_year in np.flatnonzero(np.bincount(year)).tolist():
         # the groups of one year run in source order
         sel = np.flatnonzero(year == snap_year)
         ends = np.concatenate((source[sel], target[sel]))
@@ -474,13 +525,19 @@ def ingest_links(
         raise ValueError(f"unknown selection mode {year_select!r}")
     ranges = _ranges(paths, parallel.usable_cores())
     total = sum(stop - start for _, start, stop in ranges)
-    parsed = parallel.fork_map(lambda span: _parse_range(*span, policy, strict), ranges, total)
+    runs = parallel.fork_map(lambda span: _parse_range(*span, policy, strict), ranges, total)
+    _raise_first_error(ranges, runs)
+    # _reduce takes the runs out of the list, so each is freed once merged
+    return _reduce(runs, gap_seconds, year_select, set(years) if years is not None else None)
 
+
+def _raise_first_error(ranges: list, runs: list[_ParsedRange]) -> None:
+    """Raise the first strict-mode problem of the ranges in file order, with
+    its ``path:line``."""
     line_base = 0  # lines of the file's earlier ranges
-    for (path, start, _), part in zip(ranges, parsed):
+    for (path, start, _), run in zip(ranges, runs):
         line_base = line_base if start else 0
-        if part.error is not None:
-            index, exc = part.error
+        if run.error is not None:
+            index, exc = run.error
             raise type(exc)(f"{path}:{line_base + index + 1}: {exc}")
-        line_base += part.summary.lines
-    return _reduce(parsed, gap_seconds, year_select, set(years) if years is not None else None)
+        line_base += run.summary.lines

@@ -72,9 +72,12 @@ class YearSnapshot:
         ``weight[i]``, from integer arrays: ``names`` in any order, those
         without edges dropped.  ValueError on a bad edge (the module's edge
         rules, then a total beyond ``MAX_TOTAL_WEIGHT``), on an index outside
-        ``names``, on a name that two used indices share and on weights that
-        are not signed integers."""
+        ``names``, on a name that two used indices share, and on name indices
+        or weights that are not signed integers."""
         src, dst, weight = np.asarray(src), np.asarray(dst), np.asarray(weight)
+        for index in (src, dst):
+            if index.dtype.kind != "i":
+                raise ValueError(f"name indices of dtype {index.dtype} are not signed integers")
         if weight.dtype.kind != "i":
             raise ValueError(f"weights of dtype {weight.dtype} are not signed integers")
         if not len(src) == len(dst) == len(weight):

@@ -1,7 +1,9 @@
 """A smoke run of the package with its runtime dependency alone.
 
-Runs ``synth`` in both modes, then ``stats``, ``centrality``, ``modularity``,
-``gravity`` and ``export`` on the snapshots, in a temporary directory:
+Runs ``ingest`` and ``ingest --strict`` on a small link log and ``synth`` in
+both modes, then every analysis on the synthetic snapshots: ``stats``,
+``centrality``, ``correlate`` (with a ranking file it writes), ``modularity``,
+``density``, ``gravity`` and ``export``, in a temporary directory:
 
     python -m pip install -e .          # numpy only, no [dev] extra
     python tests/runtime_smoke.py
@@ -9,7 +11,9 @@ Runs ``synth`` in both modes, then ``stats``, ``centrality``, ``modularity``,
 It fails when a command fails, when the run imported a module that only
 the ``dev`` extra installs, or when it imported one of the standard-library
 stacks that no command needs (``xml.sax.saxutils`` alone loads
-``urllib.request``, ``http``, ``ssl`` and ``email``).  ``--block`` first
+``urllib.request``, ``http``, ``ssl`` and ``email``), or ``numpy.ma``, which
+numpy loads only for a few set routines (``np.union1d``; ``np.unique``
+without an optional output) and which costs 12-14 ms.  ``--block`` first
 makes the dev-only modules unimportable, so that the run also fails where
 they are installed:
 
@@ -18,18 +22,37 @@ they are installed:
 
 from __future__ import annotations
 
+import contextlib
+import io
 import sys
 import tempfile
 from pathlib import Path
 
 DEV_ONLY = ("scipy", "networkx", "hypothesis", "pytest")
-UNNEEDED_STDLIB = ("xml", "urllib.request", "http", "ssl", "email")
+UNNEEDED = ("xml", "urllib.request", "http", "ssl", "email", "numpy.ma")
 
 
 def imported(packages) -> list[str]:
     """Those of ``packages`` that are loaded, themselves or a submodule."""
     loaded = [name for name, module in sys.modules.items() if module is not None]
     return [p for p in packages if any(n == p or n.startswith(p + ".") for n in loaded)]
+
+
+def first_fields(path: Path) -> list[str]:
+    """The first tab-separated field of each line of a side-input file."""
+    return [line.split("\t")[0] for line in path.read_text(encoding="utf-8").splitlines()]
+
+
+def run(chronoscope, commands) -> bool:
+    """Run each command in turn, its standard output dropped; False at the
+    first that fails."""
+    for command in commands:
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = chronoscope(command)
+        if code != 0:
+            print(f"runtime smoke: {command[0]} failed", file=sys.stderr)
+            return False
+    return True
 
 
 def main(argv: list[str]) -> int:
@@ -39,25 +62,46 @@ def main(argv: list[str]) -> int:
     from chronoscope.cli import main as chronoscope
 
     with tempfile.TemporaryDirectory() as tmp:
-        g, p = Path(tmp, "gravity"), Path(tmp, "partition")
+        g, p, i = Path(tmp, "gravity"), Path(tmp, "partition"), Path(tmp, "ingest")
         g_snap, p_snap = str(g / "snapshot_2010.tsv"), str(p / "snapshot_2010.tsv")
-        commands = [
+        log, ranking, members = (Path(tmp, name) for name in ("links.tsv", "ranking", "members"))
+        log.write_text(
+            "".join(
+                f"{1262304000 + 60 * k}\thttp://s{k % 3}.ac.uk/a\thttp://t{k % 5}.ac.uk/b\n"
+                for k in range(40)
+            ),
+            encoding="utf-8",
+        )
+        inputs = [
+            ["ingest", str(log), "--out-dir", str(i)],
+            ["ingest", str(log), "--strict", "--out-dir", str(i)],
             ["synth", "--mode", "gravity", "--n-nodes", "30", "--out-dir", str(g)],
             ["synth", "--mode", "partition", "--n-nodes", "30", "--n-groups", "3",
              "--p-intra", "0.5", "--out-dir", str(p)],
+        ]
+        analyses = [
             ["stats", p_snap, "--out-dir", str(p)],
             ["centrality", p_snap, "--out-dir", str(p)],
+            ["correlate", g_snap, "--ranking", str(ranking), "--out-dir", str(g)],
             ["modularity", p_snap, "--partition", str(p / "partition_2010.tsv"),
              "--out-dir", str(p)],
+            ["density", p_snap, "--members", str(members), "--out-dir", str(p)],
             ["gravity", g_snap, "--geo", str(g / "geo_2010.tsv"), "--window", "20",
              "--out-dir", str(g)],
             ["export", p_snap, "--out-dir", str(p)],
         ]
-        for command in commands:
-            if chronoscope(command) != 0:
-                print(f"runtime smoke: {command[0]} failed", file=sys.stderr)
-                return 1
-    loaded = imported(DEV_ONLY + UNNEEDED_STDLIB)
+        if not run(chronoscope, inputs):
+            return 1
+        if not list(i.glob("snapshot_*.tsv")):
+            print("runtime smoke: ingest wrote no snapshot", file=sys.stderr)
+            return 1
+        # the gravity graph's nodes ranked in file order; ten partition nodes
+        nodes = first_fields(g / "geo_2010.tsv")
+        ranking.write_text("".join(f"{n}\t{r}\n" for r, n in enumerate(nodes, 1)))
+        members.write_text("".join(f"{n}\n" for n in first_fields(p / "partition_2010.tsv")[:10]))
+        if not run(chronoscope, analyses):
+            return 1
+    loaded = imported(DEV_ONLY + UNNEEDED)
     if loaded:
         print(f"runtime smoke: imported {loaded}", file=sys.stderr)
         return 1

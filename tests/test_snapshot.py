@@ -143,6 +143,11 @@ def test_from_columns_matches_plain_reader(edges, unused, rnd):
         (["a", "b"], [0, 1], [1], [1, 1], "the columns differ in length"),
         (["a", "b"], [0], [1], np.array([True]), "weights of dtype bool are not signed integers"),
         (["a", "b"], [0], [1], np.array([3], object), "weights of dtype object are not signed integers"),
+        (["a", "b"], [0.0], [1], [1], "name indices of dtype float64 are not signed integers"),
+        (["a", "b"], [0], np.array([True]), [1], "name indices of dtype bool are not signed integers"),
+        (["a", "b"], np.array([0], object), [1], [1], "name indices of dtype object are not signed integers"),
+        (["a", "b"], [0], np.array([1.0]), [1], "name indices of dtype float64 are not signed integers"),
+        (["a", "b"], np.array([0], np.uint64), [1], [1], "name indices of dtype uint64 are not signed integers"),
     ],
 )
 def test_from_columns_rejects_what_a_mapping_cannot_hold(names, src, dst, weight, reason):

@@ -5,6 +5,10 @@ Every input the package reads is UTF-8 text whose lines end at ``\\n``,
 link-log parse and the snapshot reader scan a block of such bytes with numpy
 instead of making a Python object per line or field:
 
+- :func:`blocks` is the one block reader: it reads a byte range of a file in
+  blocks of about a given size that end at line breaks, so that a reader's
+  peak follows the block, not the file (a few MB for the link-log parse,
+  512 KB for the snapshot reader);
 - :func:`universal_newlines` turns every line break into ``\\n``;
 - :func:`lines` gives each line's span and its tabs;
 - :func:`utf8_lines` tells which lines are valid UTF-8, with one decode for
@@ -14,7 +18,9 @@ instead of making a Python object per line or field:
   any other text through ``int()``, one field at a time;
 - an :class:`Interner` gives each distinct byte string a dense code, and
   decodes the distinct strings with one decode, so that a reader decodes
-  each string once, not once per occurrence.
+  each string once, not once per occurrence; :meth:`Interner.order` lists
+  the codes in the strings' order, so that a reader sorts its names
+  without comparing Python strings.
 
 Interning.  A string becomes a key of little-endian words, loaded from any
 byte offset with the bytes past its end masked off, plus its byte length
@@ -27,7 +33,9 @@ its first occurrence.  Every group is verified word by word: when two
 different keys share a group, the batch is grouped exactly instead.  Each
 group is then looked up in the width's table of known keys, sorted by hash,
 walking the entries of its hash until one matches, so a collision costs time
-but never a wrong code.
+but never a wrong code.  The strings' order compares the first two words of
+each key, byte-swapped, then its length, and only keys of more than 16
+bytes that share their first 16 are compared byte by byte.
 
 Small files are read a line at a time through :func:`text_lines`.  Side
 inputs are read through :class:`Rows` and written by :func:`write_rows`.
@@ -63,6 +71,32 @@ def universal_newlines(block: bytes) -> bytes:
     if b"\r" in block:
         block = block.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
     return block
+
+
+def blocks(path, start: int, stop: int, size: int) -> Iterator[bytes]:
+    """Bytes ``[start, stop)`` of a file in blocks of about ``size`` bytes,
+    each ending at a line break, with every line break turned into ``\\n``.
+
+    A final ``\\r`` waits for the next block, where it may start a
+    ``\\r\\n``.  A line longer than a block grows its block, each read then
+    as large as the bytes held, so a long line costs linear time.  Every
+    block but the last holds at least one line; the last may be empty.
+    """
+    with open(path, "rb") as fh:
+        fh.seek(start)
+        left, carry = stop - start, b""
+        while True:
+            data = fh.read(min(max(size, len(carry)), left))
+            left -= len(data)
+            block, last = carry + data, not (left and data)
+            if not last:
+                cut = max(block.rfind(b"\n"), block.rfind(b"\r", 0, -1)) + 1
+                block, carry = block[:cut], block[cut:]
+                if not block:
+                    continue
+            yield universal_newlines(block)
+            if last:
+                return
 
 
 class Lines(NamedTuple):
@@ -194,7 +228,7 @@ class _KeyTable:
             hit = self.hashes[at] == hashes[todo]
             todo, at = todo[hit], at[hit]
             same = (self.lengths[at] == lengths[todo]) & (
-                self.words[:, at] == words[:, todo]
+                self.words.take(at, axis=1) == words.take(todo, axis=1)
             ).all(axis=0)
             codes[todo[same]] = self.codes[at[same]]
             found[todo[same]] = True
@@ -209,17 +243,32 @@ class _KeyTable:
         assert self._added is None
         self._added = hashes, words, lengths, codes
 
+    def entries(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """The known keys' words, byte lengths and codes, in parts."""
+        parts = [(self.words, self.lengths, self.codes)]
+        if self._added is not None:
+            parts.append(self._added[1:])
+        return parts
+
     def _sort_in(self, hashes, words, lengths, codes) -> None:
-        order = np.argsort(hashes)
-        if not len(self.hashes):
-            self.hashes, self.words = hashes[order], words[:, order]
-            self.lengths, self.codes = lengths[order], codes[order]
-            return
-        at = np.searchsorted(self.hashes, hashes[order])
-        self.hashes = np.insert(self.hashes, at, hashes[order])
-        self.words = np.insert(self.words, at, words[:, order], axis=1)
-        self.lengths = np.insert(self.lengths, at, lengths[order])
-        self.codes = np.insert(self.codes, at, codes[order])
+        # a batch comes in hash order, unless it was grouped exactly
+        order = np.argsort(hashes, kind="stable")
+        hashes = hashes[order]
+        # each new key goes before the known keys of a larger hash
+        at = np.searchsorted(self.hashes, hashes) + np.arange(len(hashes))
+        known = np.ones(len(self.hashes) + len(hashes), bool)
+        known[at] = False
+
+        def merged(old: np.ndarray, new: np.ndarray) -> np.ndarray:
+            out = np.empty(len(known), old.dtype)
+            out[at] = new
+            out[known] = old
+            return out
+
+        self.hashes = merged(self.hashes, hashes)
+        self.words = np.stack([merged(*rows) for rows in zip(self.words, words.take(order, axis=1))])
+        self.lengths = merged(self.lengths, lengths[order])
+        self.codes = merged(self.codes, codes[order])
 
 
 class Interner:
@@ -252,8 +301,48 @@ class Interner:
                 row[:] = loads[start + 8 * k]
                 row &= _BYTE_MASKS[np.clip(size - 8 * k, 0, 8)]
             codes[keys], fresh = self._key_codes(r, words, size)
-            new.append(_tab_ended(words[:, fresh], size[fresh]))
+            new.append(_tab_ended(words.take(fresh, axis=1), size[fresh]))
         return codes, np.concatenate(new).tobytes().decode("utf-8").split("\t")[:-1]
+
+    def order(self) -> np.ndarray:
+        """The codes of the strings seen, in the strings' order: that of
+        their UTF-8 bytes, which is the order of their code points."""
+        parts = [part for table in self._tables.values() for part in table.entries()]
+        lengths = np.concatenate([np.empty(0, np.int64)] + [part[1] for part in parts])
+        # the first two words of every key, byte-swapped so that integer
+        # order is byte order; the words past a key's end are 0
+        first, second = (
+            np.concatenate(
+                [np.empty(0, np.uint64)]
+                + [w[k] if k < len(w) else np.zeros(w.shape[1], np.uint64) for w, _, _ in parts]
+            ).byteswap()
+            for k in (0, 1)
+        )
+        order = np.argsort(first)
+        # order each run of equal first words by second word, then length
+        tied = first[order][1:] == first[order][:-1]
+        if tied.any():
+            run = np.concatenate(([0], np.cumsum(~tied)))
+            sub = np.flatnonzero(np.concatenate(([False], tied)) | np.concatenate((tied, [False])))
+            keys = order[sub]
+            order[sub] = keys[np.lexsort((lengths[keys], second[keys], run[sub]))]
+        # keys of more than 16 bytes that share their first 16 are in
+        # length order: put each run of them in the order of their bytes
+        long = lengths[order] > 16
+        tied = (first[order][1:] == first[order][:-1]) & (second[order][1:] == second[order][:-1])
+        tied &= long[1:] & long[:-1]
+        if tied.any():
+            part = np.repeat(np.arange(len(parts)), [len(p[1]) for p in parts])
+            column = np.arange(len(part)) - np.cumsum([0] + [len(p[1]) for p in parts])[part]
+
+            def key_bytes(i: int) -> bytes:
+                words = parts[part[i]][0][:, column[i]]
+                return words.astype("<u8").tobytes()[: lengths[i]]
+
+            bounds = np.flatnonzero(np.diff(np.concatenate(([0], tied, [0])).astype(np.int8)))
+            for begin, end in zip(bounds[::2].tolist(), (bounds[1::2] + 1).tolist()):
+                order[begin:end] = sorted(order[begin:end].tolist(), key=key_bytes)
+        return np.concatenate([np.empty(0, np.int32)] + [part[2] for part in parts])[order]
 
     def _key_codes(self, r: int, words: np.ndarray, lengths: np.ndarray):
         """The codes of the keys ``(words[:, i], lengths[i])`` of width
@@ -276,14 +365,16 @@ class Interner:
             _, first, inverse = np.unique(rows, axis=0, return_index=True, return_inverse=True)
             inverse = inverse.reshape(-1)
         table = self._tables.setdefault(r, _KeyTable(1 << r))
-        codes, found = table.find(hashes[first], words[:, first], lengths[first])
+        codes, found = table.find(hashes[first], words.take(first, axis=1), lengths[first])
+        # the new keys enter the table in hash order and take their codes
+        # in the order of their first occurrence
         unseen = np.flatnonzero(~found)
-        unseen = unseen[np.argsort(first[unseen])]
-        codes[unseen] = np.arange(self.size, self.size + len(unseen), dtype=np.int32)
-        self.size += len(unseen)
         at = first[unseen]
-        table.add(hashes[at], words[:, at], lengths[at], codes[unseen])
-        return codes[inverse], at
+        by_first = np.argsort(at)
+        codes[unseen[by_first]] = np.arange(self.size, self.size + len(unseen), dtype=np.int32)
+        self.size += len(unseen)
+        table.add(hashes[at], words.take(at, axis=1), lengths[at], codes[unseen])
+        return codes[inverse], at[by_first]
 
 
 def _tab_ended(words: np.ndarray, lengths: np.ndarray) -> np.ndarray:

@@ -11,9 +11,10 @@ year produced.
 
 Parsing.  Each input file is cut into byte ranges that end at a ``\\n`` (or
 at the end of the file), and one function parses a range.  It reads the
-range in blocks of a few MB, each ending at a line break, and scans a block's
-bytes with numpy through ``bytefields``, the byte-field layer that
-``snapshot.read_snapshot`` reads its files with too:
+range through ``bytefields.blocks``, the one block reader, in blocks of a
+few MB that each end at a line break, and scans a block's bytes with numpy
+through ``bytefields``, the byte-field layer that ``snapshot.read_snapshot``
+reads its files with too, in smaller blocks:
 
 - ``bytefields.lines`` gives each line's fields; a line without exactly two
   tabs is malformed, and so is a line that is not valid UTF-8
@@ -74,7 +75,7 @@ import sys
 from array import array
 from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -204,25 +205,6 @@ def _ranges(paths: Sequence, cores: int) -> list[tuple[object, int, int]]:
     return ranges
 
 
-def _blocks(path, start: int, stop: int) -> Iterator[bytes]:
-    """Bytes ``[start, stop)`` of a file in blocks of about ``_BLOCK_BYTES``,
-    each ending at a line break, with every line break turned into ``\\n``."""
-    with open(path, "rb") as fh:
-        fh.seek(start)
-        left, carry = stop - start, b""
-        while True:
-            data = fh.read(min(_BLOCK_BYTES, left))
-            left -= len(data)
-            block, last = carry + data, not (left and data)
-            if not last:
-                # end at the last line break; a final \r may start a \r\n
-                cut = max(block.rfind(b"\n"), block.rfind(b"\r", 0, -1)) + 1
-                block, carry = block[:cut], block[cut:]
-            yield bytefields.universal_newlines(block)
-            if last:
-                return
-
-
 def _parse_range(path, start: int, stop: int, policy: SuffixPolicy, strict: bool) -> _ParsedRange:
     """Parse bytes ``[start, stop)`` of a file."""
     names: list[str] = []
@@ -254,7 +236,7 @@ def _parse_range(path, start: int, stop: int, policy: SuffixPolicy, strict: bool
     summary = IngestSummary()
     columns = array("q"), array("i"), array("i")  # times, sources, targets
     error = None
-    for block in _blocks(path, start, stop):
+    for block in bytefields.blocks(path, start, stop, _BLOCK_BYTES):
         counts, records, problem = _parse_block(block, host_codes, policy, strict)
         if problem is not None:
             error = (summary.lines + problem[0], problem[1])

@@ -15,16 +15,21 @@ once: a file that repeats a pair is rejected, not read as its last line.
 These edge rules are one validator on the integer columns, which
 :meth:`YearSnapshot.from_columns` and :func:`read_snapshot` share.
 
-:func:`read_snapshot` reads a file's bytes once and scans them with numpy
-through :mod:`chronoscope.bytefields`, the byte-field layer that the link-log
-parse in :mod:`chronoscope.ingest` uses too: the line and tab structure, one
-UTF-8 decode of the whole file, weights read exactly as ``int()`` reads
-them, and one interning of both name columns, which decodes each distinct
-name once.
+:func:`read_snapshot` reads a file in blocks of ``_READ_BLOCK_BYTES``
+through :func:`chronoscope.bytefields.blocks`, the block reader that the
+link-log parse in :mod:`chronoscope.ingest` uses too, and scans each block
+with numpy through the byte-field layer: the line and tab structure, one
+UTF-8 decode per block, weights read exactly as ``int()`` reads them, and one
+interner shared by the blocks, which decodes each distinct name once.  It
+keeps only the int32 name codes and int64 weights of each block, so its peak
+grows with the edges, not with the file's bytes.  :func:`write_snapshot`
+formats blocks of edges in numpy as padded byte matrices, each node name
+encoded once, and writes the same bytes as one f-string per edge would.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from operator import eq
 from pathlib import Path
@@ -38,6 +43,14 @@ from .errors import SnapshotFormatError
 _HEADER_PREFIX = "#snapshot v1 year="
 # edge weights and every sum of them must fit the int64 arrays
 MAX_TOTAL_WEIGHT = 2**63 - 1
+# a file is read in blocks of this many bytes (plus a partial last line), so
+# that the reader's peak does not grow with the file
+_READ_BLOCK_BYTES = 512 << 10
+# the writer formats a block of edges in a padded matrix of at most this
+# many bytes, unless one edge's line alone is wider
+_WRITE_BLOCK_BYTES = 256 << 10
+# 10, 100, ..., 10**18: a weight of k digits has k - 1 of them at or below it
+_POWERS_OF_TEN = 10 ** np.arange(1, 19, dtype=np.int64)
 
 
 class _BadEdge(ValueError):
@@ -143,17 +156,20 @@ def _checked(
     clipped to it, so that the sum is too large.
     """
     pair = src * len(nodes) + dst
-    order = np.argsort(pair, kind="stable")  # a repeated pair keeps its input order
-    pair, src, dst, weight = pair[order], src[order], dst[order], weight[order]
+    order = None  # each edge's input position, when (src, dst) order moved it
+    if (pair[1:] <= pair[:-1]).any():  # a written file's edges are in order already
+        order = np.argsort(pair, kind="stable")  # a repeated pair keeps its input order
+        pair, src, dst, weight = pair[order], src[order], dst[order], weight[order]
     invalid = (weight < 1) | (src == dst)
     if nodes and not nodes[0]:  # the empty name sorts first
         invalid |= (src == 0) | (dst == 0)
     bad = invalid.copy()
     bad[1:] |= pair[1:] == pair[:-1]
     if bad.any():
-        first = np.flatnonzero(bad)[np.argmin(order[bad])]
+        first = np.flatnonzero(bad)
+        first = int(first[0] if order is None else first[np.argmin(order[first])])
         reason = "invalid edge record" if invalid[first] else "duplicate edge record"
-        raise _BadEdge(int(order[first]), reason)
+        raise _BadEdge(first if order is None else int(order[first]), reason)
     # exact for up to 2^31 edges: each half sums without wrapping
     total = (int((weight >> 32).sum()) << 32) + int((weight & 0xFFFFFFFF).sum())
     if heavy or total > MAX_TOTAL_WEIGHT:
@@ -162,35 +178,75 @@ def _checked(
 
 
 def write_snapshot(snapshot: YearSnapshot, path) -> None:
-    """Write a snapshot file; emission order is sorted and deterministic."""
-    nodes, columns = snapshot.nodes, (snapshot.src, snapshot.dst, snapshot.weight)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"{_HEADER_PREFIX}{snapshot.year}\n")
-        fh.writelines(
-            f"{nodes[s]}\t{nodes[t]}\t{w}\n" for s, t, w in zip(*(c.tolist() for c in columns))
-        )
+    """Write a snapshot file; emission order is sorted and deterministic.
+
+    The lines are formatted in numpy, a block of edges at a time, and each
+    node name is encoded once.  Row ``i`` of a block's uint8 matrix holds
+    edge ``i``'s source name, a tab, its target name, a tab, its weight's
+    digits (right-aligned, from ``% 10``) and ``\\n``, each field padded to
+    the block's widest, and one boolean mask keeps the real bytes.  A block
+    is the longest run of edges whose matrix fits in ``_WRITE_BLOCK_BYTES``
+    (at least one edge), so a long name widens only the blocks it is in.
+    Weights are at least 0, as every snapshot's are.
+    """
+    encoded = [name.encode("utf-8") for name in snapshot.nodes]
+    size = np.fromiter(map(len, encoded), np.int64, len(encoded))
+    start = np.cumsum(size) - size
+    # the names' bytes, then room for the widest field read from any offset
+    padded = b"".join(encoded) + bytes(int(size.max(initial=0)))
+    src, dst, weight = snapshot.src, snapshot.dst, snapshot.weight
+    digits = 1 + np.searchsorted(_POWERS_OF_TEN, weight, side="right")
+    with open(path, "wb") as fh:
+        fh.write(f"{_HEADER_PREFIX}{snapshot.year}\n".encode("utf-8"))
+        at = 0
+        while at < len(weight):
+            block = slice(at, at + _WRITE_BLOCK_BYTES // 8)
+            fields = size[src[block]], size[dst[block]], digits[block]
+            # the matrix bytes of each prefix of the block, a rising sequence
+            widths = sum(np.maximum.accumulate(f) for f in fields) + 3
+            fit = np.count_nonzero(widths * np.arange(1, len(widths) + 1) <= _WRITE_BLOCK_BYTES)
+            block = slice(at, at + max(fit, 1))
+            fh.write(_lines(padded, start, size, src[block], dst[block], weight[block], digits[block]))
+            at = block.stop
 
 
-def _interned(block: bytes, lo: np.ndarray, hi: np.ndarray) -> tuple[tuple[str, ...], np.ndarray]:
-    """The sorted distinct names ``block[lo[i]:hi[i]]``, and each one's index
-    into them."""
-    # codes follow first occurrence: a written file's sources come sorted,
-    # and the sort runs through them fast
-    codes, names = bytefields.Interner().intern(block, lo, hi)
-    order = sorted(range(len(names)), key=names.__getitem__)
-    rank = np.empty(len(names), np.int64)
-    rank[np.fromiter(order, np.intp, len(order))] = np.arange(len(names))
-    return tuple(map(names.__getitem__, order)), rank[codes]
+def _lines(padded: bytes, start, size, src, dst, weight, digits) -> np.ndarray:
+    """The lines of the edges ``src[i] -> dst[i]`` of ``weight[i]`` (of
+    ``digits[i]`` digits) as one uint8 array; name ``k`` is the ``size[k]``
+    bytes of ``padded`` from ``start[k]`` on."""
+    width = int(size[src].max()) + int(size[dst].max()) + int(digits.max()) + 3
+    rows = np.empty((len(weight), width), np.uint8)
+    keep = np.ones((len(weight), width), bool)
+    columns = np.arange(width)
+    at = 0
+    for names in (src, dst):
+        widest = int(size[names].max())
+        # row k of the view is the ``widest`` bytes from offset k on
+        view = np.ndarray((len(padded) - widest + 1, widest), np.uint8, padded, strides=(1, 1))
+        rows[:, at : at + widest] = view[start[names]]
+        keep[:, at : at + widest] = columns[:widest] < size[names, None]
+        rows[:, at + widest] = bytefields.TAB
+        at += widest + 1
+    value = weight
+    for column in range(width - 2, at - 1, -1):
+        value, rows[:, column] = np.divmod(value, 10)
+    rows[:, at:-1] += ord("0")
+    keep[:, at:-1] = columns[: width - 1 - at] >= width - 1 - at - digits[:, None]
+    rows[:, -1] = bytefields.NEWLINE
+    return rows[keep]
 
 
 def read_snapshot(path) -> YearSnapshot:
     """Read a snapshot file written by :func:`write_snapshot`.
 
-    The file is read once and its bytes are scanned with numpy
-    (:mod:`chronoscope.bytefields`): ``\\r\\n`` and a lone ``\\r`` end a line as
-    ``\\n`` does, one decode checks the whole file for UTF-8, the weights are
-    read as ``int()`` reads them, and only the distinct names are decoded,
-    all in one batch.
+    The file is read in blocks of ``_READ_BLOCK_BYTES`` through
+    :func:`chronoscope.bytefields.blocks`, and each block's bytes are
+    scanned with numpy: ``\\r\\n`` and a lone ``\\r`` end a line as ``\\n``
+    does, one decode checks a block for UTF-8, the weights are read as
+    ``int()`` reads them, and one :class:`~chronoscope.bytefields.Interner`
+    shared by the blocks decodes each distinct name once.  Only the int32
+    name codes and the int64 weights are kept from a block, so the peak
+    grows with the edges, not with the file's bytes.
 
     :class:`SnapshotFormatError` names ``path:line`` of the first bad line:
     one that is not valid UTF-8, else without three tab-separated fields,
@@ -198,36 +254,87 @@ def read_snapshot(path) -> YearSnapshot:
     :meth:`YearSnapshot.from_columns` would reject.  A header that is not
     UTF-8 is ``path:1``; one without ``#snapshot v1 year=`` and an integer
     year names ``path``, as a total weight beyond ``MAX_TOTAL_WEIGHT`` does
-    when no line is bad.  Each check runs on the whole file at once, and a
-    failure is located line by line only when its check fails.
+    when no line is bad.  Reading stops at the first block with a bad line;
+    the edge rules then run once on the edges before it, and a failure is
+    located line by line only when its check fails.
     """
     path = Path(path)
-    block = bytefields.universal_newlines(path.read_bytes())
-    lines = bytefields.lines(block)
-    utf8 = bytefields.utf8_lines(block, lines.begins, lines.ends)
+    interner, names = bytefields.Interner(), []
+    columns = array("i"), array("i"), array("q")  # source and target codes, weights
+    year, heavy, failure = None, False, None
+    for block in bytefields.blocks(path, 0, path.stat().st_size, _READ_BLOCK_BYTES):
+        lines = bytefields.lines(block)
+        utf8 = bytefields.utf8_lines(block, lines.begins, lines.ends)
+        first = 0
+        if year is None:
+            year, first = _header_year(path, block, lines, utf8), 1
+        read = len(columns[2])  # the edge lines of the blocks before
+        edges, new, block_heavy, failure = _edge_lines(block, lines, utf8, first, interner)
+        names += new
+        heavy |= block_heavy
+        for column, values in zip(columns, edges):
+            column.frombytes(values.tobytes())
+        if failure is not None:
+            failure = (read + failure[0], failure[1])
+            break
+    # names in order, so that a code's order is its name's
+    order = interner.order()
+    del interner
+    rank = np.empty(len(names), np.int64)
+    rank[order] = np.arange(len(names))
+    sources, targets, weights = (
+        np.frombuffer(column, dtype) for column, dtype in zip(columns, (np.int32, np.int32, np.int64))
+    )
+    try:
+        snapshot = _checked(
+            year, tuple(map(names.__getitem__, order.tolist())), rank[sources], rank[targets],
+            weights, heavy,
+        )
+    except _BadEdge as exc:
+        if exc.index is not None or failure is None:
+            failure = (exc.index, str(exc))
+    if failure is None:
+        return snapshot
+    index, reason = failure
+    where = path if index is None else f"{path}:{index + 2}"
+    raise SnapshotFormatError(f"{where}: {reason}")
+
+
+def _header_year(path: Path, block: bytes, lines: bytefields.Lines, utf8: np.ndarray) -> int:
+    """The year of a file's header, the first line of its first block."""
     if not utf8[:1].all():
         raise SnapshotFormatError(f"{path}:1: invalid UTF-8")
     header = block[: lines.ends[0]].decode("utf-8") if len(lines.ends) else ""
     if not header.startswith(_HEADER_PREFIX):
         raise SnapshotFormatError(f"{path}: unsupported header {header!r}")
     try:
-        year = int(header[len(_HEADER_PREFIX):])
+        return int(header[len(_HEADER_PREFIX):])
     except ValueError:
         raise SnapshotFormatError(f"{path}: bad year in header {header!r}") from None
 
-    # the edge lines, as indices into ``lines``; each check reads only the
-    # lines before the failure found so far
-    failure, end = None, len(utf8) - 1
+
+def _edge_lines(
+    block: bytes, lines: bytefields.Lines, utf8: np.ndarray, first: int,
+    interner: bytefields.Interner,
+):
+    """The edges of a block's lines from ``first`` on, up to its first bad
+    line: ``(sources, targets, weights)`` as interned codes and int64
+    weights, the names new to ``interner``, whether a weight was beyond
+    int64 (then read as ``MAX_TOTAL_WEIGHT``, or -1 when negative), and the
+    bad line as ``(edge index in the block, reason)`` or None."""
+    # each check reads only the lines before the failure found so far
+    utf8 = utf8[first:]
+    failure, end = None, len(utf8)
     if not utf8.all():
-        end = int(np.argmin(utf8)) - 1
+        end = int(np.argmin(utf8))
         failure = (end, "invalid UTF-8")
-    if not (three := lines.tab_counts[1 : end + 1] == 2).all():
+    if not (three := lines.tab_counts[first : first + end] == 2).all():
         end = int(np.argmin(three))
         failure = (end, "expected 3 fields")
-    line = np.arange(1, end + 1)
+    line = np.arange(first, first + end)
     tab1, tab2, stop = lines.tab(line, 0), lines.tab(line, 1), lines.ends[line]
     weight, fits = bytefields.integers(block, lines.data, tab2 + 1, stop)
-    heavy = False  # a weight beyond int64
+    heavy = False
     for i in np.flatnonzero(~fits).tolist():
         text = block[tab2[i] + 1 : stop[i]].decode("utf-8")
         try:
@@ -237,18 +344,9 @@ def read_snapshot(path) -> YearSnapshot:
             break
         heavy |= number > 0
         weight[i] = MAX_TOTAL_WEIGHT if number > 0 else -1
-    nodes, codes = _interned(
+    codes, new = interner.intern(
         block,
         np.concatenate((lines.begins[line[:end]], tab1[:end] + 1)),
         np.concatenate((tab1[:end], tab2[:end])),
     )
-    try:
-        snapshot = _checked(year, nodes, codes[:end], codes[end:], weight[:end], heavy)
-    except _BadEdge as exc:
-        if exc.index is not None or failure is None:
-            failure = (exc.index, str(exc))
-    if failure is None:
-        return snapshot
-    index, reason = failure
-    where = path if index is None else f"{path}:{index + 2}"
-    raise SnapshotFormatError(f"{where}: {reason}")
+    return (codes[:end], codes[end:], weight[:end]), new, heavy, failure

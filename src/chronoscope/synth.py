@@ -48,6 +48,9 @@ _MIN_WEIGHT = 64.0
 _CALIBRATION_TOL = 2e-4
 _CALIBRATION_STEPS = 8
 
+# the partition generator draws about this many pairs at a time
+_DRAW_PAIRS = 1 << 16
+
 
 def node_names(n_nodes: int) -> list[str]:
     """Stable synthetic third-level domains: u000.ac.uk, u001.ac.uk, ..."""
@@ -181,10 +184,18 @@ def gen_partitioned_graph(
             raise InvalidSpec(f"{name}={p} outside [0, 1]")
     if p_intra < p_inter:
         raise InvalidSpec("p_intra must be at least p_inter")
-    labels = np.array(list(groups.values()))
-    same = labels[:, None] == labels[None, :]
-    probs = np.where(same, p_intra, p_inter)
-    draw = default_rng(seed).random(probs.shape) < probs
-    np.fill_diagonal(draw, False)
-    src, dst = np.nonzero(draw)
+    codes: dict[str, int] = {}
+    group = np.array([codes.setdefault(label, len(codes)) for label in groups.values()])
+    # blocks of whole rows, drawn in row order from one stream, so the draws
+    # are those of the whole n x n matrix at once
+    rng, rows = default_rng(seed), max(1, _DRAW_PAIRS // len(group))
+    sources, targets = [], []
+    for top in range(0, len(group), rows):
+        probs = np.where(group[top : top + rows, None] == group, p_intra, p_inter)
+        src, dst = np.nonzero(rng.random(probs.shape) < probs)
+        src += top
+        loop = src == dst
+        sources.append(src[~loop])
+        targets.append(dst[~loop])
+    src, dst = np.concatenate(sources), np.concatenate(targets)
     return YearSnapshot.from_columns(year, list(groups), src, dst, np.ones(len(src), np.int64))

@@ -333,3 +333,12 @@ def plain_snapshot(data, path):
     if sum(edges.values()) > 2**63 - 1:
         raise ValueError(f"{path}: edge weights sum to more than {2**63 - 1}")
     return year, edges
+
+
+def fstring_snapshot(year, nodes, src, dst, weight):
+    """The bytes of a snapshot file, one f-string per edge: the header
+    ``#snapshot v1 year=<year>``, then ``source<TAB>target<TAB>weight`` for
+    each edge in the given order, every line ended by ``\\n``, in UTF-8."""
+    lines = [f"#snapshot v1 year={year}\n"]
+    lines += [f"{nodes[s]}\t{nodes[t]}\t{w}\n" for s, t, w in zip(src, dst, weight)]
+    return "".join(lines).encode("utf-8")

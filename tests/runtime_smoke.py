@@ -3,7 +3,10 @@
 Runs ``ingest`` and ``ingest --strict`` on a small link log and ``synth`` in
 both modes, then every analysis on the synthetic snapshots: ``stats``,
 ``centrality``, ``correlate`` (with a ranking file it writes), ``modularity``,
-``density``, ``gravity`` and ``export``, in a temporary directory:
+``density``, ``gravity`` and ``export``, in a temporary directory.  A
+250-node gravity synth writes a 1.5 MB snapshot, more than one read block
+and many write blocks, and reading it and writing it again must give the
+same bytes:
 
     python -m pip install -e .          # numpy only, no [dev] extra
     python tests/runtime_smoke.py
@@ -43,6 +46,15 @@ def first_fields(path: Path) -> list[str]:
     return [line.split("\t")[0] for line in path.read_text(encoding="utf-8").splitlines()]
 
 
+def same_bytes_again(path: Path) -> bool:
+    """Whether a snapshot file read and written again keeps its bytes."""
+    from chronoscope.snapshot import read_snapshot, write_snapshot
+
+    again = path.with_name("again.tsv")
+    write_snapshot(read_snapshot(path), again)
+    return again.read_bytes() == path.read_bytes()
+
+
 def run(chronoscope, commands) -> bool:
     """Run each command in turn, its standard output dropped; False at the
     first that fails."""
@@ -63,6 +75,7 @@ def main(argv: list[str]) -> int:
 
     with tempfile.TemporaryDirectory() as tmp:
         g, p, i = Path(tmp, "gravity"), Path(tmp, "partition"), Path(tmp, "ingest")
+        big = Path(tmp, "blocks")
         g_snap, p_snap = str(g / "snapshot_2010.tsv"), str(p / "snapshot_2010.tsv")
         log, ranking, members = (Path(tmp, name) for name in ("links.tsv", "ranking", "members"))
         log.write_text(
@@ -78,6 +91,8 @@ def main(argv: list[str]) -> int:
             ["synth", "--mode", "gravity", "--n-nodes", "30", "--out-dir", str(g)],
             ["synth", "--mode", "partition", "--n-nodes", "30", "--n-groups", "3",
              "--p-intra", "0.5", "--out-dir", str(p)],
+            ["synth", "--mode", "gravity", "--n-nodes", "250", "--noise-scale", "0.5",
+             "--out-dir", str(big)],
         ]
         analyses = [
             ["stats", p_snap, "--out-dir", str(p)],
@@ -94,6 +109,9 @@ def main(argv: list[str]) -> int:
             return 1
         if not list(i.glob("snapshot_*.tsv")):
             print("runtime smoke: ingest wrote no snapshot", file=sys.stderr)
+            return 1
+        if not same_bytes_again(big / "snapshot_2010.tsv"):
+            print("runtime smoke: a snapshot read and written again changed", file=sys.stderr)
             return 1
         # the gravity graph's nodes ranked in file order; ten partition nodes
         nodes = first_fields(g / "geo_2010.tsv")

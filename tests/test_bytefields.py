@@ -1,12 +1,19 @@
-"""The text layer for small files: the side-input rows and the CSV writer."""
+"""The text layer: the block reader, and for small files the side-input rows
+and the CSV writer."""
 
 import csv
 import io
+from unittest import mock
+
+import numpy as np
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chronoscope.bytefields import Rows, write_csv, write_rows
+from chronoscope import bytefields
+from chronoscope.bytefields import (
+    Interner, Rows, blocks, universal_newlines, write_csv, write_rows,
+)
 from chronoscope.errors import MalformedLine
 from chronoscope.gravity import GeoPoint, read_geo_points, write_geo_points
 from chronoscope.ingest import read_node_pages
@@ -31,6 +38,54 @@ def joined(draw, lines):
 
 
 any_lines = st.lists(st.lists(st.sampled_from(PIECES), max_size=5).map(b"".join), max_size=12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    data=joined(st.lists(st.lists(st.sampled_from(PIECES), max_size=30).map(b"".join), max_size=12)),
+    size=st.integers(min_value=1, max_value=40),
+    cut=st.integers(min_value=0),
+)
+def test_blocks_end_at_line_breaks(tmp_path_factory, data, size, cut):
+    # a range from a line start to the end, read in blocks of a few bytes:
+    # \r\n is never split, a block grows past a long line, and the blocks
+    # join to the range with universal newlines
+    path = _write(tmp_path_factory, data)
+    starts = [0] + [i + 1 for i, byte in enumerate(data) if byte == ord("\n")]
+    start = starts[cut % len(starts)]
+    got = list(blocks(path, start, len(data), size))
+    assert b"".join(got) == universal_newlines(data[start:])
+    assert all(block.endswith(b"\n") for block in got[:-1])
+    assert len(got) >= 1
+
+
+# strings of several key widths that share long prefixes, with NUL and
+# multi-byte characters
+interned = st.one_of(
+    st.text(st.sampled_from(["a", "b", "\x00", "é", "\U0001f600"]), max_size=12),
+    st.tuples(st.integers(0, 40), st.sampled_from(["", "a", "b", "\x00", "é"])).map(
+        lambda t: "a" * t[0] + t[1]
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(batches=st.lists(st.lists(interned, max_size=25), min_size=1, max_size=4), collide=st.booleans())
+def test_interner_codes_and_order(batches, collide):
+    # codes agree across batches, each string is new once, and ``order``
+    # sorts the strings as Python does; with colliding hashes the batches
+    # are grouped exactly and enter the tables out of hash order
+    interner, names = Interner(), []
+    hashes = (lambda words, lengths: lengths.astype(np.uint64)) if collide else bytefields._hash
+    with mock.patch.object(bytefields, "_hash", hashes):
+        for batch in batches:
+            data = [text.encode() for text in batch]
+            hi = np.cumsum([len(d) + 1 for d in data], dtype=np.int64) - 1
+            codes, new = interner.intern(b"\t".join(data) + b"\t", hi - [len(d) for d in data], hi)
+            names += new
+            assert [names[c] for c in codes.tolist()] == batch
+    assert sorted(names) == sorted({text for batch in batches for text in batch})
+    assert [names[c] for c in interner.order().tolist()] == sorted(names)
 
 
 def _write(tmp_path_factory, data):

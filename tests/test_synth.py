@@ -1,5 +1,7 @@
+import numpy as np
 import pytest
 
+from chronoscope import synth
 from chronoscope.errors import InvalidSpec
 from chronoscope.gravity import (
     GeoPoint,
@@ -125,3 +127,29 @@ def test_equal_groups_round_robin():
         "u003.ac.uk": "g1",
         "u004.ac.uk": "g0",
     }
+
+
+def whole_matrix_partition(groups, p_intra, p_inter, seed):
+    """The partition generator's edges drawn as one n x n matrix."""
+    labels = np.array(list(groups.values()))
+    probs = np.where(labels[:, None] == labels[None, :], p_intra, p_inter)
+    draw = np.random.default_rng(seed).random(probs.shape) < probs
+    np.fill_diagonal(draw, False)
+    src, dst = np.nonzero(draw)
+    return src, dst
+
+
+@pytest.mark.parametrize(
+    "n, groups, draw_pairs", [(37, 4, 100), (50, 3, 150), (101, 7, 1 << 16), (9, 2, 1)]
+)
+@pytest.mark.parametrize("seed", [1, 5, 77])
+def test_partitioned_row_blocks_match_whole_matrix(monkeypatch, n, groups, draw_pairs, seed):
+    # blocks of draw_pairs // n rows, at least one: 2 rows with a last
+    # block of 1, 3 rows with a last block of 2, one block, single rows
+    monkeypatch.setattr(synth, "_DRAW_PAIRS", draw_pairs)
+    labels = equal_groups(n, groups)
+    snap = gen_partitioned_graph(labels, 0.4, 0.05, seed=seed)
+    src, dst = whole_matrix_partition(labels, 0.4, 0.05, seed)
+    assert snap.nodes == tuple(node_names(n))
+    assert snap.src.tolist() == src.tolist() and snap.dst.tolist() == dst.tolist()
+    assert snap.weight.tolist() == [1] * len(src)

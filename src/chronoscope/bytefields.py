@@ -16,26 +16,30 @@ instead of making a Python object per line or field:
 - :func:`integers` reads integer fields exactly as ``int()`` reads their
   text: runs of 1 to ``_DIGITS`` ASCII digits with numpy digit arithmetic,
   any other text through ``int()``, one field at a time;
-- an :class:`Interner` gives each distinct byte string a dense code, and
-  decodes the distinct strings with one decode, so that a reader decodes
-  each string once, not once per occurrence; :meth:`Interner.order` lists
-  the codes in the strings' order, so that a reader sorts its names
-  without comparing Python strings.
+- an :class:`Interner` gives each distinct byte string a dense code, its
+  index in :attr:`Interner.strings`, and decodes a batch's new strings with
+  one decode, so that a reader decodes each string once, not once per
+  occurrence; :meth:`Interner.order` sorts the strings and ranks the codes,
+  so that a reader sorts its names mostly without comparing Python strings.
 
-Interning.  A string becomes a key of little-endian words, loaded from any
-byte offset with the bytes past its end masked off, plus its byte length
-(NUL is valid UTF-8, so the length stays part of the key).  The word count
-is rounded up to a power of two, so a key takes at most about twice its own
-bytes however long other strings are, and equal strings share a width.  A
-batch of keys of one width is grouped by one sort of their 64-bit hashes,
-each with the key's index in its low bits, so that a group's first member is
-its first occurrence.  Every group is verified word by word: when two
-different keys share a group, the batch is grouped exactly instead.  Each
-group is then looked up in the width's table of known keys, sorted by hash,
-walking the entries of its hash until one matches, so a collision costs time
-but never a wrong code.  The strings' order compares the first two words of
+Interning.  An interner keeps two invariants: each key width has one table
+of known keys, sorted by hash after every batch, and ``strings`` holds every
+distinct string, decoded once, with a string's code its index there.  A
+string becomes a key of little-endian words, loaded from any byte offset
+with the bytes past its end masked off, plus its byte length (NUL is valid
+UTF-8, so the length stays part of the key).  The word count is rounded up
+to a power of two, so a key takes at most about twice its own bytes however
+long other strings are, and equal strings share a width.  A batch of keys of
+one width is grouped by one sort of their 64-bit hashes, each with the key's
+index in its low bits, so that a group's first member is its first
+occurrence.  Every group is verified word by word: when two different keys
+share a group, the batch is grouped exactly instead.  Each group is then
+looked up in the width's table, walking the entries of its hash until one
+matches, so a collision costs time but never a wrong code; the new keys are
+sorted into the table.  The strings' order compares the first two words of
 each key, byte-swapped, then its length, and only keys of more than 16
-bytes that share their first 16 are compared byte by byte.
+bytes that tie on their first 16 are ordered by their strings, whose order
+is that of their UTF-8 bytes.
 
 Small files are read a line at a time through :func:`text_lines`.  Side
 inputs are read through :class:`Rows` and written by :func:`write_rows`.
@@ -200,23 +204,18 @@ def _hash(words: np.ndarray, lengths: np.ndarray) -> np.ndarray:
 
 
 class _KeyTable:
-    """An interner's known keys of one width: hash-sorted hashes, words
-    (one row per word of the key), byte lengths and codes.  The last batch
-    of added keys waits unsorted until a later batch looks keys up, so a
-    one-batch interner never sorts its table."""
+    """An interner's known keys of one width, sorted by hash after every
+    batch: hashes, words (one row per word of the key), byte lengths and
+    codes."""
 
     def __init__(self, width: int):
         self.hashes = np.empty(0, np.uint64)
         self.words = np.empty((width, 0), np.uint64)
         self.lengths = np.empty(0, np.int64)
         self.codes = np.empty(0, np.int32)
-        self._added = None  # (hashes, words, lengths, codes) not yet sorted in
 
     def find(self, hashes, words, lengths) -> tuple[np.ndarray, np.ndarray]:
         """The codes of the keys, and whether the table holds each key."""
-        if self._added is not None:
-            self._sort_in(*self._added)
-            self._added = None
         codes = np.zeros(len(hashes), np.int32)
         found = np.zeros(len(hashes), bool)
         # compare each key with the table entries of its hash in turn: one
@@ -238,19 +237,7 @@ class _KeyTable:
         return codes, found
 
     def add(self, hashes, words, lengths, codes) -> None:
-        """Enter keys that the table does not hold, with their codes; each
-        batch follows a ``find``, which sorts the one before it in."""
-        assert self._added is None
-        self._added = hashes, words, lengths, codes
-
-    def entries(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """The known keys' words, byte lengths and codes, in parts."""
-        parts = [(self.words, self.lengths, self.codes)]
-        if self._added is not None:
-            parts.append(self._added[1:])
-        return parts
-
-    def _sort_in(self, hashes, words, lengths, codes) -> None:
+        """Sort keys that the table does not hold, with their codes, in."""
         # a batch comes in hash order, unless it was grouped exactly
         order = np.argsort(hashes, kind="stable")
         hashes = hashes[order]
@@ -272,27 +259,29 @@ class _KeyTable:
 
 
 class Interner:
-    """Dense int32 codes for byte strings: the distinct strings get 0, 1,
-    2, ... batch by batch; within a batch the keys of each width take their
-    codes in the order of their first occurrence."""
+    """Dense int32 codes for byte strings: ``strings`` holds every distinct
+    string seen, decoded once, and a string's code is its index there.
+    Within a batch the new keys of each width take their codes in the order
+    of their first occurrence."""
 
     def __init__(self):
-        self.size = 0  # the number of distinct strings seen
+        self.strings: list[str] = []
         self._tables: dict[int, _KeyTable] = {}  # by key width, as 2**r words
 
-    def intern(self, block: bytes, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, list[str]]:
-        """The codes of the UTF-8 strings ``block[lo[i]:hi[i]]``, and the
-        strings new to the interner in the order of their codes, decoded
-        with one decode; no string may hold a tab."""
+    def intern(self, block: bytes, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        """The codes of the UTF-8 strings ``block[lo[i]:hi[i]]``; the strings
+        new to the interner join ``strings`` with one decode.  No string may
+        hold a tab."""
         codes = np.empty(len(lo), np.int32)
         if not len(lo):
-            return codes, []
+            return codes
         lengths = hi - lo
         low, high = np.searchsorted(_KEY_BYTES, (lengths.min(), lengths.max())).tolist()
         rank = np.searchsorted(_KEY_BYTES, lengths) if low < high else None
         padded = block + bytes(int(_KEY_BYTES[high]))
         loads = np.ndarray((len(padded) - 7,), "<u8", padded, strides=(1,))
         new = []  # the new strings' bytes, each with a tab after it
+        next_code = len(self.strings)
         for r in range(low, high + 1):
             keys = slice(None) if rank is None else np.flatnonzero(rank == r)
             start, size = lo[keys], lengths[keys]
@@ -300,24 +289,27 @@ class Interner:
             for k, row in enumerate(words):  # one 1-D load per word of the key
                 row[:] = loads[start + 8 * k]
                 row &= _BYTE_MASKS[np.clip(size - 8 * k, 0, 8)]
-            codes[keys], fresh = self._key_codes(r, words, size)
+            codes[keys], fresh = self._key_codes(r, words, size, next_code)
             new.append(_tab_ended(words.take(fresh, axis=1), size[fresh]))
-        return codes, np.concatenate(new).tobytes().decode("utf-8").split("\t")[:-1]
+            next_code += len(fresh)
+        self.strings += np.concatenate(new).tobytes().decode("utf-8").split("\t")[:-1]
+        return codes
 
-    def order(self) -> np.ndarray:
-        """The codes of the strings seen, in the strings' order: that of
-        their UTF-8 bytes, which is the order of their code points."""
-        parts = [part for table in self._tables.values() for part in table.entries()]
-        lengths = np.concatenate([np.empty(0, np.int64)] + [part[1] for part in parts])
+    def order(self) -> tuple[tuple[str, ...], np.ndarray]:
+        """The strings seen in their order, that of their UTF-8 bytes, which
+        is the order of their code points; and each code's rank in it."""
+        tables = self._tables.values()
+        lengths = np.concatenate([np.empty(0, np.int64)] + [t.lengths for t in tables])
         # the first two words of every key, byte-swapped so that integer
         # order is byte order; the words past a key's end are 0
         first, second = (
             np.concatenate(
                 [np.empty(0, np.uint64)]
-                + [w[k] if k < len(w) else np.zeros(w.shape[1], np.uint64) for w, _, _ in parts]
+                + [t.words[k] if k < len(t.words) else np.zeros(len(t.codes), np.uint64) for t in tables]
             ).byteswap()
             for k in (0, 1)
         )
+        codes = np.concatenate([np.empty(0, np.int32)] + [t.codes for t in tables])
         order = np.argsort(first)
         # order each run of equal first words by second word, then length
         tied = first[order][1:] == first[order][:-1]
@@ -327,26 +319,23 @@ class Interner:
             keys = order[sub]
             order[sub] = keys[np.lexsort((lengths[keys], second[keys], run[sub]))]
         # keys of more than 16 bytes that share their first 16 are in
-        # length order: put each run of them in the order of their bytes
+        # length order: put each run of them in the order of their strings
         long = lengths[order] > 16
         tied = (first[order][1:] == first[order][:-1]) & (second[order][1:] == second[order][:-1])
         tied &= long[1:] & long[:-1]
+        order = codes[order]
         if tied.any():
-            part = np.repeat(np.arange(len(parts)), [len(p[1]) for p in parts])
-            column = np.arange(len(part)) - np.cumsum([0] + [len(p[1]) for p in parts])[part]
-
-            def key_bytes(i: int) -> bytes:
-                words = parts[part[i]][0][:, column[i]]
-                return words.astype("<u8").tobytes()[: lengths[i]]
-
             bounds = np.flatnonzero(np.diff(np.concatenate(([0], tied, [0])).astype(np.int8)))
             for begin, end in zip(bounds[::2].tolist(), (bounds[1::2] + 1).tolist()):
-                order[begin:end] = sorted(order[begin:end].tolist(), key=key_bytes)
-        return np.concatenate([np.empty(0, np.int32)] + [part[2] for part in parts])[order]
+                order[begin:end] = sorted(order[begin:end].tolist(), key=self.strings.__getitem__)
+        rank = np.empty(len(order), np.int64)
+        rank[order] = np.arange(len(order))
+        return tuple(map(self.strings.__getitem__, order.tolist())), rank
 
-    def _key_codes(self, r: int, words: np.ndarray, lengths: np.ndarray):
+    def _key_codes(self, r: int, words: np.ndarray, lengths: np.ndarray, next_code: int):
         """The codes of the keys ``(words[:, i], lengths[i])`` of width
-        ``2**r``, and the first occurrences of the new keys in code order."""
+        ``2**r``, the new ones from ``next_code`` on, and the first
+        occurrences of the new keys in code order."""
         hashes = _hash(words, lengths)
         # sort the hashes with each key's index in their low bits: equal
         # high bits make a group, and its first index is its first key
@@ -371,8 +360,7 @@ class Interner:
         unseen = np.flatnonzero(~found)
         at = first[unseen]
         by_first = np.argsort(at)
-        codes[unseen[by_first]] = np.arange(self.size, self.size + len(unseen), dtype=np.int32)
-        self.size += len(unseen)
+        codes[unseen[by_first]] = np.arange(next_code, next_code + len(unseen), dtype=np.int32)
         table.add(hashes[at], words.take(at, axis=1), lengths[at], codes[unseen])
         return codes[inverse], at[by_first]
 

@@ -4,9 +4,11 @@ URLs are reduced to third-level domains such as ``ox.ac.uk``: the unit every
 graph in this package aggregates to.  A :class:`SuffixPolicy` says which
 country-code TLD is in scope and which second-level domains (``ac.uk``,
 ``co.uk``, ...) are registration suffixes beneath it.  The built-in policy
-is the shipped ``data/uk.policy``.  :func:`parse_host_key` is the one
-reducer from a hostname to its third-level name: ingest calls it once per
-distinct URL authority, and :func:`parse_domain_key` applies it to one URL.
+is the shipped ``data/uk.policy``.  A URL is reduced in three steps, as
+ingest runs them: :func:`authority_spans` cuts the authorities out of a
+block of URL fields, :func:`authority_host` takes an authority's hostname,
+and :func:`parse_host_key`, the one reducer from a hostname to its
+third-level name, runs once per distinct authority.
 """
 
 from __future__ import annotations
@@ -77,7 +79,10 @@ def load_policy(path) -> SuffixPolicy:
 
 
 def parse_host_key(host: str, policy: SuffixPolicy) -> str:
-    """The third-level domain a bare hostname names, e.g. ``ox.ac.uk``.
+    """The third-level domain a bare hostname names.
+
+    >>> parse_host_key("www.ox.ac.uk", default_policy())
+    'ox.ac.uk'
 
     The hostname is lowercased, a trailing dot and exactly one leading
     ``www.`` label are stripped, and the third-level domain is taken from the
@@ -139,33 +144,11 @@ def authority_spans(
     return lo, np.where(after_mark | leading, hi, lo)
 
 
-def url_authority(url: str) -> str:
-    """Authority part of one URL, by the rule of :func:`authority_spans`."""
-    raw = url.encode("utf-8", "surrogatepass")
-    (lo,), (hi,) = authority_spans(
-        np.frombuffer(raw, np.uint8), np.zeros(1, np.int64), np.full(1, len(raw))
-    )
-    return raw[lo:hi].decode("utf-8", "surrogatepass")
-
-
 def authority_host(authority: str) -> str:
     """Hostname of an authority: drops a ``?``/``#`` tail, user info and
     port.  Brackets are kept, so an IPv6 literal never matches a ccTLD."""
     host = authority.partition("?")[0].partition("#")[0]
     return host.rpartition("@")[2].partition(":")[0]
-
-
-def parse_domain_key(url: str, policy: SuffixPolicy) -> str:
-    """The third-level domain an absolute URL names.
-
-    >>> parse_domain_key("http://www.ox.ac.uk/about", default_policy())
-    'ox.ac.uk'
-
-    Paths, queries, fragments, user info and ports are ignored; only the
-    hostname matters, and it raises as in :func:`parse_host_key`.  A URL
-    without an authority raises MalformedUrl.
-    """
-    return parse_host_key(authority_host(url_authority(url)), policy)
 
 
 def sld_label(third_level: str, policy: SuffixPolicy) -> str:

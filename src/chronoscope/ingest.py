@@ -133,6 +133,9 @@ class IngestSummary:
     unknown_sld: int = 0
     sessions: int = 0
 
+    def __add__(self, other: "IngestSummary") -> "IngestSummary":
+        return IngestSummary(*(getattr(self, f.name) + getattr(other, f.name) for f in fields(self)))
+
     def skipped(self) -> int:
         return (
             self.self_loops
@@ -229,8 +232,8 @@ def _parse_range(path, start: int, stop: int, policy: SuffixPolicy, strict: bool
     interner, hosts = bytefields.Interner(), array("i")
 
     def host_codes(block: bytes, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-        codes, new = interner.intern(block, lo, hi)
-        hosts.extend(map(resolve, new))
+        codes = interner.intern(block, lo, hi)
+        hosts.extend(map(resolve, interner.strings[len(hosts) :]))
         return np.frombuffer(hosts, np.intc)[codes]
 
     summary = IngestSummary()
@@ -241,8 +244,7 @@ def _parse_range(path, start: int, stop: int, policy: SuffixPolicy, strict: bool
         if problem is not None:
             error = (summary.lines + problem[0], problem[1])
             break
-        for f in fields(IngestSummary):
-            setattr(summary, f.name, getattr(summary, f.name) + getattr(counts, f.name))
+        summary += counts
         for column, values in zip(columns, records):
             column.frombytes(values.tobytes())
     del interner, hosts
@@ -387,9 +389,7 @@ def _reduce(
 ) -> IngestResult:
     """Sessions, yearly selection and snapshots from the ranges' sorted runs,
     which it takes out of ``runs``."""
-    summary = IngestSummary(
-        **{f.name: sum(getattr(r.summary, f.name) for r in runs) for f in fields(IngestSummary)}
-    )
+    summary = sum((run.summary for run in runs), IngestSummary())
     names, keys, target = _merged(runs)
 
     # a session starts at a new source, and where the time steps by more

@@ -254,12 +254,13 @@ def read_snapshot(path) -> YearSnapshot:
     :meth:`YearSnapshot.from_columns` would reject.  A header that is not
     UTF-8 is ``path:1``; one without ``#snapshot v1 year=`` and an integer
     year names ``path``, as a total weight beyond ``MAX_TOTAL_WEIGHT`` does
-    when no line is bad.  Reading stops at the first block with a bad line;
-    the edge rules then run once on the edges before it, and a failure is
-    located line by line only when its check fails.
+    when no line is bad.  Reading stops at the first block with a bad line,
+    and the edge rules run once, on the edges before that line: they name
+    the first edge they reject directly, and as it comes before the bad
+    line, it is the one reported.
     """
     path = Path(path)
-    interner, names = bytefields.Interner(), []
+    interner = bytefields.Interner()
     columns = array("i"), array("i"), array("q")  # source and target codes, weights
     year, heavy, failure = None, False, None
     for block in bytefields.blocks(path, 0, path.stat().st_size, _READ_BLOCK_BYTES):
@@ -269,27 +270,20 @@ def read_snapshot(path) -> YearSnapshot:
         if year is None:
             year, first = _header_year(path, block, lines, utf8), 1
         read = len(columns[2])  # the edge lines of the blocks before
-        edges, new, block_heavy, failure = _edge_lines(block, lines, utf8, first, interner)
-        names += new
+        edges, block_heavy, failure = _edge_lines(block, lines, utf8, first, interner)
         heavy |= block_heavy
         for column, values in zip(columns, edges):
             column.frombytes(values.tobytes())
         if failure is not None:
             failure = (read + failure[0], failure[1])
             break
-    # names in order, so that a code's order is its name's
-    order = interner.order()
+    nodes, rank = interner.order()
     del interner
-    rank = np.empty(len(names), np.int64)
-    rank[order] = np.arange(len(names))
     sources, targets, weights = (
         np.frombuffer(column, dtype) for column, dtype in zip(columns, (np.int32, np.int32, np.int64))
     )
     try:
-        snapshot = _checked(
-            year, tuple(map(names.__getitem__, order.tolist())), rank[sources], rank[targets],
-            weights, heavy,
-        )
+        snapshot = _checked(year, nodes, rank[sources], rank[targets], weights, heavy)
     except _BadEdge as exc:
         if exc.index is not None or failure is None:
             failure = (exc.index, str(exc))
@@ -319,9 +313,9 @@ def _edge_lines(
 ):
     """The edges of a block's lines from ``first`` on, up to its first bad
     line: ``(sources, targets, weights)`` as interned codes and int64
-    weights, the names new to ``interner``, whether a weight was beyond
-    int64 (then read as ``MAX_TOTAL_WEIGHT``, or -1 when negative), and the
-    bad line as ``(edge index in the block, reason)`` or None."""
+    weights, whether a weight was beyond int64 (then read as
+    ``MAX_TOTAL_WEIGHT``, or -1 when negative), and the bad line as ``(edge
+    index in the block, reason)`` or None."""
     # each check reads only the lines before the failure found so far
     utf8 = utf8[first:]
     failure, end = None, len(utf8)
@@ -344,9 +338,9 @@ def _edge_lines(
             break
         heavy |= number > 0
         weight[i] = MAX_TOTAL_WEIGHT if number > 0 else -1
-    codes, new = interner.intern(
+    codes = interner.intern(
         block,
         np.concatenate((lines.begins[line[:end]], tab1[:end] + 1)),
         np.concatenate((tab1[:end], tab2[:end])),
     )
-    return (codes[:end], codes[end:], weight[:end]), new, heavy, failure
+    return (codes[:end], codes[end:], weight[:end]), heavy, failure

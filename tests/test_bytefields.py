@@ -72,20 +72,22 @@ interned = st.one_of(
 @settings(max_examples=300, deadline=None)
 @given(batches=st.lists(st.lists(interned, max_size=25), min_size=1, max_size=4), collide=st.booleans())
 def test_interner_codes_and_order(batches, collide):
-    # codes agree across batches, each string is new once, and ``order``
+    # codes agree across batches, each string is held once, and ``order``
     # sorts the strings as Python does; with colliding hashes the batches
     # are grouped exactly and enter the tables out of hash order
-    interner, names = Interner(), []
+    interner = Interner()
     hashes = (lambda words, lengths: lengths.astype(np.uint64)) if collide else bytefields._hash
     with mock.patch.object(bytefields, "_hash", hashes):
         for batch in batches:
             data = [text.encode() for text in batch]
             hi = np.cumsum([len(d) + 1 for d in data], dtype=np.int64) - 1
-            codes, new = interner.intern(b"\t".join(data) + b"\t", hi - [len(d) for d in data], hi)
-            names += new
-            assert [names[c] for c in codes.tolist()] == batch
+            codes = interner.intern(b"\t".join(data) + b"\t", hi - [len(d) for d in data], hi)
+            assert [interner.strings[c] for c in codes.tolist()] == batch
+    names = interner.strings
     assert sorted(names) == sorted({text for batch in batches for text in batch})
-    assert [names[c] for c in interner.order().tolist()] == sorted(names)
+    nodes, rank = interner.order()
+    assert nodes == tuple(sorted(names))
+    assert [nodes[r] for r in rank.tolist()] == names
 
 
 def _write(tmp_path_factory, data):

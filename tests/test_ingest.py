@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from chronoscope.domains import default_policy, parse_domain_key, parse_host_key
+from chronoscope.domains import authority_host, authority_spans, default_policy, parse_host_key
 from chronoscope.errors import (
     ChronoscopeError,
     MalformedLine,
@@ -744,8 +744,9 @@ def test_ingest_strict_keeps_scope_filters(tmp_path):
 
 
 def test_ingest_matches_single_line_parser(tmp_path):
-    # ingest and parse_domain_key share one URL tokenizer, so they agree on
-    # which URLs name a domain and on why the others are skipped
+    # the reducer's steps, authority_spans over the fields and then
+    # authority_host and parse_host_key per authority, agree with ingest's
+    # accounting on which URLs name a domain and why the others are skipped
     urls = [
         "http://WWW.u0.ac.uk/p",
         "https://user:pw@u1.ac.uk:8080/x?q#f",
@@ -763,10 +764,14 @@ def test_ingest_matches_single_line_parser(tmp_path):
     ]
     base = utc(1999)
     result = ingest_rows(tmp_path, [(base + i, url, "http://t.co.uk/") for i, url in enumerate(urls)])
+    fields = [url.encode() for url in urls]
+    raw = b"\t".join(fields)
+    stops = np.cumsum([len(field) + 1 for field in fields]) - 1
+    lo, hi = authority_spans(np.frombuffer(raw, np.uint8), stops - [len(f) for f in fields], stops)
     nodes, skips = set(), collections.Counter()
-    for url in urls:
+    for begin, end in zip(lo.tolist(), hi.tolist()):
         try:
-            nodes.add(parse_domain_key(url, POLICY))
+            nodes.add(parse_host_key(authority_host(raw[begin:end].decode()), POLICY))
         except ChronoscopeError as exc:
             skips[type(exc).__name__] += 1
     assert skips == {"OutOfScopeTld": 2, "MalformedUrl": 3, "UnknownSld": 1}

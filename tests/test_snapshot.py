@@ -227,7 +227,9 @@ def test_invalid_utf8_is_a_bad_line_in_file_order(tmp_path, utf8_line, other_lin
 # --- the byte-level reader against a plain line loop ---
 
 # names of 0 to 70 UTF-8 bytes, so that keys of several widths occur, with
-# NUL, multi-byte characters and the breaks that str.splitlines knows
+# NUL, multi-byte characters and the breaks that str.splitlines knows; the
+# names of more than 16 bytes that share their first 16 include some whose
+# length order and byte order disagree, within a key width and across one
 file_names = st.one_of(
     st.text(
         st.characters(blacklist_characters="\t\n\r", blacklist_categories=("Cs",)),
@@ -235,6 +237,7 @@ file_names = st.one_of(
         max_size=8,
     ),
     st.sampled_from(["", "\x00", "a\x00", "é" * 35, "\x0b\x85\u2028", "n\x00\x00"]),
+    st.sampled_from(["n" * 16 + "b", "n" * 16 + "aa", "n" * 16 + "a" * 17]),
     st.integers(min_value=1, max_value=70).map(lambda n: "n" * n),
 )
 ODD_WEIGHTS = [

@@ -10,12 +10,13 @@ instead of making a Python object per line or field:
   peak follows the block, not the file (a few MB for the link-log parse,
   512 KB for the snapshot reader);
 - :func:`universal_newlines` turns every line break into ``\\n``;
-- :func:`lines` gives each line's span and its tabs;
-- :func:`utf8_lines` tells which lines are valid UTF-8, with one decode for
-  a valid block and a line-by-line decode only in a block that fails;
-- :func:`integers` reads integer fields exactly as ``int()`` reads their
-  text: runs of 1 to ``_DIGITS`` ASCII digits with numpy digit arithmetic,
-  any other text through ``int()``, one field at a time;
+- :func:`lines` gives each line's span, its tabs and whether it is valid
+  UTF-8, with one decode for a valid block and a line-by-line decode only
+  in a block that fails;
+- :func:`integers` reads integer fields with numpy in uint64, which holds
+  any 19 digits (10**19 < 2**64), and :func:`digits` reads one field of
+  text, both by the one rule for every integer field of every input: 1 to
+  19 ASCII digits with a value below 2**63, with no sign, space or ``_``;
 - an :class:`Interner` gives each distinct byte string a dense code, its
   index in :attr:`Interner.strings`, and decodes a batch's new strings with
   one decode, so that a reader decodes each string once, not once per
@@ -60,9 +61,8 @@ import numpy as np
 from .errors import MalformedLine
 
 TAB, NEWLINE = 9, 10
-# the longest field read with numpy digit arithmetic: 10**18 < 2**63
-_DIGITS = 18
-_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
+# an integer field has 1 to _DIGITS ASCII digits and a value below _INT_LIMIT
+_DIGITS, _INT_LIMIT = 19, 2**63
 # _KEY_BYTES[r] is the room of 2**r words; a key takes the least r that holds it
 _KEY_BYTES = 8 << np.arange(60, dtype=np.int64)
 # _BYTE_MASKS[k] keeps the low k bytes of a little-endian word
@@ -104,12 +104,13 @@ def blocks(path, start: int, stop: int, size: int) -> Iterator[bytes]:
 
 
 class Lines(NamedTuple):
-    """The lines of a block and their tabs.
+    """The lines of a block, their tabs and their UTF-8 validity.
 
     Line ``i`` is ``block[begins[i]:ends[i]]`` without its ``\\n``; the last
     line need not end with one, and an empty block has no lines.  ``data``
     is the block as uint8, ``tabs`` the offsets of all its tabs, and line
-    ``i`` has ``tab_counts[i]`` tabs from ``tabs[first_tab[i]]`` on.
+    ``i`` has ``tab_counts[i]`` tabs from ``tabs[first_tab[i]]`` on;
+    ``utf8[i]`` says whether it is valid UTF-8.
     """
 
     data: np.ndarray
@@ -118,6 +119,7 @@ class Lines(NamedTuple):
     tabs: np.ndarray
     first_tab: np.ndarray
     tab_counts: np.ndarray
+    utf8: np.ndarray
 
     def tab(self, line: np.ndarray, k: int) -> np.ndarray:
         """The offsets of the ``k``-th tab (from 0) of the lines ``line``."""
@@ -125,7 +127,8 @@ class Lines(NamedTuple):
 
 
 def lines(block: bytes) -> Lines:
-    """The line and tab structure of a block whose lines end at ``\\n``."""
+    """The lines of a block whose lines end at ``\\n``: their spans, tabs
+    and UTF-8 validity, decoded line by line only if the block fails."""
     data = np.frombuffer(block, np.uint8)
     # one scan finds the tabs and line breaks, and any bytes below a tab
     marks = np.flatnonzero(data <= NEWLINE)
@@ -141,12 +144,7 @@ def lines(block: bytes) -> Lines:
         tabs_before = np.append(tabs_before, len(tabs))
     begins = np.append(0, ends[:-1] + 1)[: len(ends)]
     first_tab = np.append(0, tabs_before[:-1])[: len(ends)]
-    return Lines(data, begins, ends, tabs, first_tab, tabs_before - first_tab)
-
-
-def utf8_lines(block: bytes, begins: np.ndarray, ends: np.ndarray) -> np.ndarray:
-    """Whether each line ``block[begins[i]:ends[i]]`` is valid UTF-8."""
-    valid = np.ones(len(begins), bool)
+    utf8 = np.ones(len(ends), bool)
     try:
         block.decode("utf-8")
     except UnicodeDecodeError:
@@ -154,44 +152,41 @@ def utf8_lines(block: bytes, begins: np.ndarray, ends: np.ndarray) -> np.ndarray
             try:
                 block[begin:end].decode("utf-8")
             except UnicodeDecodeError:
-                valid[i] = False
-    return valid
+                utf8[i] = False
+    return Lines(data, begins, ends, tabs, first_tab, tabs_before - first_tab, utf8)
 
 
-def integers(block: bytes, data: np.ndarray, begins: np.ndarray, stops: np.ndarray):
-    """``int()`` of the fields ``block[begins[i]:stops[i]]`` as int64, and
-    whether ``int()`` accepts each field and its value fits int64 (else the
-    value is 0).
-
-    Fields of 1 to ``_DIGITS`` ASCII digits are read with numpy; any other
-    text (a sign, spaces, ``_``, other digits, longer runs) goes through
-    ``int()`` one field at a time.
-    """
+def integers(data: np.ndarray, begins: np.ndarray, stops: np.ndarray):
+    """The integer fields ``data[begins[i]:stops[i]]`` of a uint8 block as
+    int64, and whether each is one (else its value is 0), as :func:`digits`
+    reads them; every step of the digit accumulate is in uint64."""
     size = stops - begins
-    value = np.zeros(len(size), np.int64)
-    fits = np.zeros(len(size), bool)
-    fast = np.flatnonzero((size >= 1) & (size <= _DIGITS))
-    if len(fast):
+    value = np.zeros(len(size), np.uint64)
+    valid = np.zeros(len(size), bool)
+    fields = np.flatnonzero((size >= 1) & (size <= _DIGITS))
+    if len(fields):
         # right-aligned digit columns, the bytes before a field zeroed
-        width = int(size[fast].max())
+        width = int(size[fields].max())
         columns = np.arange(width)
-        digits = data.take(stops[fast, None] - width + columns, mode="clip") - np.uint8(48)
-        digits *= columns >= width - size[fast, None]
-        numeric = (digits <= 9).all(axis=1)  # the uint8 difference wraps below '0'
-        fast = fast[numeric]
-        number = np.zeros(len(fast), np.int64)
-        for column in digits[numeric].T:
-            number = number * 10 + column
-        value[fast] = number
-        fits[fast] = True
-    for i in np.flatnonzero(~fits).tolist():
-        try:
-            number = int(block[begins[i] : stops[i]].decode("utf-8"))
-        except ValueError:
-            continue
-        if _INT64_MIN <= number <= _INT64_MAX:
-            value[i], fits[i] = number, True
-    return value, fits
+        digit = data.take(stops[fields, None] - width + columns, mode="clip") - np.uint8(48)
+        digit *= columns >= width - size[fields, None]
+        number = np.zeros(len(fields), np.uint64)
+        for column in digit.T:
+            number = number * np.uint64(10) + column
+        # the uint8 difference wraps below '0', so a non-digit is above 9
+        valid[fields] = (digit <= 9).all(axis=1) & (number < np.uint64(_INT_LIMIT))
+        value[fields] = number * valid[fields]
+    return value.view(np.int64), valid
+
+
+def digits(text: str) -> int | None:
+    """The value of an integer field: ``text`` of 1 to ``_DIGITS`` ASCII
+    digits with a value below 2**63; None for any other text (a sign,
+    spaces, ``_``, other digits, longer runs or larger values)."""
+    if len(text) <= _DIGITS and text.isascii() and text.isdigit():
+        value = int(text)
+        return value if value < _INT_LIMIT else None
+    return None
 
 
 def _hash(words: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -384,9 +379,8 @@ def text_lines(path, error: type[Exception]) -> Iterator[tuple[int, str]]:
     with open(path, "rb") as fh:
         block = universal_newlines(fh.read())
     found = lines(block)
-    valid = utf8_lines(block, found.begins, found.ends)
     for lineno, (begin, end, ok) in enumerate(
-        zip(found.begins.tolist(), found.ends.tolist(), valid.tolist()), start=1
+        zip(found.begins.tolist(), found.ends.tolist(), found.utf8.tolist()), start=1
     ):
         if not ok:
             raise error(f"{path}:{lineno}: invalid UTF-8")
@@ -421,13 +415,12 @@ class Rows:
         return MalformedLine(f"{self.path}:{self.lineno}: {reason}")
 
     def integer(self, text: str, reason: str) -> int:
-        """The value of a field of 1 to ``_DIGITS`` ASCII digits, as
-        :func:`integers` reads it with numpy; any other text (a sign,
-        spaces, ``_``, other digits, longer runs) is a MalformedLine
-        ``reason``."""
-        if not (len(text) <= _DIGITS and text.isascii() and text.isdigit()):
+        """The value of an integer field, as :func:`digits` reads it; any
+        other text is a MalformedLine ``reason``."""
+        value = digits(text)
+        if value is None:
             raise self.error(reason)
-        return int(text)
+        return value
 
     def record(self, mapping: dict, domain: str, value) -> None:
         """``mapping[domain] = value``; a domain already in ``mapping`` is a

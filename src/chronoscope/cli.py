@@ -22,6 +22,7 @@ does not exist fails the command before any snapshot is read.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from pathlib import Path
@@ -169,8 +170,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--nodes", default=None, help="node filter file (default: the geo domains)"
     )
     p.add_argument("--window", type=_positive_int, default=gravity_mod.DEFAULT_WINDOW)
-    p.add_argument("--d-min-km", type=float, default=gravity_mod.DEFAULT_D_MIN_KM)
-    p.add_argument("--d-max-km", type=float, default=None)
+    p.add_argument("--d-min-km", type=_distance, default=gravity_mod.DEFAULT_D_MIN_KM)
+    p.add_argument("--d-max-km", type=_distance, default=None)
     p.add_argument(
         "--symmetrize",
         choices=[gravity_mod.SYMMETRIZE_NONE, gravity_mod.SYMMETRIZE_MEAN],
@@ -217,6 +218,17 @@ def _int_from(text: str, least: int, kind: str) -> int:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
     if value < least:
         raise argparse.ArgumentTypeError(f"must be {kind}, got {value}")
+    return value
+
+
+def _distance(text: str) -> float:
+    """A distance bound in km: a float but NaN; an infinite one is no bound."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if math.isnan(value):
+        raise argparse.ArgumentTypeError(f"must be a number, got {text!r}")
     return value
 
 

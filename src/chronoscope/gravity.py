@@ -260,11 +260,15 @@ def fit_gravity_exponent(series: DistanceSeries) -> GravityFit:
 
 def read_geo_points(path) -> dict[str, GeoPoint]:
     """Read ``third_level_domain<TAB>lat_degrees<TAB>lon_degrees`` lines, one per
-    domain."""
+    domain.  A coordinate is ASCII text without whitespace or ``_`` that
+    ``float()`` reads, such as every ``repr`` of a float."""
     rows, geo = Rows(path, "domain<TAB>lat<TAB>lon"), {}
-    for domain, lat, lon in rows:
+    for domain, *coordinates in rows:
+        for text in coordinates:
+            if not text.isascii() or "_" in text or text.split() != [text]:
+                raise rows.error(f"bad coordinate {text!r}")
         try:
-            point = GeoPoint(float(lat), float(lon))
+            point = GeoPoint(*map(float, coordinates))
         except ValueError as exc:
             raise rows.error(str(exc)) from None
         rows.record(geo, domain, point)

@@ -16,13 +16,13 @@ few MB that each end at a line break, and scans a block's bytes with numpy
 through ``bytefields``, the byte-field layer that ``snapshot.read_snapshot``
 reads its files with too, in smaller blocks:
 
-- ``bytefields.lines`` gives each line's fields; a line without exactly two
-  tabs is malformed, and so is a line that is not valid UTF-8
-  (``bytefields.utf8_lines``: one decode per block, then line by line only
-  in a block that fails);
-- ``bytefields.integers`` reads the time fields as ``int()`` does: 1 to 18
-  ASCII digits with digit arithmetic, any other text with ``int()``, one
-  field at a time;
+- ``bytefields.lines`` gives each line's fields and whether it is valid
+  UTF-8 (one decode per block, then line by line only in a block that
+  fails); a line without exactly two tabs is malformed, and so is a line
+  that is not valid UTF-8;
+- ``bytefields.integers`` reads the time fields with numpy by the one
+  integer rule of every input, 1 to 19 ASCII digits below 2**63; a line
+  whose time breaks it, or is not before 2301-01-01 UTC, is malformed;
 - ``domains.authority_spans`` gives each URL's authority as a byte span;
 - the range's ``bytefields.Interner`` gives each distinct authority a code,
   hashing word keys and verifying each hash group word by word, and decodes
@@ -274,13 +274,12 @@ def _parse_block(block: bytes, host_codes, policy: SuffixPolicy, strict: bool):
     first problem as ``(line index in the block, exception)``;
     ``host_codes(block, lo, hi)`` gives the host codes of authority spans."""
     lines = bytefields.lines(block)
-    begins, ends = lines.begins, lines.ends
+    begins, ends, utf8 = lines.begins, lines.ends, lines.utf8
     three_fields = lines.tab_counts == 2
-    utf8 = bytefields.utf8_lines(block, begins, ends)
     line = np.flatnonzero(utf8 & three_fields)
     tab1, tab2 = lines.tab(line, 0), lines.tab(line, 1)
-    time, fits = bytefields.integers(block, lines.data, begins[line], tab1)
-    valid_time = fits & (time >= 0) & (time < _TIME_LIMIT)
+    time, valid = bytefields.integers(lines.data, begins[line], tab1)
+    valid_time = valid & (time < _TIME_LIMIT)
     line, tab1, tab2, time = line[valid_time], tab1[valid_time], tab2[valid_time], time[valid_time]
     lo, hi = authority_spans(lines.data, np.append(tab1, tab2) + 1, np.append(tab2, ends[line]))
     codes = host_codes(block, lo, hi)
@@ -332,10 +331,8 @@ def _line_problem(block: bytes, begin: int, tab: int, utf8: bool) -> MalformedLi
     if tab < 0:
         return MalformedLine("expected 3 fields")
     text = block[begin:tab].decode("utf-8")
-    try:
-        return MalformedLine(f"time {int(text)} out of range")
-    except ValueError:
-        return MalformedLine(f"bad time {text!r}")
+    time = bytefields.digits(text)
+    return MalformedLine(f"bad time {text!r}" if time is None else f"time {time} out of range")
 
 
 def _new_groups(*columns: np.ndarray) -> np.ndarray:
@@ -492,9 +489,11 @@ def ingest_links(
     overlap, so no two share a start).
 
     Skipped lines are counted in the summary; with ``strict``, structural
-    problems (bad field count, a line that is not UTF-8, a time that is not a
-    whole-second unix time in the years 1970-2300, unusable hostname) raise
-    instead, with the ``path:line`` of the line within its own file.
+    problems raise instead, with the ``path:line`` of the line within its
+    own file: a bad field count, a line that is not UTF-8, a ``bad time``
+    that is not 1 to 19 ASCII digits below 2**63, a ``time N out of range``
+    that is not a whole-second unix time in the years 1970-2300, and an
+    unusable hostname.
     Scoping filters stay counted skips either way: self-links, out-of-scope
     TLDs and unregistered SLDs are dropped by design, not data corruption.
     A file that cannot be opened raises OSError before any line is parsed.

@@ -19,10 +19,11 @@ These edge rules are one validator on the integer columns, which
 through :func:`chronoscope.bytefields.blocks`, the block reader that the
 link-log parse in :mod:`chronoscope.ingest` uses too, and scans each block
 with numpy through the byte-field layer: the line and tab structure, one
-UTF-8 decode per block, weights read exactly as ``int()`` reads them, and one
-interner shared by the blocks, which decodes each distinct name once.  It
-keeps only the int32 name codes and int64 weights of each block, so its peak
-grows with the edges, not with the file's bytes.  :func:`write_snapshot`
+UTF-8 decode per block, weights read by the package's one integer rule (1 to
+19 ASCII digits below 2**63), and one interner shared by the blocks, which
+decodes each distinct name once.  It keeps only the int32 name codes and
+int64 weights of each block, so its peak grows with the edges, not with the
+file's bytes.  :func:`write_snapshot`
 formats blocks of edges in numpy as padded byte matrices, each node name
 encoded once, and writes the same bytes as one f-string per edge would.
 """
@@ -106,7 +107,7 @@ class YearSnapshot:
             raise ValueError("two name indices share a name")
         rank = np.zeros(len(names), np.int64)
         rank[order] = np.arange(len(order))
-        return _checked(year, nodes, rank[src], rank[dst], weight.astype(np.int64), False)
+        return _checked(year, nodes, rank[src], rank[dst], weight.astype(np.int64))
 
     def __eq__(self, other):
         if not isinstance(other, YearSnapshot):
@@ -144,16 +145,14 @@ def group_sums(groups: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
 
 
 def _checked(
-    year: int, nodes: tuple[str, ...], src: np.ndarray, dst: np.ndarray, weight: np.ndarray,
-    heavy: bool,
+    year: int, nodes: tuple[str, ...], src: np.ndarray, dst: np.ndarray, weight: np.ndarray
 ) -> YearSnapshot:
     """The snapshot of edges ``nodes[src[i]] -> nodes[dst[i]]`` of
     ``weight[i]`` over the sorted ``nodes``: the one set of edge rules.
 
     Raises ValueError at the first edge with a weight below 1, equal or empty
     endpoints, or a repeated pair, else if the weights sum to more than
-    ``MAX_TOTAL_WEIGHT``; ``heavy`` says that a weight beyond int64 was
-    clipped to it, so that the sum is too large.
+    ``MAX_TOTAL_WEIGHT``.
     """
     pair = src * len(nodes) + dst
     order = None  # each edge's input position, when (src, dst) order moved it
@@ -172,7 +171,7 @@ def _checked(
         raise _BadEdge(first if order is None else int(order[first]), reason)
     # exact for up to 2^31 edges: each half sums without wrapping
     total = (int((weight >> 32).sum()) << 32) + int((weight & 0xFFFFFFFF).sum())
-    if heavy or total > MAX_TOTAL_WEIGHT:
+    if total > MAX_TOTAL_WEIGHT:
         raise _BadEdge(None, f"edge weights sum to more than {MAX_TOTAL_WEIGHT}")
     return YearSnapshot(year, nodes, src, dst, weight)
 
@@ -242,16 +241,18 @@ def read_snapshot(path) -> YearSnapshot:
     The file is read in blocks of ``_READ_BLOCK_BYTES`` through
     :func:`chronoscope.bytefields.blocks`, and each block's bytes are
     scanned with numpy: ``\\r\\n`` and a lone ``\\r`` end a line as ``\\n``
-    does, one decode checks a block for UTF-8, the weights are read as
-    ``int()`` reads them, and one :class:`~chronoscope.bytefields.Interner`
-    shared by the blocks decodes each distinct name once.  Only the int32
+    does, one decode checks a block for UTF-8, the weights are read by
+    :func:`~chronoscope.bytefields.integers`, and one
+    :class:`~chronoscope.bytefields.Interner` shared by the blocks decodes
+    each distinct name once.  Only the int32
     name codes and the int64 weights are kept from a block, so the peak
     grows with the edges, not with the file's bytes.
 
     :class:`SnapshotFormatError` names ``path:line`` of the first bad line:
     one that is not valid UTF-8, else without three tab-separated fields,
-    else with a weight that is not an integer, else whose edge
-    :meth:`YearSnapshot.from_columns` would reject.  A header that is not
+    else with a weight that is not 1 to 19 ASCII digits below 2**63 (``bad
+    weight``), else whose edge :meth:`YearSnapshot.from_columns` would
+    reject.  A header that is not
     UTF-8 is ``path:1``; one without ``#snapshot v1 year=`` and an integer
     year names ``path``, as a total weight beyond ``MAX_TOTAL_WEIGHT`` does
     when no line is bad.  Reading stops at the first block with a bad line,
@@ -262,16 +263,14 @@ def read_snapshot(path) -> YearSnapshot:
     path = Path(path)
     interner = bytefields.Interner()
     columns = array("i"), array("i"), array("q")  # source and target codes, weights
-    year, heavy, failure = None, False, None
+    year, failure = None, None
     for block in bytefields.blocks(path, 0, path.stat().st_size, _READ_BLOCK_BYTES):
         lines = bytefields.lines(block)
-        utf8 = bytefields.utf8_lines(block, lines.begins, lines.ends)
         first = 0
         if year is None:
-            year, first = _header_year(path, block, lines, utf8), 1
+            year, first = _header_year(path, block, lines), 1
         read = len(columns[2])  # the edge lines of the blocks before
-        edges, block_heavy, failure = _edge_lines(block, lines, utf8, first, interner)
-        heavy |= block_heavy
+        edges, failure = _edge_lines(block, lines, first, interner)
         for column, values in zip(columns, edges):
             column.frombytes(values.tobytes())
         if failure is not None:
@@ -283,7 +282,7 @@ def read_snapshot(path) -> YearSnapshot:
         np.frombuffer(column, dtype) for column, dtype in zip(columns, (np.int32, np.int32, np.int64))
     )
     try:
-        snapshot = _checked(year, nodes, rank[sources], rank[targets], weights, heavy)
+        snapshot = _checked(year, nodes, rank[sources], rank[targets], weights)
     except _BadEdge as exc:
         if exc.index is not None or failure is None:
             failure = (exc.index, str(exc))
@@ -294,9 +293,9 @@ def read_snapshot(path) -> YearSnapshot:
     raise SnapshotFormatError(f"{where}: {reason}")
 
 
-def _header_year(path: Path, block: bytes, lines: bytefields.Lines, utf8: np.ndarray) -> int:
+def _header_year(path: Path, block: bytes, lines: bytefields.Lines) -> int:
     """The year of a file's header, the first line of its first block."""
-    if not utf8[:1].all():
+    if not lines.utf8[:1].all():
         raise SnapshotFormatError(f"{path}:1: invalid UTF-8")
     header = block[: lines.ends[0]].decode("utf-8") if len(lines.ends) else ""
     if not header.startswith(_HEADER_PREFIX):
@@ -307,17 +306,13 @@ def _header_year(path: Path, block: bytes, lines: bytefields.Lines, utf8: np.nda
         raise SnapshotFormatError(f"{path}: bad year in header {header!r}") from None
 
 
-def _edge_lines(
-    block: bytes, lines: bytefields.Lines, utf8: np.ndarray, first: int,
-    interner: bytefields.Interner,
-):
+def _edge_lines(block: bytes, lines: bytefields.Lines, first: int, interner: bytefields.Interner):
     """The edges of a block's lines from ``first`` on, up to its first bad
     line: ``(sources, targets, weights)`` as interned codes and int64
-    weights, whether a weight was beyond int64 (then read as
-    ``MAX_TOTAL_WEIGHT``, or -1 when negative), and the bad line as ``(edge
-    index in the block, reason)`` or None."""
+    weights, and the bad line as ``(edge index in the block, reason)`` or
+    None."""
     # each check reads only the lines before the failure found so far
-    utf8 = utf8[first:]
+    utf8 = lines.utf8[first:]
     failure, end = None, len(utf8)
     if not utf8.all():
         end = int(np.argmin(utf8))
@@ -327,20 +322,13 @@ def _edge_lines(
         failure = (end, "expected 3 fields")
     line = np.arange(first, first + end)
     tab1, tab2, stop = lines.tab(line, 0), lines.tab(line, 1), lines.ends[line]
-    weight, fits = bytefields.integers(block, lines.data, tab2 + 1, stop)
-    heavy = False
-    for i in np.flatnonzero(~fits).tolist():
-        text = block[tab2[i] + 1 : stop[i]].decode("utf-8")
-        try:
-            number = int(text)
-        except ValueError:
-            end, failure = i, (i, f"bad weight {text!r}")
-            break
-        heavy |= number > 0
-        weight[i] = MAX_TOTAL_WEIGHT if number > 0 else -1
+    weight, valid = bytefields.integers(lines.data, tab2 + 1, stop)
+    if not valid.all():
+        end = int(np.argmin(valid))
+        failure = (end, f"bad weight {block[tab2[end] + 1 : stop[end]].decode('utf-8')!r}")
     codes = interner.intern(
         block,
         np.concatenate((lines.begins[line[:end]], tab1[:end] + 1)),
         np.concatenate((tab1[:end], tab2[:end])),
     )
-    return (codes[:end], codes[end:], weight[:end]), heavy, failure
+    return (codes[:end], codes[end:], weight[:end]), failure

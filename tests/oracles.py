@@ -162,13 +162,21 @@ def urlsplit_hostname(url):
     return urlsplit(url).hostname or ""
 
 
+def integer_field(text):
+    """The value of ``text`` if it is an integer field, 1 to 19 ASCII digits
+    below 2**63, else None, by plain ``str`` methods."""
+    if 1 <= len(text) <= 19 and all("0" <= c <= "9" for c in text) and int(text) < 2**63:
+        return int(text)
+    return None
+
+
 def brute_ingest(data, registered, gap_seconds, best_session=False):
     """Ingest one link-log file's bytes by hand, under a ``.uk`` policy.
 
     The standard library's text layer splits the lines (universal newlines)
     and marks undecodable bytes as surrogate escapes; a line with one is
-    malformed.  A line then needs three tab-separated fields, an integer
-    time in [0, 2301-01-01 UTC) and two URLs that ``urlsplit`` reduces to
+    malformed.  A line then needs three tab-separated fields, a time that is
+    an integer field before 2301-01-01 UTC and two URLs that ``urlsplit`` reduces to
     third-level domains under the ``registered`` SLDs.  Each source's
     time-sorted records split into sessions at gaps above ``gap_seconds``;
     a session belongs to the UTC year of its start.  A year keeps each
@@ -209,12 +217,8 @@ def brute_ingest(data, registered, gap_seconds, best_session=False):
         fields = line.rstrip("\n").split("\t")
         bad = any("\udc80" <= c <= "\udcff" for c in line) or len(fields) != 3
         if not bad:
-            try:
-                time = int(fields[0])
-            except ValueError:
-                bad = True
-            else:
-                bad = not 0 <= time < limit
+            time = integer_field(fields[0])
+            bad = time is None or time >= limit
         if bad:
             summary["malformed_lines"] += 1
             first_error = first_error or (number, "line")
@@ -287,10 +291,10 @@ def plain_snapshot(data, path):
     and marks undecodable bytes as surrogate escapes.  The first line is the
     header ``#snapshot v1 year=<int>``.  The first later line that breaks a
     rule names the error, with the first rule it breaks: valid UTF-8, three
-    tab-separated fields, a weight that ``int()`` reads, then an edge of two
-    distinct non-empty names with a weight of at least 1, then a pair not
-    seen on an earlier line.  Only a file without a bad line can fail on its
-    total weight, above 2**63 - 1.
+    tab-separated fields, a weight that is an integer field (1 to 19 ASCII
+    digits below 2**63), then an edge of two distinct non-empty names with a
+    weight of at least 1, then a pair not seen on an earlier line.  Only a
+    file without a bad line can fail on its total weight, above 2**63 - 1.
     """
     text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors="surrogateescape")
     lines = [line[:-1] if line.endswith("\n") else line for line in text]
@@ -317,18 +321,16 @@ def plain_snapshot(data, path):
             reason = "expected 3 fields"
         else:
             source, target, weight = fields
-            try:
-                weight = int(weight)
-            except ValueError:
+            value = integer_field(weight)
+            if value is None:
                 reason = f"bad weight {weight!r}"
+            elif value < 1 or source == target or not source or not target:
+                reason = "invalid edge record"
+            elif (source, target) in edges:
+                reason = "duplicate edge record"
             else:
-                if weight < 1 or source == target or not source or not target:
-                    reason = "invalid edge record"
-                elif (source, target) in edges:
-                    reason = "duplicate edge record"
-                else:
-                    edges[(source, target)] = weight
-                    continue
+                edges[(source, target)] = value
+                continue
         raise ValueError(f"{path}:{number}: {reason}")
     if sum(edges.values()) > 2**63 - 1:
         raise ValueError(f"{path}: edge weights sum to more than {2**63 - 1}")

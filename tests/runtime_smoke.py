@@ -6,7 +6,8 @@ both modes, then every analysis on the synthetic snapshots: ``stats``,
 ``density``, ``gravity`` and ``export``, in a temporary directory.  A
 250-node gravity synth writes a 1.5 MB snapshot, more than one read block
 and many write blocks, and reading it and writing it again must give the
-same bytes:
+same bytes, as for a one-edge snapshot of the largest weight, 2**63 - 1,
+whose 19 digits the reader accumulates in uint64:
 
     python -m pip install -e .          # numpy only, no [dev] extra
     python tests/runtime_smoke.py
@@ -110,7 +111,9 @@ def main(argv: list[str]) -> int:
         if not list(i.glob("snapshot_*.tsv")):
             print("runtime smoke: ingest wrote no snapshot", file=sys.stderr)
             return 1
-        if not same_bytes_again(big / "snapshot_2010.tsv"):
+        heaviest = Path(tmp, "heaviest.tsv")
+        heaviest.write_text(f"#snapshot v1 year=2010\na.ac.uk\tb.ac.uk\t{2**63 - 1}\n")
+        if not all(map(same_bytes_again, (big / "snapshot_2010.tsv", heaviest))):
             print("runtime smoke: a snapshot read and written again changed", file=sys.stderr)
             return 1
         # the gravity graph's nodes ranked in file order; ten partition nodes

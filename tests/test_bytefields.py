@@ -18,7 +18,7 @@ from chronoscope.errors import MalformedLine
 from chronoscope.gravity import GeoPoint, read_geo_points, write_geo_points
 from chronoscope.ingest import read_node_pages
 from chronoscope.metrics import read_node_list, read_partition, read_ranking
-from oracles import plain_rows
+from oracles import integer_field, plain_rows
 
 BREAKS = (b"\n", b"\r\n", b"\r")
 # pieces of a line: text, a tab, a comment mark, a space, two-byte UTF-8,
@@ -215,7 +215,7 @@ def test_every_reader_rejects_an_empty_domain(tmp_path, read, text, error):
     assert str(err.value) == f"{path}:{error}"
 
 
-@pytest.mark.parametrize("number", [" 1_0", "+5", "-3", "\u0663", " 7", "1" * 19])
+@pytest.mark.parametrize("number", [" 1_0", "+5", "-3", "\u0663", " 7", "9" * 19])
 @pytest.mark.parametrize(
     "read, row, reason",
     [
@@ -225,13 +225,45 @@ def test_every_reader_rejects_an_empty_domain(tmp_path, read, text, error):
     ],
 )
 def test_side_input_integers_are_ascii_digits(tmp_path, read, row, reason, number):
-    # int() reads every one of these; a side input takes 1 to 18 ASCII
-    # digits alone, the fields that bytefields.integers reads with numpy
+    # int() reads every one of these; a side input takes 1 to 19 ASCII
+    # digits below 2**63 alone, the fields that bytefields.integers reads
     path = tmp_path / "input.tsv"
     path.write_text("# header\n" + row.format(number) + "\n", encoding="utf-8")
     with pytest.raises(MalformedLine) as err:
         read(path)
     assert str(err.value) == f"{path}:2: " + reason.format(number)
+
+
+# field text near the integer rule's edges: signs, spaces, "_", other
+# digits, leading zeros, 19 and 20 digits, and 2**63 - 1 and 2**63
+field_texts = st.one_of(
+    st.text(max_size=22),
+    st.text(st.sampled_from("0123456789"), max_size=22),
+    st.integers(0, 2**64).map(str),
+    st.sampled_from(["+5", " 7", "7 ", "1_0", "-0", "\u0663", "\uff11\uff12", "0" * 19 + "1"]),
+    st.sampled_from([str(2**63 - 1), str(2**63), "9" * 19, "0" * 19, "1" + "0" * 18]),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(texts=st.lists(field_texts, max_size=12), pad=st.text(max_size=3))
+def test_integers_agree_with_digits(texts, pad):
+    # the numpy form and the scalar form of the one integer rule, on fields
+    # between other bytes, against a plain str reading of the rule
+    pieces, begins, stops, at = [], [], [], 0
+    for text in texts:
+        before, field = pad.encode(), text.encode()
+        pieces += [before, field]
+        begins.append(at + len(before))
+        at += len(before) + len(field)
+        stops.append(at)
+    data = np.frombuffer(b"".join(pieces), np.uint8)
+    value, valid = bytefields.integers(data, np.array(begins, np.int64), np.array(stops, np.int64))
+    expected = [integer_field(text) for text in texts]
+    assert [bytefields.digits(text) for text in texts] == expected
+    assert valid.tolist() == [number is not None for number in expected]
+    assert value.tolist() == [number or 0 for number in expected]
+    assert value.dtype == np.int64
 
 
 def test_write_csv_quotes_only_where_needed(tmp_path):

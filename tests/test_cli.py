@@ -455,6 +455,28 @@ def test_gravity_rejects_non_positive_window(tmp_path, window, capsys):
     assert "--window" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("option", ["--d-min-km", "--d-max-km"])
+@pytest.mark.parametrize("bound", ["nan", "-NaN", "ten"])
+def test_gravity_rejects_a_distance_bound_that_is_not_a_number(tmp_path, option, bound, capsys):
+    # a NaN bound would drop every pair; it is a usage error, not a data one
+    snap = _snapshot_set(tmp_path)[0]
+    with pytest.raises(SystemExit) as excinfo:
+        run("gravity", snap, "--geo", tmp_path / "geo.tsv", f"{option}={bound}")
+    assert excinfo.value.code == 2
+    assert option in capsys.readouterr().err
+
+
+def test_gravity_infinite_distance_bounds_are_no_bounds(tmp_path):
+    # a floor of -inf and a cap of inf keep every pair, as a floor of 0 does
+    snap = _snapshot_set(tmp_path)[-1]
+    written = []
+    for k, bounds in enumerate([["--d-min-km", 0], ["--d-min-km=-inf", "--d-max-km", "inf"]]):
+        out = tmp_path / f"out{k}"
+        assert run("gravity", snap, *_options(tmp_path)["gravity"], *bounds, "--out-dir", out) == 0
+        written.append({p.name: p.read_bytes() for p in out.iterdir() if "fit" not in p.name})
+    assert written[0] == written[1] and len(written[0]) == 2
+
+
 def test_out_dir_env_fallback(tmp_path, linkfile, monkeypatch):
     env_out = tmp_path / "env_out"
     monkeypatch.setenv("CHRONOSCOPE_OUT", str(env_out))

@@ -379,6 +379,39 @@ def test_geo_file_roundtrip(tmp_path):
     assert read_geo_points(path) == geo
 
 
+def test_geo_file_roundtrip_keeps_every_float_repr(tmp_path):
+    # reprs in exponent form, signed zeros and the range ends read back as
+    # the same floats
+    geo = {
+        "a.ac.uk": GeoPoint(1e-05, -0.0),
+        "b.ac.uk": GeoPoint(-90.0, 180.0),
+        "c.ac.uk": GeoPoint(5e-324, -1.5e-300),
+        "d.ac.uk": GeoPoint(0.1 + 0.2, -179.99999999999997),
+    }
+    path = tmp_path / "geo.tsv"
+    write_geo_points(geo, path)
+    assert "\t1e-05\t-0.0\n" in path.read_text()
+    back = read_geo_points(path)
+    assert {d: tuple(map(repr, (p.latitude, p.longitude))) for d, p in back.items()} == {
+        d: tuple(map(repr, (p.latitude, p.longitude))) for d, p in geo.items()
+    }
+
+
+# float() reads each of these as a number: spaces, "_", other digits, and
+# whitespace that is not a space
+@pytest.mark.parametrize(
+    "coordinate", [" 5_1.5", "5_1.5", " 51.5", "51.5 ", "\u0665\u0662", "\uff15\uff12", "51.5\x0c"]
+)
+def test_read_geo_points_takes_ascii_coordinates_alone(tmp_path, coordinate):
+    assert float(coordinate) in (51.5, 52.0)
+    path = tmp_path / "geo.tsv"
+    for row in (f"ox.ac.uk\t{coordinate}\t-1", f"ox.ac.uk\t51.5\t{coordinate}"):
+        path.write_text(f"cam.ac.uk\t52.2\t0.12\n{row}\n", encoding="utf-8")
+        with pytest.raises(MalformedLine) as err:
+            read_geo_points(path)
+        assert str(err.value) == f"{path}:2: bad coordinate {coordinate!r}"
+
+
 def test_read_geo_points_rejects_a_repeated_domain(tmp_path):
     path = tmp_path / "geo.tsv"
     path.write_text("ox.ac.uk\t51.75\t-1.25\ncam.ac.uk\t52.2\t0.12\nox.ac.uk\t51.0\t-1.0\n")

@@ -94,6 +94,23 @@ def test_parse_link_line_malformed(tmp_path):
             ingest_links([path], POLICY, strict=True)
 
 
+# int() reads each of the bad times but 2**63: a sign, spaces, "_", other
+# digits; a time of digits from 2301 on is out of range
+@pytest.mark.parametrize(
+    "time, reason",
+    [(t, f"bad time {t!r}") for t in ("+5", " 7", "1_0", "-0", "\u0663", "\uff11\uff12", str(2**63))]
+    + [(t, f"time {int(t)} out of range") for t in (str(utc(2301)), f"000{utc(2301)}", str(2**63 - 1))],
+)
+def test_a_time_is_ascii_digits_below_2301(tmp_path, time, reason):
+    path = tmp_path / "links.tsv"
+    write_links(path, [link(utc(2003)), link(time)])
+    summary = ingest_links([path], POLICY).summary
+    assert (summary.lines, summary.records, summary.malformed_lines) == (2, 1, 1)
+    with pytest.raises(MalformedLine) as err:
+        ingest_links([path], POLICY, strict=True)
+    assert str(err.value) == f"{path}:2: {reason}"
+
+
 def test_ingest_strict_error_locations(tmp_path):
     # line numbers count within each shard, not across the pooled stream
     base = utc(2002)
@@ -230,8 +247,9 @@ URLS = [
     "http://{}/p", "http://{}/p?u=http://a.ac.uk/", "http://{}/x://y", "//{}/p", "{}/p",
     "http://{}/\u00fc\u20ac",
 ]
-# int() takes a sign, spaces, "_" and non-ASCII digits; the 20- and 25-digit
-# times exceed int64 (the first reads as a 2003 time modulo 2**64)
+# int() takes a sign, spaces, "_" and non-ASCII digits, which a time may not
+# hold; the 20- and 25-digit times are not integer fields (the first would
+# read as a 2003 time modulo 2**64)
 TIMES = st.integers(utc(2003) - 3_000, utc(2003) + 3_000) | st.sampled_from(
     [-1, utc(2301), "+5", " 7", "1_0", "-0", "\u0663", str(2**64 + utc(2003)), "1" * 25]
 )

@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from chronoscope import bytefields, snapshot as snapshot_module
 from chronoscope.errors import SnapshotFormatError
@@ -111,12 +111,13 @@ def _raised(make):
 def test_from_columns_matches_plain_reader(edges, unused, rnd):
     # valid and bad edges alike: weights below 1, self-loops, the empty name,
     # repeated pairs and totals beyond int64 fail for the reason that a plain
-    # line loop gives for the same edges written as a snapshot file
+    # line loop gives for the same edges written as a snapshot file; there a
+    # negative weight is no integer field, in the columns an invalid edge
     text = "#snapshot v1 year=2010" + "".join(f"\n{s}\t{t}\t{w}" for s, t, w in edges)
     try:
         _, expected = plain_snapshot(text.encode(), "file")
     except ValueError as exc:
-        expected = str(exc).split(": ", 1)[1]
+        expected = re.sub(r"^bad weight '-\d+'$", "invalid edge record", str(exc).split(": ", 1)[1])
     names = sorted({n for s, t, _ in edges for n in (s, t)} | unused)
     rnd.shuffle(names)
     code = {name: i for i, name in enumerate(names)}
@@ -157,7 +158,20 @@ def test_from_columns_rejects_what_a_mapping_cannot_hold(names, src, dst, weight
         YearSnapshot.from_columns(2010, names, src, dst, weight)
 
 
-@given(edges=edge_dicts(names))
+@st.composite
+def heavy_edge_dicts(draw, nodes):
+    """Edge dicts whose total fits ``MAX_TOTAL_WEIGHT``, in about half of
+    them with one weight of 18 or 19 digits, up to 2**63 - 1."""
+    edges = draw(edge_dicts(nodes))
+    if edges and draw(st.booleans()):
+        pair = draw(st.sampled_from(sorted(edges)))
+        rest = sum(edges.values()) - edges[pair]
+        edges[pair] = draw(st.integers(10**18 - 1, MAX_TOTAL_WEIGHT - rest))
+    return edges
+
+
+@given(edges=heavy_edge_dicts(names))
+@example(edges={("a", "b"): MAX_TOTAL_WEIGHT})
 def test_round_trip_keeps_arrays_and_bytes(tmp_path_factory, edges):
     snapshot = snapshot_of(1999, edges)
     first = tmp_path_factory.mktemp("round") / "snapshot_1999.tsv"
@@ -222,6 +236,18 @@ def test_invalid_utf8_is_a_bad_line_in_file_order(tmp_path, utf8_line, other_lin
     reason = "invalid UTF-8" if first == utf8_line else "bad weight"
     with pytest.raises(SnapshotFormatError, match=re.escape(f"{path}:{first}: {reason}")):
         read_snapshot(path)
+
+
+# int() reads each of these but the last: a sign, spaces, "_", other digits
+@pytest.mark.parametrize("weight", ["+5", " 7", "1_0", "-0", "\u0663", "\uff11\uff12", str(2**63)])
+def test_weights_are_ascii_digits_below_2_63(tmp_path, weight):
+    path = tmp_path / "snapshot_2010.tsv"
+    path.write_text(
+        f"#snapshot v1 year=2010\na.ac.uk\tb.ac.uk\t3\nb.ac.uk\ta.ac.uk\t{weight}\n", encoding="utf-8"
+    )
+    with pytest.raises(SnapshotFormatError) as err:
+        read_snapshot(path)
+    assert str(err.value) == f"{path}:3: bad weight {weight!r}"
 
 
 # --- the byte-level reader against a plain line loop ---
@@ -303,8 +329,8 @@ def test_reader_matches_plain_line_loop(tmp_path_factory, data):
 @given(data=snapshot_files())
 def test_reader_matches_plain_line_loop_across_blocks(tmp_path_factory, block_bytes, data):
     # in blocks of a few bytes a \r\n falls across blocks, a lone \r ends
-    # one, lines outgrow a block, and bad lines, repeated pairs and weights
-    # beyond int64 fall in later blocks than the lines they follow
+    # one, lines outgrow a block, and bad lines (weights beyond int64 among
+    # them) and repeated pairs fall in later blocks than the lines they follow
     with mock.patch.object(snapshot_module, "_READ_BLOCK_BYTES", block_bytes):
         check_against_plain_line_loop(tmp_path_factory.mktemp("diff") / "snapshot.tsv", data)
 

@@ -13,10 +13,17 @@ instead of making a Python object per line or field:
 - :func:`lines` gives each line's span, its tabs and whether it is valid
   UTF-8, with one decode for a valid block and a line-by-line decode only
   in a block that fails;
-- :func:`integers` reads integer fields with numpy in uint64, which holds
-  any 19 digits (10**19 < 2**64), and :func:`digits` reads one field of
-  text, both by the one rule for every integer field of every input: 1 to
-  19 ASCII digits with a value below 2**63, with no sign, space or ``_``;
+- :func:`integers` (with numpy, in uint64, which holds any 19 digits) and
+  :func:`digits` (one text field) read every integer the package reads, a
+  header's year and an integer flag too, by one rule: 1 to 19 ASCII digits
+  with a value below 2**63, with no sign, space or ``_``;
+- :func:`decimal` reads every other number, a coordinate or a float flag:
+  ASCII text without whitespace, ``_`` or a leading ``+`` that ``float()``
+  reads, as it reads every ``repr`` of a float;
+- :func:`line_problem` says why the first line that a numpy scan rejects is
+  not a data line (three tab-separated fields of UTF-8, one of them an
+  integer field), so that the link-log parse and the snapshot reader word
+  it alike;
 - an :class:`Interner` gives each distinct byte string a dense code, its
   index in :attr:`Interner.strings`, and decodes a batch's new strings with
   one decode, so that a reader decodes each string once, not once per
@@ -182,11 +189,53 @@ def integers(data: np.ndarray, begins: np.ndarray, stops: np.ndarray):
 def digits(text: str) -> int | None:
     """The value of an integer field: ``text`` of 1 to ``_DIGITS`` ASCII
     digits with a value below 2**63; None for any other text (a sign,
-    spaces, ``_``, other digits, longer runs or larger values)."""
+    spaces, ``_``, other digits, longer runs or larger values).
+
+    >>> digits("0042"), digits(" 7"), digits("+7"), digits("1_0"), digits(str(2**63))
+    (42, None, None, None, None)
+    """
     if len(text) <= _DIGITS and text.isascii() and text.isdigit():
         value = int(text)
         return value if value < _INT_LIMIT else None
     return None
+
+
+def decimal(text: str) -> float | None:
+    """The value of a decimal field: ASCII ``text`` without whitespace,
+    ``_`` or a leading ``+`` that ``float()`` reads; None for other text.
+
+    >>> decimal("-1.5"), decimal("1e-05"), decimal("-inf"), decimal("1_0"), decimal("+5")
+    (-1.5, 1e-05, -inf, None, None)
+    """
+    if text.isascii() and "_" not in text and text[:1] != "+" and text.split() == [text]:
+        try:
+            return float(text)
+        except ValueError:
+            return None
+    return None
+
+
+def line_problem(line: bytes, field: int, name: str, limit: int = _INT_LIMIT) -> str | None:
+    """Why ``line`` is not a data line of three tab-separated fields of
+    UTF-8 whose ``field`` (from 0) is an integer field below ``limit``, or
+    None: the first of ``invalid UTF-8``, ``expected 3 fields``, ``bad
+    {name} '…'`` and ``{name} N out of range``.
+
+    >>> line_problem(b"x\\ty", 0, "time"), line_problem(b"9\\ta\\tb", 0, "time", 5)
+    ('expected 3 fields', 'time 9 out of range')
+    >>> line_problem(b"a\\tb\\t-1", 2, "weight"), line_problem(b"\\xff\\ta\\tb", 0, "time")
+    ("bad weight '-1'", 'invalid UTF-8')
+    """
+    try:
+        fields = line.decode("utf-8").split("\t")
+    except UnicodeDecodeError:
+        return "invalid UTF-8"
+    if len(fields) != 3:
+        return "expected 3 fields"
+    value = digits(fields[field])
+    if value is None:
+        return f"bad {name} {fields[field]!r}"
+    return None if value < limit else f"{name} {value} out of range"
 
 
 def _hash(words: np.ndarray, lengths: np.ndarray) -> np.ndarray:

@@ -7,6 +7,11 @@ variable, then the working directory), and exits 0 on success, 1 on data
 errors (one machine-readable line on stderr), 2 on usage errors.  Reruns on
 identical inputs produce byte-identical outputs.
 
+Every numeric flag follows the rules of the data fields, an integer flag
+that of :func:`~chronoscope.bytefields.digits` and any other that of
+:func:`~chronoscope.bytefields.decimal`; a value that breaks its rule or
+its bound (a count of at least 1, a distance bound that is not NaN) exits 2.
+
 The commands that read snapshot files (stats, centrality, correlate,
 modularity, density, gravity, export) read their side inputs (geo,
 partition, ranking, members, ``--nodes``, node pages) once, then fan the
@@ -22,7 +27,6 @@ does not exist fails the command before any snapshot is read.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 from pathlib import Path
@@ -32,7 +36,7 @@ from . import gravity as gravity_mod
 from . import metrics as metrics_mod
 from . import parallel
 from . import sldstats as sldstats_mod
-from .bytefields import write_rows
+from .bytefields import decimal, digits, write_rows
 from .domains import default_policy, load_policy
 from .errors import ChronoscopeError
 from .export import write_graphml
@@ -54,10 +58,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         args.run(args)
-    except ChronoscopeError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (ChronoscopeError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     return 0
@@ -76,9 +77,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help=f"output directory (default: ${OUT_DIR_ENV} or '.')",
     )
-    common.add_argument(
-        "--year", type=int, default=None, help="process only this year"
-    )
+    common.add_argument("--year", type=_number(digits), default=None, help="process only this year")
 
     policy_arg = argparse.ArgumentParser(add_help=False)
     policy_arg.add_argument(
@@ -91,7 +90,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="link-log files to yearly snapshot files",
     )
     p.add_argument("links", nargs="+", help="tab-separated link-log files")
-    p.add_argument("--gap-seconds", type=_positive_int, default=DEFAULT_GAP_SECONDS)
+    p.add_argument("--gap-seconds", type=_number(digits, 1), default=DEFAULT_GAP_SECONDS)
     p.add_argument(
         "--year-select",
         choices=[PER_PAIR_MAX, BEST_SESSION],
@@ -169,9 +168,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--nodes", default=None, help="node filter file (default: the geo domains)"
     )
-    p.add_argument("--window", type=_positive_int, default=gravity_mod.DEFAULT_WINDOW)
-    p.add_argument("--d-min-km", type=_distance, default=gravity_mod.DEFAULT_D_MIN_KM)
-    p.add_argument("--d-max-km", type=_distance, default=None)
+    p.add_argument("--window", type=_number(digits, 1), default=gravity_mod.DEFAULT_WINDOW)
+    distance = _number(decimal, -float("inf"))  # any number but NaN; inf is no bound
+    p.add_argument("--d-min-km", type=distance, default=gravity_mod.DEFAULT_D_MIN_KM)
+    p.add_argument("--d-max-km", type=distance, default=None)
     p.add_argument(
         "--symmetrize",
         choices=[gravity_mod.SYMMETRIZE_NONE, gravity_mod.SYMMETRIZE_MEAN],
@@ -184,13 +184,13 @@ def _build_parser() -> argparse.ArgumentParser:
         "synth", parents=[common], help="synthetic snapshots with planted structure"
     )
     p.add_argument("--mode", choices=["gravity", "partition"], required=True)
-    p.add_argument("--seed", type=_non_negative_int, default=1)
-    p.add_argument("--n-nodes", type=_positive_int, default=200)
-    p.add_argument("--planted-a", type=float, default=0.28)
-    p.add_argument("--noise-scale", type=float, default=0.0)
-    p.add_argument("--p-intra", type=float, default=0.2)
-    p.add_argument("--p-inter", type=float, default=0.05)
-    p.add_argument("--n-groups", type=_positive_int, default=5)
+    p.add_argument("--seed", type=_number(digits), default=1)
+    p.add_argument("--n-nodes", type=_number(digits, 1), default=200)
+    p.add_argument("--planted-a", type=_number(decimal), default=0.28)
+    p.add_argument("--noise-scale", type=_number(decimal), default=0.0)
+    p.add_argument("--p-intra", type=_number(decimal), default=0.2)
+    p.add_argument("--p-inter", type=_number(decimal), default=0.05)
+    p.add_argument("--n-groups", type=_number(digits, 1), default=5)
     p.set_defaults(run=_cmd_synth)
 
     p = sub.add_parser(
@@ -203,33 +203,20 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _positive_int(text: str) -> int:
-    return _int_from(text, 1, "a positive integer")
+def _number(read, least=None):
+    """The argparse type of a numeric flag: the value of text that ``read``
+    (:func:`~chronoscope.bytefields.digits` or
+    :func:`~chronoscope.bytefields.decimal`) reads, of at least ``least``,
+    which a NaN never is."""
 
+    def number(text: str):
+        value = read(text)
+        if value is None or not (least is None or value >= least):
+            bound = "" if least is None else f", at least {least}"
+            raise argparse.ArgumentTypeError(f"invalid value {text!r} ({read.__name__}{bound})")
+        return value
 
-def _non_negative_int(text: str) -> int:
-    return _int_from(text, 0, "a non-negative integer")
-
-
-def _int_from(text: str, least: int, kind: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < least:
-        raise argparse.ArgumentTypeError(f"must be {kind}, got {value}")
-    return value
-
-
-def _distance(text: str) -> float:
-    """A distance bound in km: a float but NaN; an infinite one is no bound."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
-    if math.isnan(value):
-        raise argparse.ArgumentTypeError(f"must be a number, got {text!r}")
-    return value
+    return number
 
 
 def _out_dir(args) -> Path:
@@ -243,7 +230,9 @@ def _policy(args):
     return load_policy(args.policy) if args.policy else default_policy()
 
 
-def _note(path: Path) -> None:
+def _write(path: Path, write, *values, **options) -> None:
+    """``write(*values, path, **options)``, then a note of ``path``."""
+    write(*values, path, **options)
     print(f"wrote {path}", file=sys.stderr)
 
 
@@ -279,9 +268,7 @@ def _cmd_ingest(args) -> None:
     )
     out = _out_dir(args)
     for year, snap in sorted(result.snapshots.items()):
-        path = out / f"snapshot_{year}.tsv"
-        write_snapshot(snap, path)
-        _note(path)
+        _write(out / f"snapshot_{year}.tsv", write_snapshot, snap)
     result.summary.report()
 
 
@@ -304,15 +291,11 @@ def _cmd_stats(args) -> None:
 
     years = _years(args, compute)
     for year, (_, _, flows) in years:
-        path = out / f"flows_{year}.csv"
-        sldstats_mod.write_flows(flows, path)
-        _note(path)
-    path = out / "sld_series.csv"
-    sldstats_mod.write_sld_series([counts for _, (counts, _, _) in years], path)
-    _note(path)
-    path = out / "links_per_node.csv"
-    sldstats_mod.write_links_per_node({year: links for year, (_, links, _) in years}, path)
-    _note(path)
+        _write(out / f"flows_{year}.csv", sldstats_mod.write_flows, flows)
+    series = [counts for _, (counts, _, _) in years]
+    _write(out / "sld_series.csv", sldstats_mod.write_sld_series, series)
+    per_year = {year: links for year, (_, links, _) in years}
+    _write(out / "links_per_node.csv", sldstats_mod.write_links_per_node, per_year)
 
 
 def _cmd_centrality(args) -> None:
@@ -323,9 +306,7 @@ def _cmd_centrality(args) -> None:
         return centrality_mod.centrality_suite(snap, snap.nodes if nodes is None else nodes)
 
     for year, table in _years(args, compute):
-        path = out / f"centrality_{year}.csv"
-        centrality_mod.write_centrality(table, path)
-        _note(path)
+        _write(out / f"centrality_{year}.csv", centrality_mod.write_centrality, table)
 
 
 def _cmd_correlate(args) -> None:
@@ -338,9 +319,7 @@ def _cmd_correlate(args) -> None:
         return metrics_mod.rank_centrality_vs_league(table, ranking)
 
     for year, result in _years(args, compute):
-        path = out / f"correlations_{year}.csv"
-        metrics_mod.write_correlations(result, path)
-        _note(path)
+        _write(out / f"correlations_{year}.csv", metrics_mod.write_correlations, result)
 
 
 def _cmd_modularity(args) -> None:
@@ -352,9 +331,7 @@ def _cmd_modularity(args) -> None:
         return metrics_mod.modularity(snap, partition, node_filter)
 
     for year, result in _years(args, compute):
-        path = out / f"modularity_{year}.csv"
-        metrics_mod.write_modularity(result, path)
-        _note(path)
+        _write(out / f"modularity_{year}.csv", metrics_mod.write_modularity, result)
 
 
 def _cmd_density(args) -> None:
@@ -385,15 +362,9 @@ def _cmd_gravity(args) -> None:
         return pairs, series, gravity_mod.fit_gravity_exponent(series)
 
     for year, (pairs, series, fit) in _years(args, compute):
-        series_path = out / f"gravity_series_{year}.csv"
-        gravity_mod.write_gravity_series(series, series_path)
-        _note(series_path)
-        fit_path = out / f"gravity_fit_{year}.csv"
-        gravity_mod.write_gravity_fit(fit, fit_path)
-        _note(fit_path)
-        links_path = out / f"geo_links_{year}.csv"
-        gravity_mod.export_geo_links(pairs, geo, links_path)
-        _note(links_path)
+        _write(out / f"gravity_series_{year}.csv", gravity_mod.write_gravity_series, series)
+        _write(out / f"gravity_fit_{year}.csv", gravity_mod.write_gravity_fit, fit)
+        _write(out / f"geo_links_{year}.csv", gravity_mod.export_geo_links, pairs, geo)
 
 
 def _cmd_synth(args) -> None:
@@ -402,26 +373,19 @@ def _cmd_synth(args) -> None:
     if args.mode == "gravity":
         geo = synthetic_geo(args.n_nodes, args.seed)
         snap = gen_gravity_graph(geo, args.planted_a, args.noise_scale, seed=args.seed, year=year)
-        side_path = out / f"geo_{year}.tsv"
-        gravity_mod.write_geo_points(geo, side_path)
+        _write(out / f"geo_{year}.tsv", gravity_mod.write_geo_points, geo)
     else:
         groups = equal_groups(args.n_nodes, args.n_groups)
         snap = gen_partitioned_graph(groups, args.p_intra, args.p_inter, seed=args.seed, year=year)
-        side_path = out / f"partition_{year}.tsv"
-        write_rows(side_path, sorted(groups.items()))
-    _note(side_path)
-    snap_path = out / f"snapshot_{year}.tsv"
-    write_snapshot(snap, snap_path)
-    _note(snap_path)
+        _write(out / f"partition_{year}.tsv", write_rows, rows=sorted(groups.items()))
+    _write(out / f"snapshot_{year}.tsv", write_snapshot, snap)
 
 
 def _cmd_export(args) -> None:
     out = _out_dir(args)
     node_filter = _node_filter(args)
     for year, snap in _years(args, lambda snap: snap):
-        path = out / f"graph_{year}.graphml"
-        write_graphml(snap, path, node_filter)
-        _note(path)
+        _write(out / f"graph_{year}.graphml", write_graphml, snap, node_filter=node_filter)
 
 
 if __name__ == "__main__":

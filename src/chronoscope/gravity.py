@@ -21,7 +21,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .bytefields import Rows, write_csv, write_rows
+from .bytefields import Rows, decimal, write_csv, write_rows
 from .errors import (
     DegenerateDesign,
     InsufficientData,
@@ -260,15 +260,16 @@ def fit_gravity_exponent(series: DistanceSeries) -> GravityFit:
 
 def read_geo_points(path) -> dict[str, GeoPoint]:
     """Read ``third_level_domain<TAB>lat_degrees<TAB>lon_degrees`` lines, one per
-    domain.  A coordinate is ASCII text without whitespace or ``_`` that
-    ``float()`` reads, such as every ``repr`` of a float."""
+    domain.  A coordinate is a decimal field, as
+    :func:`chronoscope.bytefields.decimal` reads it, such as every ``repr``
+    of a float."""
     rows, geo = Rows(path, "domain<TAB>lat<TAB>lon"), {}
     for domain, *coordinates in rows:
-        for text in coordinates:
-            if not text.isascii() or "_" in text or text.split() != [text]:
-                raise rows.error(f"bad coordinate {text!r}")
+        values = list(map(decimal, coordinates))
+        if None in values:
+            raise rows.error(f"bad coordinate {coordinates[values.index(None)]!r}")
         try:
-            point = GeoPoint(*map(float, coordinates))
+            point = GeoPoint(*values)
         except ValueError as exc:
             raise rows.error(str(exc)) from None
         rows.record(geo, domain, point)

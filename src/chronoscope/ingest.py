@@ -16,18 +16,13 @@ few MB that each end at a line break, and scans a block's bytes with numpy
 through ``bytefields``, the byte-field layer that ``snapshot.read_snapshot``
 reads its files with too, in smaller blocks:
 
-- ``bytefields.lines`` gives each line's fields and whether it is valid
-  UTF-8 (one decode per block, then line by line only in a block that
-  fails); a line without exactly two tabs is malformed, and so is a line
-  that is not valid UTF-8;
-- ``bytefields.integers`` reads the time fields with numpy by the one
-  integer rule of every input, 1 to 19 ASCII digits below 2**63; a line
-  whose time breaks it, or is not before 2301-01-01 UTC, is malformed;
+- ``bytefields.lines`` and ``bytefields.integers`` give each line's fields,
+  its UTF-8 validity and its time; a line that is not a data line (UTF-8,
+  two tabs, an integer time before 2301-01-01 UTC) is malformed;
 - ``domains.authority_spans`` gives each URL's authority as a byte span;
-- the range's ``bytefields.Interner`` gives each distinct authority a code,
-  hashing word keys and verifying each hash group word by word, and decodes
-  the authorities new to the range in one batch; each is resolved to a
-  third-level domain once.
+- the range's ``bytefields.Interner`` gives each distinct authority a code
+  and decodes the authorities new to the range in one batch; each is
+  resolved to a third-level domain once.
 
 The skip accounting then follows from masks over the block's lines: a
 malformed line first, then the source URL, then the target, then a self-link.
@@ -38,9 +33,9 @@ workers when there is more than one usable core and at least
 ``parallel.MIN_WORKER_BYTES`` of input per worker, else one after another in
 this process.
 
-In strict mode a range stops at its first structural problem, and the first
-one in file order is raised with ``path:line``, the line counted within its
-own file: a range's line numbers continue from the file's earlier ranges.
+In strict mode a range stops at its first structural problem, worded by
+``bytefields.line_problem`` for a malformed line, and the first one in file
+order is raised with ``path:line``, the line counted within its own file.
 
 Reduction.  Each range sorts its own records, so that the O(N log N) sort
 runs in the workers, and the parent merges the sorted runs (Knuth, TAOCP
@@ -274,9 +269,8 @@ def _parse_block(block: bytes, host_codes, policy: SuffixPolicy, strict: bool):
     first problem as ``(line index in the block, exception)``;
     ``host_codes(block, lo, hi)`` gives the host codes of authority spans."""
     lines = bytefields.lines(block)
-    begins, ends, utf8 = lines.begins, lines.ends, lines.utf8
-    three_fields = lines.tab_counts == 2
-    line = np.flatnonzero(utf8 & three_fields)
+    begins, ends = lines.begins, lines.ends
+    line = np.flatnonzero(lines.utf8 & (lines.tab_counts == 2))
     tab1, tab2 = lines.tab(line, 0), lines.tab(line, 1)
     time, valid = bytefields.integers(lines.data, begins[line], tab1)
     valid_time = valid & (time < _TIME_LIMIT)
@@ -298,8 +292,8 @@ def _parse_block(block: bytes, host_codes, policy: SuffixPolicy, strict: bool):
         if problems.any():
             i = int(problems.argmax())
             if malformed[i]:
-                tab = int(lines.tab(i, 0)) if three_fields[i] else -1
-                return None, None, (i, _line_problem(block, int(begins[i]), tab, bool(utf8[i])))
+                reason = bytefields.line_problem(block[begins[i] : ends[i]], 0, "time", _TIME_LIMIT)
+                return None, None, (i, MalformedLine(reason))
             j = int(np.searchsorted(line, i))
             j += 0 if source[j] == _MALFORMED_URL else len(line)
             try:
@@ -321,18 +315,6 @@ def _parse_block(block: bytes, host_codes, policy: SuffixPolicy, strict: bool):
         unknown_sld=int(kinds[-_UNKNOWN_SLD]),
     )
     return counts, (time[kept], source[kept], target[kept]), None
-
-
-def _line_problem(block: bytes, begin: int, tab: int, utf8: bool) -> MalformedLine:
-    """Why the line at ``begin`` (first tab at ``tab``, -1 unless the line has
-    three fields) is malformed."""
-    if not utf8:
-        return MalformedLine("invalid UTF-8")
-    if tab < 0:
-        return MalformedLine("expected 3 fields")
-    text = block[begin:tab].decode("utf-8")
-    time = bytefields.digits(text)
-    return MalformedLine(f"bad time {text!r}" if time is None else f"time {time} out of range")
 
 
 def _new_groups(*columns: np.ndarray) -> np.ndarray:
@@ -491,9 +473,8 @@ def ingest_links(
     Skipped lines are counted in the summary; with ``strict``, structural
     problems raise instead, with the ``path:line`` of the line within its
     own file: a bad field count, a line that is not UTF-8, a ``bad time``
-    that is not 1 to 19 ASCII digits below 2**63, a ``time N out of range``
-    that is not a whole-second unix time in the years 1970-2300, and an
-    unusable hostname.
+    that breaks the integer rule, a ``time N out of range`` that is not a
+    whole-second unix time in the years 1970-2300, and an unusable hostname.
     Scoping filters stay counted skips either way: self-links, out-of-scope
     TLDs and unregistered SLDs are dropped by design, not data corruption.
     A file that cannot be opened raises OSError before any line is parsed.

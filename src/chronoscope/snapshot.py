@@ -8,24 +8,25 @@ and ``weight`` arrays in (src, dst) order.  The file format is dull::
     cam.ac.uk<TAB>ox.ac.uk<TAB>17
     ox.ac.uk<TAB>cam.ac.uk<TAB>23
 
-Edges are emitted sorted by source then target, so writing the same snapshot
-twice produces byte-identical files.  Each edge joins two distinct non-empty
-names with a weight of at least 1, and each (source, target) pair occurs
-once: a file that repeats a pair is rejected, not read as its last line.
-These edge rules are one validator on the integer columns, which
-:meth:`YearSnapshot.from_columns` and :func:`read_snapshot` share.
+The header's year and each weight follow the integer rule of
+:func:`chronoscope.bytefields.digits`.  Edges are emitted sorted by source then
+target, so writing the same snapshot twice produces byte-identical files.  Each
+edge joins two distinct non-empty names with a weight of at least 1, and each
+(source, target) pair occurs once: a file that repeats a pair is rejected, not
+read as its last line.  These edge rules are one validator on the integer
+columns, which :meth:`YearSnapshot.from_columns` and :func:`read_snapshot`
+share.
 
-:func:`read_snapshot` reads a file in blocks of ``_READ_BLOCK_BYTES``
-through :func:`chronoscope.bytefields.blocks`, the block reader that the
-link-log parse in :mod:`chronoscope.ingest` uses too, and scans each block
-with numpy through the byte-field layer: the line and tab structure, one
-UTF-8 decode per block, weights read by the package's one integer rule (1 to
-19 ASCII digits below 2**63), and one interner shared by the blocks, which
-decodes each distinct name once.  It keeps only the int32 name codes and
-int64 weights of each block, so its peak grows with the edges, not with the
-file's bytes.  :func:`write_snapshot`
-formats blocks of edges in numpy as padded byte matrices, each node name
-encoded once, and writes the same bytes as one f-string per edge would.
+:func:`read_snapshot` reads a file in blocks of ``_READ_BLOCK_BYTES`` through
+:func:`chronoscope.bytefields.blocks`, the block reader that the link-log
+parse in :mod:`chronoscope.ingest` uses too, and scans each block with numpy
+through the byte-field layer: the line and tab structure, one UTF-8 decode per
+block, the weights read by the integer rule, and one interner shared by the
+blocks, which decodes each distinct name once.  It keeps only the int32 name
+codes and int64 weights of each block, so its peak grows with the edges, not
+with the file's bytes.  :func:`write_snapshot` formats blocks of edges in numpy
+as padded byte matrices, each node name encoded once, and writes the same
+bytes as one f-string per edge would.
 """
 
 from __future__ import annotations
@@ -84,10 +85,13 @@ class YearSnapshot:
     ) -> "YearSnapshot":
         """The snapshot of edges ``names[src[i]] -> names[dst[i]]`` of
         ``weight[i]``, from integer arrays: ``names`` in any order, those
-        without edges dropped.  ValueError on a bad edge (the module's edge
+        without edges dropped.  ValueError on a year that a header cannot
+        hold (any but 0 to 2**63 - 1), on a bad edge (the module's edge
         rules, then a total beyond ``MAX_TOTAL_WEIGHT``), on an index outside
         ``names``, on a name that two used indices share, and on name indices
         or weights that are not signed integers."""
+        if bytefields.digits(str(year)) is None:
+            raise ValueError(f"year {year!r} is not 1 to 19 ASCII digits below 2**63")
         src, dst, weight = np.asarray(src), np.asarray(dst), np.asarray(weight)
         for index in (src, dst):
             if index.dtype.kind != "i":
@@ -144,6 +148,12 @@ def group_sums(groups: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
     return sums
 
 
+def total_weight(weight: np.ndarray) -> int:
+    """The exact sum of an int64 column of up to 2**31 values: each half of
+    their bits sums without wrapping."""
+    return (int((weight >> 32).sum()) << 32) + int((weight & 0xFFFFFFFF).sum())
+
+
 def _checked(
     year: int, nodes: tuple[str, ...], src: np.ndarray, dst: np.ndarray, weight: np.ndarray
 ) -> YearSnapshot:
@@ -169,9 +179,7 @@ def _checked(
         first = int(first[0] if order is None else first[np.argmin(order[first])])
         reason = "invalid edge record" if invalid[first] else "duplicate edge record"
         raise _BadEdge(first if order is None else int(order[first]), reason)
-    # exact for up to 2^31 edges: each half sums without wrapping
-    total = (int((weight >> 32).sum()) << 32) + int((weight & 0xFFFFFFFF).sum())
-    if total > MAX_TOTAL_WEIGHT:
+    if total_weight(weight) > MAX_TOTAL_WEIGHT:
         raise _BadEdge(None, f"edge weights sum to more than {MAX_TOTAL_WEIGHT}")
     return YearSnapshot(year, nodes, src, dst, weight)
 
@@ -236,29 +244,21 @@ def _lines(padded: bytes, start, size, src, dst, weight, digits) -> np.ndarray:
 
 
 def read_snapshot(path) -> YearSnapshot:
-    """Read a snapshot file written by :func:`write_snapshot`.
+    """Read a snapshot file written by :func:`write_snapshot`, in blocks
+    scanned with numpy as the module docstring describes; ``\\r\\n`` and a
+    lone ``\\r`` end a line as ``\\n`` does.
 
-    The file is read in blocks of ``_READ_BLOCK_BYTES`` through
-    :func:`chronoscope.bytefields.blocks`, and each block's bytes are
-    scanned with numpy: ``\\r\\n`` and a lone ``\\r`` end a line as ``\\n``
-    does, one decode checks a block for UTF-8, the weights are read by
-    :func:`~chronoscope.bytefields.integers`, and one
-    :class:`~chronoscope.bytefields.Interner` shared by the blocks decodes
-    each distinct name once.  Only the int32
-    name codes and the int64 weights are kept from a block, so the peak
-    grows with the edges, not with the file's bytes.
-
-    :class:`SnapshotFormatError` names ``path:line`` of the first bad line:
-    one that is not valid UTF-8, else without three tab-separated fields,
-    else with a weight that is not 1 to 19 ASCII digits below 2**63 (``bad
-    weight``), else whose edge :meth:`YearSnapshot.from_columns` would
-    reject.  A header that is not
-    UTF-8 is ``path:1``; one without ``#snapshot v1 year=`` and an integer
-    year names ``path``, as a total weight beyond ``MAX_TOTAL_WEIGHT`` does
-    when no line is bad.  Reading stops at the first block with a bad line,
-    and the edge rules run once, on the edges before that line: they name
-    the first edge they reject directly, and as it comes before the bad
-    line, it is the one reported.
+    :class:`SnapshotFormatError` names ``path:line`` of the first bad line,
+    with the reason that :func:`~chronoscope.bytefields.line_problem` gives
+    (not valid UTF-8, else not three tab-separated fields, else a ``bad
+    weight`` that breaks the integer rule), else of the first edge that
+    :meth:`YearSnapshot.from_columns` would reject.  A header that is not
+    UTF-8 is ``path:1``; one without ``#snapshot v1 year=`` and a year by
+    the integer rule names ``path``, as a total weight beyond
+    ``MAX_TOTAL_WEIGHT`` does when no line is bad.  Reading stops at the
+    first block with a bad line, and the edge rules run once, on the edges
+    before that line: the first edge they reject comes before the bad line,
+    so it is the one reported.
     """
     path = Path(path)
     interner = bytefields.Interner()
@@ -300,10 +300,10 @@ def _header_year(path: Path, block: bytes, lines: bytefields.Lines) -> int:
     header = block[: lines.ends[0]].decode("utf-8") if len(lines.ends) else ""
     if not header.startswith(_HEADER_PREFIX):
         raise SnapshotFormatError(f"{path}: unsupported header {header!r}")
-    try:
-        return int(header[len(_HEADER_PREFIX):])
-    except ValueError:
-        raise SnapshotFormatError(f"{path}: bad year in header {header!r}") from None
+    year = bytefields.digits(header[len(_HEADER_PREFIX) :])
+    if year is None:
+        raise SnapshotFormatError(f"{path}: bad year in header {header!r}")
+    return year
 
 
 def _edge_lines(block: bytes, lines: bytefields.Lines, first: int, interner: bytefields.Interner):
@@ -311,21 +311,18 @@ def _edge_lines(block: bytes, lines: bytefields.Lines, first: int, interner: byt
     line: ``(sources, targets, weights)`` as interned codes and int64
     weights, and the bad line as ``(edge index in the block, reason)`` or
     None."""
-    # each check reads only the lines before the failure found so far
-    utf8 = lines.utf8[first:]
-    failure, end = None, len(utf8)
-    if not utf8.all():
-        end = int(np.argmin(utf8))
-        failure = (end, "invalid UTF-8")
-    if not (three := lines.tab_counts[first : first + end] == 2).all():
-        end = int(np.argmin(three))
-        failure = (end, "expected 3 fields")
-    line = np.arange(first, first + end)
-    tab1, tab2, stop = lines.tab(line, 0), lines.tab(line, 1), lines.ends[line]
-    weight, valid = bytefields.integers(lines.data, tab2 + 1, stop)
-    if not valid.all():
-        end = int(np.argmin(valid))
-        failure = (end, f"bad weight {block[tab2[end] + 1 : stop[end]].decode('utf-8')!r}")
+    # a data line is valid UTF-8 with two tabs and a valid weight; the
+    # edges end before the first line that is not one
+    data = lines.utf8[first:] & (lines.tab_counts[first:] == 2)
+    three = np.flatnonzero(data)  # the edge indices of the lines with three fields
+    line = first + three
+    tab1, tab2 = lines.tab(line, 0), lines.tab(line, 1)
+    weight, data[three] = bytefields.integers(lines.data, tab2 + 1, lines.ends[line])
+    failure, end = None, len(data)
+    if not data.all():
+        end = int(np.argmin(data))
+        bad = block[lines.begins[first + end] : lines.ends[first + end]]
+        failure = (end, bytefields.line_problem(bad, 2, "weight"))
     codes = interner.intern(
         block,
         np.concatenate((lines.begins[line[:end]], tab1[:end] + 1)),

@@ -39,7 +39,7 @@ from .gravity import (
     haversine_km,
     pair_table,
 )
-from .snapshot import YearSnapshot
+from .snapshot import MAX_TOTAL_WEIGHT, YearSnapshot, total_weight
 
 # target for the smallest generated weight; keeps integer rounding noise
 # under one percent per edge
@@ -155,10 +155,9 @@ def gen_gravity_graph(
     if not (smallest > 0 and largest * (_MIN_WEIGHT / smallest) < 2.0**63):
         raise InvalidSpec("the planted weights cannot be scaled into int64")
     weights = np.rint(weights * (_MIN_WEIGHT / smallest)).astype(np.int64)
-    try:
-        return YearSnapshot.from_columns(year, nodes, rows, cols, weights)
-    except ValueError:  # the weights sum to more than int64 holds
-        raise InvalidSpec("the planted weights cannot be scaled into int64") from None
+    if total_weight(weights) > MAX_TOTAL_WEIGHT:
+        raise InvalidSpec("the planted weights cannot be scaled into int64")
+    return YearSnapshot.from_columns(year, nodes, rows, cols, weights)
 
 
 def gen_partitioned_graph(

@@ -170,6 +170,20 @@ def integer_field(text):
     return None
 
 
+def decimal_field(text):
+    """The value of ``text`` if it is a decimal field, ASCII text without
+    whitespace, ``_`` or a leading ``+`` that ``float()`` reads, else None,
+    by plain ``str`` methods."""
+    if not text or text.startswith("+"):
+        return None
+    if any(ord(c) > 127 or c.isspace() or c == "_" for c in text):
+        return None
+    try:
+        return float(text)
+    except ValueError:
+        return None
+
+
 def brute_ingest(data, registered, gap_seconds, best_session=False):
     """Ingest one link-log file's bytes by hand, under a ``.uk`` policy.
 
@@ -289,12 +303,13 @@ def plain_snapshot(data, path):
 
     The standard library's text layer splits the lines (universal newlines)
     and marks undecodable bytes as surrogate escapes.  The first line is the
-    header ``#snapshot v1 year=<int>``.  The first later line that breaks a
-    rule names the error, with the first rule it breaks: valid UTF-8, three
-    tab-separated fields, a weight that is an integer field (1 to 19 ASCII
-    digits below 2**63), then an edge of two distinct non-empty names with a
-    weight of at least 1, then a pair not seen on an earlier line.  Only a
-    file without a bad line can fail on its total weight, above 2**63 - 1.
+    header ``#snapshot v1 year=<year>``, the year an integer field (1 to 19
+    ASCII digits below 2**63).  The first later line that breaks a rule
+    names the error, with the first rule it breaks: valid UTF-8, three
+    tab-separated fields, a weight that is an integer field, then an edge of
+    two distinct non-empty names with a weight of at least 1, then a pair not
+    seen on an earlier line.  Only a file without a bad line can fail on its
+    total weight, above 2**63 - 1.
     """
     text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors="surrogateescape")
     lines = [line[:-1] if line.endswith("\n") else line for line in text]
@@ -308,10 +323,9 @@ def plain_snapshot(data, path):
     prefix = "#snapshot v1 year="
     if not header.startswith(prefix):
         raise ValueError(f"{path}: unsupported header {header!r}")
-    try:
-        year = int(header[len(prefix):])
-    except ValueError:
-        raise ValueError(f"{path}: bad year in header {header!r}") from None
+    year = integer_field(header[len(prefix):])
+    if year is None:
+        raise ValueError(f"{path}: bad year in header {header!r}")
     edges = {}
     for number, line in enumerate(lines[1:], start=2):
         fields = line.split("\t")

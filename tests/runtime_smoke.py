@@ -3,11 +3,12 @@
 Runs ``ingest`` and ``ingest --strict`` on a small link log and ``synth`` in
 both modes, then every analysis on the synthetic snapshots: ``stats``,
 ``centrality``, ``correlate`` (with a ranking file it writes), ``modularity``,
-``density``, ``gravity`` and ``export``, in a temporary directory.  A
-250-node gravity synth writes a 1.5 MB snapshot, more than one read block
-and many write blocks, and reading it and writing it again must give the
-same bytes, as for a one-edge snapshot of the largest weight, 2**63 - 1,
-whose 19 digits the reader accumulates in uint64:
+``density``, ``gravity`` and ``export``, in a temporary directory, with an
+integer flag (``--year``) and a float flag (``--d-max-km inf``) among their
+options.  A 250-node gravity synth writes a 1.5 MB snapshot, more than one
+read block and many write blocks, and reading it and writing it again must
+give the same bytes, as for a one-edge snapshot of the largest weight,
+2**63 - 1, whose 19 digits the reader accumulates in uint64:
 
     python -m pip install -e .          # numpy only, no [dev] extra
     python tests/runtime_smoke.py
@@ -96,14 +97,14 @@ def main(argv: list[str]) -> int:
              "--out-dir", str(big)],
         ]
         analyses = [
-            ["stats", p_snap, "--out-dir", str(p)],
+            ["stats", p_snap, "--year", "2010", "--out-dir", str(p)],
             ["centrality", p_snap, "--out-dir", str(p)],
             ["correlate", g_snap, "--ranking", str(ranking), "--out-dir", str(g)],
             ["modularity", p_snap, "--partition", str(p / "partition_2010.tsv"),
              "--out-dir", str(p)],
             ["density", p_snap, "--members", str(members), "--out-dir", str(p)],
             ["gravity", g_snap, "--geo", str(g / "geo_2010.tsv"), "--window", "20",
-             "--out-dir", str(g)],
+             "--d-max-km", "inf", "--out-dir", str(g)],
             ["export", p_snap, "--out-dir", str(p)],
         ]
         if not run(chronoscope, inputs):

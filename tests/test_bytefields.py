@@ -18,7 +18,7 @@ from chronoscope.errors import MalformedLine
 from chronoscope.gravity import GeoPoint, read_geo_points, write_geo_points
 from chronoscope.ingest import read_node_pages
 from chronoscope.metrics import read_node_list, read_partition, read_ranking
-from oracles import integer_field, plain_rows
+from oracles import decimal_field, integer_field, plain_rows
 
 BREAKS = (b"\n", b"\r\n", b"\r")
 # pieces of a line: text, a tab, a comment mark, a space, two-byte UTF-8,
@@ -264,6 +264,37 @@ def test_integers_agree_with_digits(texts, pad):
     assert valid.tolist() == [number is not None for number in expected]
     assert value.tolist() == [number or 0 for number in expected]
     assert value.dtype == np.int64
+
+
+decimal_texts = st.one_of(
+    st.text(max_size=12),
+    st.text(st.sampled_from("0123456789.eE+-_ \t\x0c\x1finfa\u0665\uff11"), max_size=12),
+    st.floats().map(repr),
+    st.sampled_from(["+5", " 5", "5 ", "1_0", "-0.0", "1e-05", "5e-324", "inf", "-inf", "nan", "1e+20"]),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(text=decimal_texts)
+def test_decimal_agrees_with_a_plain_reading(text):
+    got, expected = bytefields.decimal(text), decimal_field(text)
+    assert repr(got) == repr(expected)
+
+
+@given(x=st.one_of(st.floats(), st.sampled_from([1e-05, -0.0, 5e-324, float("inf"), -float("inf")])))
+def test_decimal_reads_every_float_repr_back(x):
+    # the same float, sign of zero included, or a NaN for a NaN
+    assert repr(bytefields.decimal(repr(x))) == repr(x)
+
+
+# float() reads each of these as a number: spaces, "_", other digits,
+# whitespace that is not a space, and a leading "+"
+@pytest.mark.parametrize(
+    "text", [" 5_1.5", "5_1.5", " 51.5", "51.5 ", "\u0665\u0662", "\uff15\uff12", "51.5\x0c", "+51.5"]
+)
+def test_decimal_refuses_what_float_reads_loosely(text):
+    assert float(text) in (51.5, 52.0)
+    assert bytefields.decimal(text) is None
 
 
 def test_write_csv_quotes_only_where_needed(tmp_path):

@@ -10,7 +10,7 @@ import pytest
 
 import chronoscope
 from chronoscope import parallel
-from chronoscope.cli import main
+from chronoscope.cli import _build_parser, main
 from pools import CountingPool, RecordingPool
 
 
@@ -438,7 +438,12 @@ def test_usage_error_exit_code():
     assert excinfo.value.code == 2
 
 
-@pytest.mark.parametrize("gap", ["0", "-5", "ten"])
+# numbers that int() or float() reads but the rules of the data fields do
+# not: padded, signed, with "_", other digits
+LOOSE_NUMBERS = [" 5", "+5", "1_0", "\u0665", "\uff11\uff12"]
+
+
+@pytest.mark.parametrize("gap", ["0", "-5", "ten", *LOOSE_NUMBERS])
 def test_ingest_rejects_non_positive_gap(linkfile, gap, capsys):
     with pytest.raises(SystemExit) as excinfo:
         run("ingest", linkfile, "--gap-seconds", gap)
@@ -446,7 +451,7 @@ def test_ingest_rejects_non_positive_gap(linkfile, gap, capsys):
     assert "--gap-seconds" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("window", ["0", "-3", "ten"])
+@pytest.mark.parametrize("window", ["0", "-3", "ten", *LOOSE_NUMBERS])
 def test_gravity_rejects_non_positive_window(tmp_path, window, capsys):
     snap = _snapshot_set(tmp_path)[0]
     with pytest.raises(SystemExit) as excinfo:
@@ -456,7 +461,7 @@ def test_gravity_rejects_non_positive_window(tmp_path, window, capsys):
 
 
 @pytest.mark.parametrize("option", ["--d-min-km", "--d-max-km"])
-@pytest.mark.parametrize("bound", ["nan", "-NaN", "ten"])
+@pytest.mark.parametrize("bound", ["nan", "-NaN", "ten", *LOOSE_NUMBERS])
 def test_gravity_rejects_a_distance_bound_that_is_not_a_number(tmp_path, option, bound, capsys):
     # a NaN bound would drop every pair; it is a usage error, not a data one
     snap = _snapshot_set(tmp_path)[0]
@@ -464,6 +469,29 @@ def test_gravity_rejects_a_distance_bound_that_is_not_a_number(tmp_path, option,
         run("gravity", snap, "--geo", tmp_path / "geo.tsv", f"{option}={bound}")
     assert excinfo.value.code == 2
     assert option in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["-5", *LOOSE_NUMBERS])
+def test_year_is_an_integer_field(tmp_path, capsys, value):
+    # synth wrote a header of year=-5 before, which the reader now refuses
+    out = tmp_path / "out"
+    for argv in (["synth", "--mode", "partition"], ["stats", tmp_path / "snapshot_2010.tsv"]):
+        with pytest.raises(SystemExit) as excinfo:
+            run(*argv, "--year", value, "--out-dir", out)
+        assert excinfo.value.code == 2
+        assert "--year" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv", [["gravity", "s", "--geo", "g"], ["synth", "--mode", "gravity"]], ids=["gravity", "synth"]
+)
+@pytest.mark.parametrize("value", ["inf", "-inf", "1e-05", "-0.0", "1e+20", "5e-324"])
+def test_float_flags_take_every_float_repr(argv, value):
+    options = ["--d-min-km", "--d-max-km"] if argv[0] == "gravity" else ["--planted-a", "--noise-scale"]
+    for option in options:
+        parsed = _build_parser().parse_args([*argv, f"{option}={value}"])
+        assert repr(getattr(parsed, option[2:].replace("-", "_"))) == value
 
 
 def test_gravity_infinite_distance_bounds_are_no_bounds(tmp_path):
@@ -551,7 +579,9 @@ def test_synth_rejects_non_positive_node_count(tmp_path, capsys, mode, n_nodes):
 
 @pytest.mark.parametrize("mode", ["gravity", "partition"])
 @pytest.mark.parametrize(
-    "option, value", [("--seed", "-1"), ("--seed", "ten"), ("--n-groups", "0"), ("--n-groups", "-2")]
+    "option, value",
+    [("--seed", "-1"), ("--seed", "ten"), ("--seed", str(2**63)), ("--n-groups", "0"), ("--n-groups", "-2")]
+    + [(option, value) for option in ("--seed", "--n-groups") for value in LOOSE_NUMBERS],
 )
 def test_synth_rejects_bad_seed_and_group_count(tmp_path, capsys, mode, option, value):
     # a usage error, before numpy sees a negative seed or equal_groups a

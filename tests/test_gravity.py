@@ -397,13 +397,9 @@ def test_geo_file_roundtrip_keeps_every_float_repr(tmp_path):
     }
 
 
-# float() reads each of these as a number: spaces, "_", other digits, and
-# whitespace that is not a space
-@pytest.mark.parametrize(
-    "coordinate", [" 5_1.5", "5_1.5", " 51.5", "51.5 ", "\u0665\u0662", "\uff15\uff12", "51.5\x0c"]
-)
+# a coordinate is a decimal field (test_bytefields checks the rule itself)
+@pytest.mark.parametrize("coordinate", ["5_1.5", "+51.5", "51.5x", "\u0665\u0662"])
 def test_read_geo_points_takes_ascii_coordinates_alone(tmp_path, coordinate):
-    assert float(coordinate) in (51.5, 52.0)
     path = tmp_path / "geo.tsv"
     for row in (f"ox.ac.uk\t{coordinate}\t-1", f"ox.ac.uk\t51.5\t{coordinate}"):
         path.write_text(f"cam.ac.uk\t52.2\t0.12\n{row}\n", encoding="utf-8")

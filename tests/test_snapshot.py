@@ -158,6 +158,22 @@ def test_from_columns_rejects_what_a_mapping_cannot_hold(names, src, dst, weight
         YearSnapshot.from_columns(2010, names, src, dst, weight)
 
 
+@pytest.mark.parametrize("year", [-5, -1, 2**63, 2010.0, True])
+def test_from_columns_rejects_a_year_that_would_not_read_back(year):
+    # write_snapshot puts str(year) in the header, and read_snapshot reads
+    # it by the integer rule
+    reason = f"year {year!r} is not 1 to 19 ASCII digits below 2**63"
+    with pytest.raises(ValueError, match=f"^{re.escape(reason)}$"):
+        YearSnapshot.from_columns(year, ["a", "b"], [0], [1], [1])
+
+
+@pytest.mark.parametrize("year", [0, 2010, 2**63 - 1, np.int64(1999)])
+def test_from_columns_years_read_back(tmp_path, year):
+    snapshot = YearSnapshot.from_columns(year, ["a", "b"], [0], [1], [1])
+    write_snapshot(snapshot, tmp_path / "snapshot.tsv")
+    assert read_snapshot(tmp_path / "snapshot.tsv") == snapshot
+
+
 @st.composite
 def heavy_edge_dicts(draw, nodes):
     """Edge dicts whose total fits ``MAX_TOTAL_WEIGHT``, in about half of
@@ -273,8 +289,10 @@ ODD_WEIGHTS = [
 BAD_ROWS = [
     b"a\tb", b"", b"a\tb\t1\t2", b"\xff\tb\t1", b"a\t\xe9\t1", b"a\xc3\tb\t1", b"\xed\xa0\x80"
 ]
-HEADERS = [b"#snapshot v1 year=2010"] * 12 + [
-    b"#snapshot v1 year= 1999 ", b"#snapshot v2 year=1", b"#snapshot v1 year=x", b"", b"\xff"
+HEADERS = [b"#snapshot v1 year=2010"] * 19 + [
+    b"#snapshot v1 year= 1999 ", "#snapshot v1 year=\u0662\u0660\u0661\u0660".encode(),
+    b"#snapshot v1 year=-5", b"#snapshot v1 year=+5",
+    b"#snapshot v2 year=1", b"#snapshot v1 year=x", b"", b"\xff"
 ]
 
 

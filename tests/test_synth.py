@@ -118,6 +118,15 @@ def test_partitioned_spec_validation():
         gen_partitioned_graph(groups, 1.5, 0.1, seed=1)
 
 
+@pytest.mark.parametrize("year", [-5, 2**63])
+def test_generators_refuse_a_year_that_would_not_read_back(year):
+    # a snapshot header holds a year of 1 to 19 ASCII digits below 2**63
+    with pytest.raises(ValueError, match=f"^year {year} is not"):
+        gen_gravity_graph(synthetic_geo(10, 1), 0.5, seed=1, year=year)
+    with pytest.raises(ValueError, match=f"^year {year} is not"):
+        gen_partitioned_graph(equal_groups(10, 2), 0.5, 0.1, seed=1, year=year)
+
+
 def test_equal_groups_round_robin():
     groups = equal_groups(5, 2)
     assert groups == {

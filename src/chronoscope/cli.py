@@ -170,8 +170,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--window", type=_number(digits, 1), default=gravity_mod.DEFAULT_WINDOW)
     distance = _number(decimal, -float("inf"))  # any number but NaN; inf is no bound
-    p.add_argument("--d-min-km", type=distance, default=gravity_mod.DEFAULT_D_MIN_KM)
-    p.add_argument("--d-max-km", type=distance, default=None)
+    for flag, default in (("--d-min-km", gravity_mod.DEFAULT_D_MIN_KM), ("--d-max-km", None)):
+        # argparse takes "-inf" or "-1e-05" for an option unless it follows "="
+        note = f"a negative value that is not a plain decimal takes =, as {flag}=-inf"
+        p.add_argument(flag, type=distance, default=default, help=note)
     p.add_argument(
         "--symmetrize",
         choices=[gravity_mod.SYMMETRIZE_NONE, gravity_mod.SYMMETRIZE_MEAN],

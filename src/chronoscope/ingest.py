@@ -39,16 +39,16 @@ order is raised with ``path:line``, the line counted within its own file.
 
 Reduction.  Each range sorts its own records, so that the O(N log N) sort
 runs in the workers, and the parent merges the sorted runs (Knuth, TAOCP
-vol. 3, 5.4).  A range sorts its vocabulary by name and its records by the
-key ``source * _TIME_LIMIT + time``, exact for source codes below
-``2**64 // _TIME_LIMIT`` (1,766,028,225, more names than fit in memory), and
-returns one ascending uint64 key and one int32 target code per record.  The
-parent merges the vocabularies into one sorted vocabulary, so a code's order
-is its name's order.  It takes the runs out of the list one at a time, each
-freed once it is copied: their codes map into one preallocated key and
-target column, and since the map is monotone every run stays sorted.  One
-stable sort, numpy's timsort, finds the R runs and merges them in
-O(N log R) time; one run needs no merge.  A
+vol. 3, 5.4).  A range codes its vocabulary with ``snapshot.name_codes`` and
+sorts its records by the key ``source * _TIME_LIMIT + time``, exact for
+source codes below ``2**64 // _TIME_LIMIT`` (1,766,028,225, more names than
+fit in memory), and returns one ascending uint64 key and one int32 target
+code per record.  The parent codes all the vocabularies with one
+``name_codes`` call, so a code's order is its name's order.  It takes the
+runs out of the list one at a time, each freed once it is copied: their
+codes map into one preallocated key and target column, and since the map is
+monotone every run stays sorted.  One stable sort, numpy's timsort, finds
+the R runs and merges them in O(N log R) time; one run needs no merge.  A
 session starts where the source changes or the time steps by more than
 ``gap_seconds``, and it belongs to the UTC year of its start.  The later
 keys put a session or group id above a 31-bit target code, and each is one
@@ -56,11 +56,12 @@ numpy sort.  A sort by (session, target) counts each session's links per
 target.  Sessions run in (source, start) order, so the (source, year) groups
 of sessions get dense ids in that order, and a sort by (group, target) with
 a maximum per run gives each pair's largest count; ``best-session`` first
-keeps each group's session with the largest total.  Each year's snapshot is
-its groups' pairs, already in (source, target) order.  Each stage frees the
-per-record and per-pair arrays that it no longer needs before the next stage
-allocates, so the parent's peak is about that of the merge.  No step depends on how the records are
-split over files or ranges, so the result is independent of sharding.
+keeps each group's session with the largest total.  ``from_columns`` builds
+each year's snapshot, an empty one too, from its groups' pairs.  Each stage
+frees the per-record and per-pair arrays that it no longer needs before the
+next stage allocates, so the parent's peak is about that of the merge.  No
+step depends on how the records are split over files or ranges, so the
+result is independent of sharding.
 """
 
 from __future__ import annotations
@@ -83,7 +84,7 @@ from .errors import (
     OutOfScopeTld,
     UnknownSld,
 )
-from .snapshot import YearSnapshot
+from .snapshot import YearSnapshot, name_codes
 
 PER_PAIR_MAX = "per-pair-max"
 BEST_SESSION = "best-session"
@@ -140,15 +141,14 @@ class IngestSummary:
             + self.unknown_sld
         )
 
-    def report(self, stream=None) -> None:
-        stream = stream if stream is not None else sys.stderr
+    def report(self) -> None:
         print(
             "ingest summary: "
             f"lines={self.lines} records={self.records} sessions={self.sessions} "
             f"self_loops={self.self_loops} malformed_lines={self.malformed_lines} "
             f"malformed_urls={self.malformed_urls} out_of_scope={self.out_of_scope} "
             f"unknown_sld={self.unknown_sld}",
-            file=stream,
+            file=sys.stderr,
         )
 
 
@@ -205,8 +205,7 @@ def _ranges(paths: Sequence, cores: int) -> list[tuple[object, int, int]]:
 
 def _parse_range(path, start: int, stop: int, policy: SuffixPolicy, strict: bool) -> _ParsedRange:
     """Parse bytes ``[start, stop)`` of a file."""
-    names: list[str] = []
-    code_of: dict[str, int] = {}
+    code_of: dict[str, int] = {}  # third-level domains in first-seen order
 
     def resolve(authority: str) -> int:
         try:
@@ -217,11 +216,7 @@ def _parse_range(path, start: int, stop: int, policy: SuffixPolicy, strict: bool
             return _OUT_OF_SCOPE
         except UnknownSld:
             return _UNKNOWN_SLD
-        code = code_of.get(name)
-        if code is None:
-            code = code_of[name] = len(names)
-            names.append(name)
-        return code
+        return code_of.setdefault(name, len(code_of))
 
     # each distinct authority of the range is interned, and resolved once
     interner, hosts = bytefields.Interner(), array("i")
@@ -248,12 +243,10 @@ def _parse_range(path, start: int, stop: int, policy: SuffixPolicy, strict: bool
     # records in key order, each column freed once the next one is built;
     # records with equal keys fall in one session, so their order does not
     # matter
-    order = sorted(range(len(names)), key=names.__getitem__)
-    rank = np.empty(len(names), np.uint64)
-    rank[order] = np.arange(len(names), dtype=np.uint64)
+    names, rank = name_codes(list(code_of))
     times, sources, targets = columns
     del columns
-    keys = rank[np.frombuffer(sources, np.intc)]
+    keys = rank.astype(np.uint64)[np.frombuffer(sources, np.intc)]
     del sources
     keys *= _KEY_STEP
     keys += np.frombuffer(times, np.uint64)  # times are non-negative
@@ -261,7 +254,7 @@ def _parse_range(path, start: int, stop: int, policy: SuffixPolicy, strict: bool
     by_key = np.argsort(keys)
     keys = keys[by_key]
     targets = rank.astype(np.int32)[np.frombuffer(targets, np.intc)][by_key]
-    return _ParsedRange(summary, [names[i] for i in order], keys, targets, error)
+    return _ParsedRange(summary, list(names), keys, targets, error)
 
 
 def _parse_block(block: bytes, host_codes, policy: SuffixPolicy, strict: bool):
@@ -331,20 +324,20 @@ def _starts(*columns: np.ndarray) -> np.ndarray:
     return np.flatnonzero(_new_groups(*columns))
 
 
-def _merged(runs: list[_ParsedRange]) -> tuple[list[str], np.ndarray, np.ndarray]:
+def _merged(runs: list[_ParsedRange]) -> tuple[Sequence[str], np.ndarray, np.ndarray]:
     """All names in order, and every record's key and target over them in
     key order, taking the runs out of ``runs`` one at a time."""
     if len(runs) == 1:  # its names are all the names
         run = runs.pop()
         return run.names, run.keys, run.targets
-    names = sorted(set().union(*(run.names for run in runs)))
-    code_of = {name: code for code, name in enumerate(names)}
+    # each run's names map to its slice of the codes
+    names, codes = name_codes([name for run in runs for name in run.names])
     size = sum(len(run.keys) for run in runs)
     keys, targets = np.empty(size, np.uint64), np.empty(size, np.int32)
     end = 0
     while runs:
         run = runs.pop(0)
-        remap = np.array([code_of[name] for name in run.names], np.int64)
+        remap, codes = np.split(codes, [len(run.names)])
         at = slice(end, end + len(run.keys))
         # a run's sources are runs of equal codes, and the remap is monotone,
         # so shifting each source's keys keeps the run sorted
@@ -434,19 +427,13 @@ def _reduce(
     del group_of
 
     snapshots = {}
-    for snap_year in np.flatnonzero(np.bincount(year)).tolist():
+    for snap_year in sorted(set(np.flatnonzero(np.bincount(year)).tolist()) | (wanted or set())):
         # the groups of one year run in source order
         sel = np.flatnonzero(year == snap_year)
-        ends = np.concatenate((source[sel], target[sel]))
-        used, local = np.unique(ends, return_inverse=True)
-        nodes = tuple(map(names.__getitem__, used.tolist()))
-        snapshots[snap_year] = YearSnapshot(
-            snap_year, nodes, local[: len(sel)], local[len(sel) :], weight[sel]
+        snapshots[snap_year] = YearSnapshot.from_columns(
+            snap_year, names, source[sel], target[sel], weight[sel]
         )
-    empty = np.empty(0, np.int64)
-    for snap_year in sorted((wanted or set()) - set(snapshots)):
-        snapshots[snap_year] = YearSnapshot(snap_year, (), empty, empty, empty)
-    return IngestResult(dict(sorted(snapshots.items())), summary)
+    return IngestResult(snapshots, summary)
 
 
 def ingest_links(

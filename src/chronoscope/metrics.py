@@ -21,7 +21,7 @@ from .errors import (
     LengthMismatch,
     TooFewMembers,
 )
-from .snapshot import YearSnapshot, group_sums
+from .snapshot import YearSnapshot, group_sums, name_codes
 
 # nodes missing from a partition mapping form one implicit group
 UNAFFILIATED = "unaffiliated"
@@ -131,9 +131,7 @@ def modularity(
     to the final division.
     """
     graph = snapshot if node_filter is None else snapshot.induced(node_filter)
-    names, group = np.unique(
-        [partition.get(node, UNAFFILIATED) for node in graph.nodes], return_inverse=True
-    )
+    names, group = name_codes([partition.get(node, UNAFFILIATED) for node in graph.nodes])
     m = int(graph.weight.sum())
     if m == 0:
         raise EmptyGraph("induced subgraph has no edge weight")
@@ -142,16 +140,11 @@ def modularity(
     same = source_group == group[graph.dst]
     internal = group_sums(source_group[same], graph.weight[same], len(names))
     group_out, group_in = (group_sums(group, s, len(names)) for s in graph.strengths())
-    groups: dict[str, GroupWeights] = {}
-    internal_total = 0
-    expected_total = 0  # sum of S_out(g) * S_in(g), still integer
-    for name, inside, s_out, s_in in zip(
-        names.tolist(), internal.tolist(), group_out.tolist(), group_in.tolist()
-    ):
-        internal_total += inside
-        expected_total += s_out * s_in
-        groups[name] = GroupWeights(inside, s_out * s_in / m)
-    q = (internal_total * m - expected_total) / (m * m)
+    inside = internal.tolist()
+    expected = [s_out * s_in for s_out, s_in in zip(group_out.tolist(), group_in.tolist())]
+    groups = {name: GroupWeights(w, e / m) for name, w, e in zip(names, inside, expected)}
+    # every sum is of integers up to the one division
+    q = (sum(inside) * m - sum(expected)) / (m * m)
     return ModularityResult(q, m, groups)
 
 

@@ -19,7 +19,7 @@ import numpy as np
 from .bytefields import write_csv
 from .domains import SuffixPolicy, sld_label
 from .errors import UnknownSld
-from .snapshot import YearSnapshot, group_sums
+from .snapshot import YearSnapshot, group_sums, name_codes
 
 
 @dataclass(frozen=True)
@@ -68,10 +68,7 @@ class SldCells:
 
 def sld_cells(snapshot: YearSnapshot, policy: SuffixPolicy) -> SldCells:
     """Label every node with its SLD bucket and sum the edges into cells."""
-    names, of_node = np.unique(
-        [sld_label(node, policy) for node in snapshot.nodes], return_inverse=True
-    )
-    labels = tuple(names.tolist())
+    labels, of_node = name_codes([sld_label(node, policy) for node in snapshot.nodes])
     size = len(labels)
     cell = of_node[snapshot.src] * size + of_node[snapshot.dst]
     return SldCells(

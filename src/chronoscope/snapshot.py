@@ -15,7 +15,9 @@ edge joins two distinct non-empty names with a weight of at least 1, and each
 (source, target) pair occurs once: a file that repeats a pair is rejected, not
 read as its last line.  These edge rules are one validator on the integer
 columns, which :meth:`YearSnapshot.from_columns` and :func:`read_snapshot`
-share.
+share, so every snapshot that ingest, synth or the reader builds passes them.
+:func:`name_codes` is the one coder of names into sorted codes, except for
+the reader's byte-level :meth:`chronoscope.bytefields.Interner.order`.
 
 :func:`read_snapshot` reads a file in blocks of ``_READ_BLOCK_BYTES`` through
 :func:`chronoscope.bytefields.blocks`, the block reader that the link-log
@@ -33,7 +35,8 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from operator import eq
+from itertools import chain, compress
+from operator import ne
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -105,12 +108,11 @@ class YearSnapshot:
             raise ValueError("a name index is out of range")
         used = np.zeros(len(names), bool)
         used[codes] = True
-        order = sorted(np.flatnonzero(used).tolist(), key=names.__getitem__)
-        nodes = tuple(map(names.__getitem__, order))
-        if any(map(eq, nodes[1:], nodes[:-1])):
+        nodes, code = name_codes(list(compress(names, used.tolist())))
+        if len(nodes) < len(code):
             raise ValueError("two name indices share a name")
         rank = np.zeros(len(names), np.int64)
-        rank[order] = np.arange(len(order))
+        rank[used] = code
         return _checked(year, nodes, rank[src], rank[dst], weight.astype(np.int64))
 
     def __eq__(self, other):
@@ -146,6 +148,20 @@ def group_sums(groups: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
     sums = np.zeros(size, values.dtype)
     np.add.at(sums, groups, values)
     return sums
+
+
+def name_codes(names: Sequence[str]) -> tuple[tuple[str, ...], np.ndarray]:
+    """The distinct ``names`` in order, and each name's int64 code there.
+
+    >>> name_codes(["g", "h", "g\\0", "g"])
+    (('g', 'g\\x00', 'h'), array([0, 2, 1, 0]))
+    """
+    order = sorted(range(len(names)), key=names.__getitem__)
+    ordered = list(map(names.__getitem__, order))
+    new = np.fromiter(map(ne, ordered, chain((None,), ordered)), bool, len(ordered))
+    codes = np.empty(len(names), np.int64)
+    codes[order] = np.cumsum(new) - 1
+    return tuple(compress(ordered, new)), codes
 
 
 def total_weight(weight: np.ndarray) -> int:

@@ -39,7 +39,7 @@ from .gravity import (
     haversine_km,
     pair_table,
 )
-from .snapshot import MAX_TOTAL_WEIGHT, YearSnapshot, total_weight
+from .snapshot import MAX_TOTAL_WEIGHT, YearSnapshot, name_codes, total_weight
 
 # target for the smallest generated weight; keeps integer rounding noise
 # under one percent per edge
@@ -183,8 +183,7 @@ def gen_partitioned_graph(
             raise InvalidSpec(f"{name}={p} outside [0, 1]")
     if p_intra < p_inter:
         raise InvalidSpec("p_intra must be at least p_inter")
-    codes: dict[str, int] = {}
-    group = np.array([codes.setdefault(label, len(codes)) for label in groups.values()])
+    _, group = name_codes(list(groups.values()))
     # blocks of whole rows, drawn in row order from one stream, so the draws
     # are those of the whole n x n matrix at once
     rng, rows = default_rng(seed), max(1, _DRAW_PAIRS // len(group))

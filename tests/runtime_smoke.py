@@ -1,11 +1,12 @@
 """A smoke run of the package with its runtime dependency alone.
 
-Runs ``ingest`` and ``ingest --strict`` on a small link log and ``synth`` in
-both modes, then every analysis on the synthetic snapshots: ``stats``,
-``centrality``, ``correlate`` (with a ranking file it writes), ``modularity``,
-``density``, ``gravity`` and ``export``, in a temporary directory, with an
-integer flag (``--year``) and a float flag (``--d-max-km inf``) among their
-options.  A 250-node gravity synth writes a 1.5 MB snapshot, more than one
+Runs ``ingest``, ``ingest --strict`` and ``ingest --year 1999`` (a year
+without records, whose snapshot must be its header line alone) on a small
+link log and ``synth`` in both modes, then every analysis on the synthetic
+snapshots: ``stats``, ``centrality``, ``correlate`` (with a ranking file it
+writes), ``modularity``, ``density``, ``gravity`` and ``export``, in a
+temporary directory, with an integer flag (``--year``) and a float flag
+(``--d-max-km inf``) among their options.  A 250-node gravity synth writes a 1.5 MB snapshot, more than one
 read block and many write blocks, and reading it and writing it again must
 give the same bytes, as for a one-edge snapshot of the largest weight,
 2**63 - 1, whose 19 digits the reader accumulates in uint64:
@@ -90,6 +91,7 @@ def main(argv: list[str]) -> int:
         inputs = [
             ["ingest", str(log), "--out-dir", str(i)],
             ["ingest", str(log), "--strict", "--out-dir", str(i)],
+            ["ingest", str(log), "--year", "1999", "--out-dir", str(i)],
             ["synth", "--mode", "gravity", "--n-nodes", "30", "--out-dir", str(g)],
             ["synth", "--mode", "partition", "--n-nodes", "30", "--n-groups", "3",
              "--p-intra", "0.5", "--out-dir", str(p)],
@@ -109,8 +111,11 @@ def main(argv: list[str]) -> int:
         ]
         if not run(chronoscope, inputs):
             return 1
-        if not list(i.glob("snapshot_*.tsv")):
+        if not (i / "snapshot_2010.tsv").exists():
             print("runtime smoke: ingest wrote no snapshot", file=sys.stderr)
+            return 1
+        if (i / "snapshot_1999.tsv").read_bytes() != b"#snapshot v1 year=1999\n":
+            print("runtime smoke: the empty year's snapshot is not its header alone", file=sys.stderr)
             return 1
         heaviest = Path(tmp, "heaviest.tsv")
         heaviest.write_text(f"#snapshot v1 year=2010\na.ac.uk\tb.ac.uk\t{2**63 - 1}\n")

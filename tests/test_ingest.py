@@ -893,8 +893,6 @@ def test_year_of_timestamp_matches_datetime():
 
 def test_summary_report_format(capsys):
     summary = IngestSummary(lines=5, records=3, self_loops=1, malformed_lines=1)
-    import sys
-
-    summary.report(stream=sys.stdout)
-    out = capsys.readouterr().out
-    assert "lines=5" in out and "self_loops=1" in out
+    summary.report()
+    err = capsys.readouterr().err
+    assert "lines=5" in err and "self_loops=1" in err

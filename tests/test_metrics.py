@@ -214,7 +214,10 @@ def test_modularity_matches_oracle_on_random_graphs(seed):
     if not edges:
         return
     k = rng.randint(1, 4)
-    labels = {v: f"g{rng.randrange(k)}" for v in nodes if rng.random() < 0.9}
+    # labels that differ only by a trailing NUL are distinct groups
+    labels = {
+        v: f"g{rng.randrange(k)}" + "\0" * rng.randrange(2) for v in nodes if rng.random() < 0.9
+    }
     result = modularity(snap(edges), labels)
     assert result.q == pytest.approx(brute_modularity(edges, labels, nodes), abs=1e-12)
     # group bookkeeping reassembles into q

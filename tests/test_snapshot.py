@@ -158,6 +158,17 @@ def test_from_columns_rejects_what_a_mapping_cannot_hold(names, src, dst, weight
         YearSnapshot.from_columns(2010, names, src, dst, weight)
 
 
+@given(st.lists(st.text(st.sampled_from("\0gé\U0001f600"), max_size=3)))
+@example(["g", "g\0", "g", "h", "g\0\0"])
+def test_name_codes_match_a_plain_coding(names):
+    # numpy's <U strings drop trailing NULs, so "g" and "g\0" would merge
+    expected = sorted(set(names))
+    distinct, codes = snapshot_module.name_codes(names)
+    assert distinct == tuple(expected)
+    assert codes.dtype == np.int64
+    assert codes.tolist() == [expected.index(name) for name in names]
+
+
 @pytest.mark.parametrize("year", [-5, -1, 2**63, 2010.0, True])
 def test_from_columns_rejects_a_year_that_would_not_read_back(year):
     # write_snapshot puts str(year) in the header, and read_snapshot reads

@@ -51,11 +51,14 @@ is that of their UTF-8 bytes.
 
 Small files are read a line at a time through :func:`text_lines`.  Side
 inputs are read through :class:`Rows` and written by :func:`write_rows`.
-Every CSV artifact but one is written by :func:`write_csv`: the rows of
+Every CSV artifact but two is written by :func:`write_csv`.  The rows of
 ``geo_links_<year>.csv`` repeat each node's name and coordinates many times,
 so :func:`chronoscope.gravity.export_geo_links` formats each node's fields
 once and joins them per row, in about half the time that the csv
-writer takes over the same rows, with the same bytes.
+writer takes over the same rows, with the same bytes.  The fields of
+``gravity_series_<year>.csv`` are float ``repr`` strings, which never need
+quoting, so :func:`chronoscope.gravity.write_gravity_series` formats each
+row with one ``str.format``, again with the csv writer's bytes.
 """
 
 from __future__ import annotations

@@ -7,6 +7,11 @@ linking propensity.  The normalized strengths are smoothed with a moving
 average over distance and fitted with ordinary least squares in log-log
 space to estimate the decay exponent of ``sigma ~ d^-a``.
 
+Each moving-average point is exact to the last bit: the correctly rounded
+sum of its window, divided once by the window (:func:`window_means`).  The
+series takes O(pairs) work and no floating-point dot product, so its bits
+do not depend on the BLAS build, its kernels or its threads.
+
 Normalize, symmetrize and window all work on one :class:`PairTable`, the
 pairs as columns; the synthetic generator calibrates with these functions.
 """
@@ -68,9 +73,12 @@ def haversine_km(lat1, lon1, lat2, lon2) -> np.ndarray:
 class PairTable:
     """Linked ordered pairs as columns, one row per pair.
 
-    ``source`` and ``target`` index into the sorted ``nodes``, and rows are
-    in (source, target) order.  ``weight`` is the raw strength, ``sigma``
-    the normalized strength and ``distance_km`` the great-circle distance.
+    ``source`` and ``target`` index into the sorted ``nodes``.  ``weight``
+    is the raw strength, ``sigma`` the normalized strength and
+    ``distance_km`` the great-circle distance.  Rows are in the order their
+    builder gives: :func:`normalized_strengths` and :func:`symmetrize_pairs`
+    give (source, target) order; :func:`pair_table` keeps the order of its
+    columns.
     """
 
     nodes: tuple[str, ...]
@@ -177,8 +185,11 @@ def distance_strength_series(
 
     Pairs closer than ``d_min_km`` (and, when set, farther than
     ``d_max_km``) are dropped before windowing.  Equal distances keep the
-    table's (source, target) order.  A window of 1 reproduces the raw
-    points, which is how the unsmoothed fit variant is expressed.
+    table's row order.  Each point is the mean of ``window`` consecutive
+    pairs, distance and sigma alike: the correctly rounded sum of the
+    window, divided once by ``window`` (:func:`window_means`).  A window of
+    1 reproduces the raw points, which is how the unsmoothed fit variant is
+    expressed.
     """
     if window < 1:
         raise ValueError("window must be at least 1")
@@ -192,10 +203,80 @@ def distance_strength_series(
             f"{len(kept)} pairs after distance filtering, window is {window}"
         )
     order = kept[np.argsort(d[kept], kind="stable")]
-    kernel = np.ones(window) / window
-    mean_d = np.convolve(d[order], kernel, mode="valid")
-    mean_s = np.convolve(pairs.sigma[order], kernel, mode="valid")
+    mean_d = window_means(d[order], window)
+    mean_s = window_means(pairs.sigma[order], window)
     return DistanceSeries(mean_d, mean_s, window, d_min_km, d_max_km, len(kept))
+
+
+# windows per block of window_means; each block restarts its prefix sums
+# from zero, so its temporaries are O(block + window) and its sums stay near
+# the size of its own values
+_MEAN_BLOCK = 8192
+_U = 2.0**-53  # unit roundoff of float64
+
+
+def window_means(values: np.ndarray, window: int) -> np.ndarray:
+    """``math.fsum(values[k:k + window]) / window`` for every start ``k``,
+    with ``1 <= window <= len(values)``.
+
+    ``values`` are non-negative floats; a NaN or an infinity gives what
+    fsum gives.  Each mean is the correctly rounded sum of its window,
+    divided once by ``window``, in O(len(values)) work: double-double prefix
+    sums give each window sum with an error bound, and a window whose bound
+    cannot decide the rounding is summed by ``math.fsum``.
+    """
+    values = np.asarray(values, float)
+    sums = np.empty(len(values) - window + 1)
+    step = max(_MEAN_BLOCK, window)
+    for first in range(0, len(sums), step):
+        sums[first : first + step] = _window_sums(values[first : first + step + window - 1], window)
+    undecided = np.flatnonzero(np.isnan(sums)).tolist()
+    sums[undecided] = [math.fsum(values[k : k + window].tolist()) for k in undecided]
+    sums /= window
+    return sums
+
+
+def _window_sums(x: np.ndarray, window: int) -> np.ndarray:
+    """The correctly rounded sum of each window of ``x``, NaN where the
+    error bound cannot decide it.
+
+    The prefix after i values is ``s[i] + E[i]`` exactly: ``s`` is the
+    sequential ``np.cumsum`` and ``E`` the sum of its TwoSum rounding
+    errors, carried in a second cumsum ``e`` (Ogita, Rump & Oishi 2005).
+    A window sum is then ``s[b] - s[a]`` split exactly into ``dh + dl``
+    (FastTwoSum: ``s`` never decreases), plus ``e[b] - e[a]``.
+    """
+    xmin = float(x.min())
+    if xmin < 0:
+        raise ValueError("window sums need non-negative values")
+    n = len(x) - window + 1
+    s = np.zeros(len(x) + 1)
+    np.cumsum(x, out=s[1:])
+    prev, step = s[:-1], s[1:]
+    z = step - prev
+    e = np.zeros(len(x) + 1)
+    np.cumsum((prev - (step - z)) + (x - z), out=e[1:])
+    high, low = s[window:], s[:n]
+    dh = high - low
+    lo = (high - dh) - low
+    lo += e[window:]
+    lo -= e[:n]
+    sums = dh + lo
+    smax, emax = float(s[-1]), float(max(e.max(), -e.min()))
+    # every value, and so every sum of them, is a multiple of g = ulp(xmin);
+    # a sum of such multiples is exact below 2^53 g > xmin, which bounds
+    # each step of e and of lo (|dl| <= u smax): then dh + lo is the exact
+    # window sum, and its one rounding is the right one
+    if 2 * (_U * smax + 2 * emax) <= xmin:
+        return sums
+    # otherwise the window sum is dh + lo + eta, |eta| <= u ((window + 3) emax
+    # + 2 u smax) to first order: the roundings of the window's steps of e
+    # and of the two steps of lo.  k bounds twice that plus the rounding of
+    # lo +- k, so dh + lo - k <= the sum <= dh + lo + k; where both ends
+    # round to one float, so does the sum
+    k = 2 * _U * ((window + 8) * emax + 4 * _U * smax)
+    sums[(dh + (lo + k) != sums) | (dh + (lo - k) != sums)] = np.nan
+    return sums
 
 
 @dataclass(frozen=True)
@@ -318,9 +399,13 @@ def export_geo_links(pairs: PairTable, geo: Mapping[str, GeoPoint], path) -> Non
 
 
 def write_gravity_series(series: DistanceSeries, path) -> None:
-    """Emit ``gravity_series_<year>.csv``: mean_d_km,mean_sigma."""
-    rows = zip(map(repr, series.distance_km.tolist()), map(repr, series.sigma.tolist()))
-    write_csv(path, ["mean_d_km", "mean_sigma"], rows)
+    """Emit ``gravity_series_<year>.csv``: mean_d_km,mean_sigma.  A float's
+    ``repr`` never needs CSV quoting, so each row is one format."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write("mean_d_km,mean_sigma\n")
+        fh.writelines(
+            map("{!r},{!r}\n".format, series.distance_km.tolist(), series.sigma.tolist())
+        )
 
 
 def write_gravity_fit(fit: GravityFit, path) -> None:

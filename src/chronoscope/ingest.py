@@ -84,7 +84,7 @@ from .errors import (
     OutOfScopeTld,
     UnknownSld,
 )
-from .snapshot import YearSnapshot, name_codes
+from .snapshot import YearSnapshot, check_year, name_codes
 
 PER_PAIR_MAX = "per-pair-max"
 BEST_SESSION = "best-session"
@@ -466,12 +466,17 @@ def ingest_links(
     TLDs and unregistered SLDs are dropped by design, not data corruption.
     A file that cannot be opened raises OSError before any line is parsed.
 
-    ``years`` restricts the output to the given years.
+    ``years`` restricts the output to the given years; a year that a
+    snapshot header cannot hold raises ValueError before any file is opened.
     """
     if gap_seconds <= 0:
         raise ValueError("gap_seconds must be positive")
     if year_select not in (PER_PAIR_MAX, BEST_SESSION):
         raise ValueError(f"unknown selection mode {year_select!r}")
+    if years is not None:
+        years = list(years)
+        for year in years:
+            check_year(year)
     ranges = _ranges(paths, parallel.usable_cores())
     total = sum(stop - start for _, start, stop in ranges)
     runs = parallel.fork_map(lambda span: _parse_range(*span, policy, strict), ranges, total)

@@ -93,8 +93,7 @@ class YearSnapshot:
         rules, then a total beyond ``MAX_TOTAL_WEIGHT``), on an index outside
         ``names``, on a name that two used indices share, and on name indices
         or weights that are not signed integers."""
-        if bytefields.digits(str(year)) is None:
-            raise ValueError(f"year {year!r} is not 1 to 19 ASCII digits below 2**63")
+        check_year(year)
         src, dst, weight = np.asarray(src), np.asarray(dst), np.asarray(weight)
         for index in (src, dst):
             if index.dtype.kind != "i":
@@ -141,6 +140,13 @@ class YearSnapshot:
         """Per-node sums of outgoing and of incoming edge weights."""
         n = len(self.nodes)
         return group_sums(self.src, self.weight, n), group_sums(self.dst, self.weight, n)
+
+
+def check_year(year: int) -> None:
+    """ValueError unless a snapshot header can hold ``year``: its ``str()``
+    is 1 to 19 ASCII digits below 2**63."""
+    if bytefields.digits(str(year)) is None:
+        raise ValueError(f"year {year!r} is not 1 to 19 ASCII digits below 2**63")
 
 
 def group_sums(groups: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:

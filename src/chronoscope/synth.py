@@ -16,7 +16,10 @@ no positive edge assignment can cancel this exactly).  The generator
 therefore runs a secant search on the kernel exponent, measuring each
 noiseless float kernel with the gravity module's own pair table, series and
 fit, until the measured exponent matches the requested one; then it applies
-the multiplicative lognormal noise and rounds to integer weights.
+the multiplicative lognormal noise and rounds to integer weights.  The
+search sorts the pairs by distance once, ties in (row, col) order, and
+builds each kernel's pair table in that order, which is the order the
+series would sort a (source, target) table into.
 """
 
 from __future__ import annotations
@@ -108,7 +111,6 @@ def gen_gravity_graph(
     if np.any(distances[off] == 0.0):
         raise InvalidSpec("coincident coordinates make the decay undefined")
     np.fill_diagonal(distances, 1.0)  # placeholder; diagonal never used
-    rows, cols = np.nonzero(off)
     pair_km = distances[off]
     # few nodes: measure all pairs when fewer than 3 reach d_min_km, and
     # shrink the window so that at least 3 series points remain
@@ -116,6 +118,11 @@ def gen_gravity_graph(
     if np.count_nonzero(pair_km >= d_min_km) < 3:
         d_min_km = 0.0
     window = min(DEFAULT_WINDOW, max(1, np.count_nonzero(pair_km >= d_min_km) - 2))
+    # the pairs in the order the series sorts them: by distance, ties in
+    # (row, col) order; sorted once, so each series' sort meets sorted data
+    by_distance = np.argsort(pair_km, kind="stable")
+    pair_km, flat = pair_km[by_distance], np.flatnonzero(off)[by_distance]
+    rows, cols = np.divmod(flat, len(nodes))
 
     target = planted_exponent
 
@@ -123,7 +130,7 @@ def gen_gravity_graph(
         kernel = distances**(-g)
         np.fill_diagonal(kernel, 0.0)
         pairs = pair_table(
-            nodes, rows, cols, kernel[off], kernel.sum(axis=1), kernel.sum(axis=0), pair_km
+            nodes, rows, cols, kernel.take(flat), kernel.sum(axis=1), kernel.sum(axis=0), pair_km
         )
         try:
             series = distance_strength_series(pairs, window=window, d_min_km=d_min_km)
@@ -157,7 +164,7 @@ def gen_gravity_graph(
     weights = np.rint(weights * (_MIN_WEIGHT / smallest)).astype(np.int64)
     if total_weight(weights) > MAX_TOTAL_WEIGHT:
         raise InvalidSpec("the planted weights cannot be scaled into int64")
-    return YearSnapshot.from_columns(year, nodes, rows, cols, weights)
+    return YearSnapshot.from_columns(year, nodes, *np.nonzero(off), weights)
 
 
 def gen_partitioned_graph(

@@ -4,9 +4,11 @@ from collections import namedtuple
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 
+from chronoscope import gravity
+from chronoscope.bytefields import write_csv
 from chronoscope.errors import (
     DegenerateDesign,
     InsufficientData,
@@ -26,7 +28,9 @@ from chronoscope.gravity import (
     normalized_strengths,
     read_geo_points,
     symmetrize_pairs,
+    window_means,
     write_geo_points,
+    write_gravity_series,
 )
 from graphs import snapshot_of
 from oracles import sphere_distance_km
@@ -256,6 +260,74 @@ def test_series_point_count(n, window):
         assert len(series.distance_km) == n - window + 1
 
 
+# --- window means ---
+
+def fsum_means(values, window):
+    values = list(values)
+    return [math.fsum(values[k : k + window]) / window for k in range(len(values) - window + 1)]
+
+
+@st.composite
+def columns_and_windows(draw):
+    # non-negative columns whose values spread over a drawn range of binary
+    # exponents within [-300, 300], some of them zero or repeated, some sorted
+    n = draw(st.integers(min_value=1, max_value=3000))
+    low = draw(st.integers(min_value=-300, max_value=300))
+    high = draw(st.integers(min_value=low, max_value=300))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32)))
+    values = np.ldexp(rng.random(n), rng.integers(low, high + 1, n))
+    values[rng.random(n) < draw(st.sampled_from([0.0, 0.01, 0.5]))] = 0.0
+    if draw(st.booleans()):
+        values = np.repeat(values[: n // 4 + 1], 4)[:n]
+    if draw(st.booleans()):
+        values.sort()
+    return values, draw(st.integers(min_value=1, max_value=n))
+
+
+@settings(max_examples=150, deadline=None)
+@given(columns_and_windows())
+def test_window_means_are_fsum_means(column_window):
+    values, window = column_window
+    assert window_means(values, window).tolist() == fsum_means(values.tolist(), window)
+
+
+def test_window_means_fall_back_to_fsum_where_the_bound_cannot_decide():
+    # a huge run, then small values that the first prefix sum cannot hold;
+    # and a spike between two runs of tiny values: double-double prefix
+    # sums alone miss the correct rounding in most of these windows, and
+    # the error bound leaves them to fsum (NaN)
+    rng = np.random.default_rng(25)
+    cases = [
+        (np.concatenate([np.full(1000, 1e16), rng.random(5000)]), 300),
+        (np.concatenate([rng.random(5000) * 1e-8, np.full(1000, 1e10), rng.random(5000) * 1e-8]), 500),
+    ]
+    for values, window in cases:
+        means = window_means(values, window)
+        assert means.tolist() == fsum_means(values.tolist(), window)
+        assert np.isnan(gravity._window_sums(values, window)).sum() > len(means) // 2
+
+
+def test_window_means_of_nan_and_infinity_are_fsum_means():
+    values = [1.0, math.nan, 2.0, 3.0, math.inf, 4.0, 5.0]
+    for window in (1, 2, 3):
+        got = window_means(np.array(values), window)
+        assert list(map(repr, got.tolist())) == list(map(repr, fsum_means(values, window)))
+
+
+def test_window_means_refuse_negative_values():
+    with pytest.raises(ValueError):
+        window_means(np.array([1.0, -0.5, 2.0]), 2)
+
+
+def test_series_means_are_window_means():
+    rng = np.random.default_rng(6)
+    pts = list(zip(20 + 900 * rng.random(2000), rng.lognormal(-9, 3, 2000)))
+    series = distance_strength_series(pairs_from(pts), window=97, d_min_km=0)
+    d, sigma = zip(*sorted(pts))
+    assert series.distance_km.tolist() == fsum_means(d, 97)
+    assert series.sigma.tolist() == fsum_means(sigma, 97)
+
+
 # --- the log-log fit ---
 
 def power_law_series(a=0.3, scale=1.0, n=50):
@@ -370,6 +442,15 @@ def test_export_geo_links_missing_coordinates(tmp_path):
     pairs = table([Row("a.ac.uk", "b.ac.uk", 1, 0.5, 10.0)])
     with pytest.raises(MissingCoordinates):
         export_geo_links(pairs, {"a.ac.uk": OXFORD}, tmp_path / "x.csv")
+
+
+def test_series_file_has_the_csv_writers_bytes(tmp_path):
+    d = np.array([20.5, 1e-05, 123456789.0, 0.1 + 0.2, math.inf])
+    sigma = np.array([5e-324, 1.5e300, -0.0, 2.0, math.nan])
+    write_gravity_series(DistanceSeries(d, sigma, 1, 0.0, None, 5), tmp_path / "series.csv")
+    rows = zip(map(repr, d.tolist()), map(repr, sigma.tolist()))
+    write_csv(tmp_path / "by_csv.csv", ["mean_d_km", "mean_sigma"], rows)
+    assert (tmp_path / "series.csv").read_bytes() == (tmp_path / "by_csv.csv").read_bytes()
 
 
 def test_geo_file_roundtrip(tmp_path):

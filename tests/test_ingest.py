@@ -3,6 +3,7 @@ import concurrent.futures
 import datetime
 import os
 import random
+import re
 import tempfile
 import tracemalloc
 import weakref
@@ -838,6 +839,15 @@ def test_ingest_year_filter(tmp_path):
     )
     result = ingest_links([path], POLICY, years=[1996])
     assert set(result.snapshots) == {1996}
+
+
+@pytest.mark.parametrize("year", [-5, 2**63])
+def test_ingest_rejects_a_year_before_opening_any_file(tmp_path, year):
+    # the header-year rule of from_columns, checked before the missing file
+    # is opened, so the error is the year's ValueError and not an OSError
+    reason = f"year {year!r} is not 1 to 19 ASCII digits below 2**63"
+    with pytest.raises(ValueError, match=f"^{re.escape(reason)}$"):
+        ingest_links([tmp_path / "missing.tsv"], POLICY, years=[2010, year])
 
 
 def test_read_node_pages_rejects_bad_rows(tmp_path):
